@@ -1,0 +1,143 @@
+"""Byte-identity pins: sha256 digests of fixed-seed outputs.
+
+Every digest below was recorded from the code before a refactor that
+must not change output. A failing digest means the trees, ledgers,
+cut sides or CSV bytes for a fixed seed changed; a change that does
+this on purpose must say why and re-record the digest.
+
+To print the current digests: ``python3 tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from ghtree import (
+    INFINITE,
+    Epsilon,
+    ExperimentConfig,
+    IsoCutParams,
+    PrivacyLedger,
+    Rng,
+    final_gh_tree,
+    generate,
+    gomory_hu_exact,
+    isolating_cuts_exact,
+    min_ST_cut_exact,
+    private_isolating_cuts,
+    private_min_ST_cut,
+    run_experiment,
+    save_tree,
+    write_csv,
+)
+
+INSTANCES = {
+    "er40": ("erdos-renyi-weighted", {"n": 40, "p": 0.2}),
+    "planted24": ("planted-community", {"n": 24}),
+    "dumbbell6": ("dumbbell", {"clique": 6}),
+}
+
+
+def _graph(label):
+    kind, params = INSTANCES[label]
+    return generate(kind, params, 0)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _tree_bytes(tree, tmp_path) -> bytes:
+    path = tmp_path / "tree.txt"
+    save_tree(tree, str(path))
+    return path.read_bytes()
+
+
+def _ledger_bytes(ledger) -> bytes:
+    return "".join(f"{e.name} {e.sensitivity!r} {e.scale!r} {e.count}\n" for e in ledger.entries).encode()
+
+
+def _private_tree(label, tmp_path) -> bytes:
+    ledger = PrivacyLedger(Epsilon(1.0))
+    tree = final_gh_tree(_graph(label), Epsilon(1.0), Rng(0), ledger)
+    return _tree_bytes(tree, tmp_path) + b"--\n" + _ledger_bytes(ledger)
+
+
+def _cut_line(side, value) -> str:
+    return " ".join(str(v) for v in sorted(side)) + f" | {value!r}\n"
+
+
+def _st_cuts(tmp_path) -> bytes:
+    """Exact and private S-T cuts for seeded random disjoint S, T on ER n=40."""
+    g = _graph("er40")
+    pick = Rng(0).child("pairs")
+    out = []
+    for i in range(12):
+        order = [g.vertices[j] for j in pick.permutation(g.n)]
+        a, b = 1 + pick.integer(4), 1 + pick.integer(4)
+        S, T = order[:a], order[a : a + b]
+        exact = min_ST_cut_exact(g, S, T)
+        out.append(_cut_line(exact.cut.side, exact.value))
+        ledger = PrivacyLedger(Epsilon(1.0))
+        cut = private_min_ST_cut(g, S, T, Epsilon(1.0), Rng(i), ledger)
+        out.append(_cut_line(cut.side, cut.value))
+        out.append(_ledger_bytes(ledger).decode())
+    return "".join(out).encode()
+
+
+def _isolating_cuts(tmp_path) -> bytes:
+    g = _graph("planted24")
+    R = [0, 3, 5, 11, 12, 17, 23]
+    out = [_cut_line(c.side, c.value) for _, c in sorted(isolating_cuts_exact(g, R).items())]
+    params = IsoCutParams(eps=Epsilon(1.0), beta=0.01, U=frozenset(g.vertices))
+    res = private_isolating_cuts(g, R, params, Rng(0))
+    out.extend(_cut_line(c.side, c.value) for _, c in sorted(res.cuts.items()))
+    return "".join(out).encode()
+
+
+def _sweep_csv(tmp_path) -> bytes:
+    config = ExperimentConfig(
+        generator="erdos-renyi-weighted", params={"n": 12, "p": 0.3}, eps=(1.0, 4.0), seeds=(0, 1)
+    )
+    path = tmp_path / "sweep.csv"
+    write_csv(run_experiment(config), str(path))
+    return path.read_bytes()
+
+
+PRODUCERS = {
+    "private_er40": lambda tmp: _private_tree("er40", tmp),
+    "private_planted24": lambda tmp: _private_tree("planted24", tmp),
+    "private_dumbbell6": lambda tmp: _private_tree("dumbbell6", tmp),
+    "noiseless_er40": lambda tmp: _tree_bytes(final_gh_tree(_graph("er40"), INFINITE, Rng(0)), tmp),
+    "exact_er40": lambda tmp: _tree_bytes(gomory_hu_exact(_graph("er40")), tmp),
+    "st_cuts_er40": _st_cuts,
+    "isolating_cuts_planted24": _isolating_cuts,
+    "sweep_er12": _sweep_csv,
+}
+
+GOLDEN = {
+    "exact_er40": "d561266f03284d01072ebe2e8fe07773e1ee57ba4fcd4b72b0e1e97629a23720",
+    "isolating_cuts_planted24": "2adbaa46c578db6967f2762c9ffed6f8b814699be6c2ad674f38d8eade49d9eb",
+    "noiseless_er40": "80731088f1e52f61c3fd2346ab903dd77e1549646ab6c5d623e4f19b55c0a89c",
+    "private_dumbbell6": "72fd9d818c545cf7412f24c1c003f93c4e3ada8a07681632d9f3553256d9654a",
+    "private_er40": "89ad77576ae84268a37e08d5c5359179870ee6a72575eb13e1c7d442ddde52e7",
+    "private_planted24": "c7f0608c1cf3fe0c7edccf5fed970f4c986f67a479998fddd8f6fb70a37c2efb",
+    "st_cuts_er40": "742e736eca275b3e56e19eed57967f84b444f72d3438968fb4839c0c42595385",
+    "sweep_er12": "8ec09376f7aae3a50e1bb89bee5969535087bf2774a0f59e54b000f915cea609",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCERS))
+def test_output_is_byte_identical(name, tmp_path):
+    assert _sha(PRODUCERS[name](tmp_path)) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(PRODUCERS):
+            print(f'    "{name}": "{_sha(PRODUCERS[name](pathlib.Path(tmp)))}",')
