@@ -12,8 +12,6 @@ from .dp import (
     LedgerEntry,
     PrivacyLedger,
     Rng,
-    ledger_assert,
-    ledger_charge,
     sample_exponential,
     sample_laplace,
 )
@@ -101,8 +99,6 @@ __all__ = [
     "global_min_cut",
     "gomory_hu_exact",
     "isolating_cuts_exact",
-    "ledger_assert",
-    "ledger_charge",
     "load_graph",
     "load_tree",
     "make_cut_side",

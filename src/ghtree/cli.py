@@ -29,16 +29,7 @@ def _parse_eps(raw: str) -> Epsilon:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     g = load_graph(args.input)
-    constants = env_constants()
-    tree = final_gh_tree(
-        g,
-        _parse_eps(args.eps),
-        Rng(args.seed),
-        c_depth=constants.get("c_depth", 4.0),
-        c1=constants.get("c1", 4.0),
-        c2=constants.get("c2", 4.0),
-        penalty_const=constants.get("penalty_const", 4.0),
-    )
+    tree = final_gh_tree(g, _parse_eps(args.eps), Rng(args.seed), **env_constants())
     save_tree(tree, args.out)
     print(f"wrote tree with {len(tree.nodes)} nodes to {args.out}")
     return 0

@@ -180,12 +180,3 @@ class PrivacyLedger:
         if self.budget.is_noiseless:
             return True
         return self.total() <= self.budget.value * (1.0 + LEDGER_SLACK)
-
-
-def ledger_charge(ledger: PrivacyLedger, name: str, sensitivity: float, scale: float, count: int = 1) -> None:
-    ledger.charge(name, sensitivity, scale, count)
-
-
-def ledger_assert(ledger: PrivacyLedger) -> bool:
-    """Whether total charged cost stays within the declared budget."""
-    return ledger.within_budget()

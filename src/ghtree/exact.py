@@ -2,17 +2,20 @@
 
 These are the noiseless reference algorithms. They double as
 subroutines of the private pipeline, which calls them on graphs that
-already carry noise edges. All cut values returned here are recomputed
-boundary weights, never solver bookkeeping.
+already carry noise edges. The S-T reduction (contract each side into
+one vertex, cut, map the side back) lives here once and is shared with
+the private S-T cut, which passes its noised s-t mechanism as the
+oracle. All cut values returned here are recomputed boundary weights,
+never solver bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ._maxflow import min_cut_source_side
-from .graph import ContractionMap, CutSide, Graph, contract, cut_weight, make_cut_side
+from .graph import CutSide, Graph, contract, cut_weight, make_cut_side
 from .steiner import SteinerTree, combine_steiner
 
 BRUTE_FORCE_LIMIT = 20
@@ -43,19 +46,15 @@ def min_st_cut_exact(g: Graph, s: int, t: int) -> MaxFlowResult:
     return MaxFlowResult(cut=CutSide(side=side, value=value), value=value)
 
 
-def _expand(side: frozenset[int], maps: list[ContractionMap], original: Graph) -> frozenset[int]:
-    image = {v: v for v in original.vertices}
-    for cm in maps:
-        image = {v: cm.forward[x] for v, x in image.items()}
-    return frozenset(v for v, x in image.items() if x in side)
+def _reduce_ST_cut(
+    g: Graph, S: Iterable[int], T: Iterable[int], st_cut: Callable[[Graph, int, int], CutSide]
+) -> CutSide:
+    """Minimum S-T cut from an s-t cut oracle: contract, cut, map back.
 
-
-def min_ST_cut_exact(g: Graph, S: Iterable[int], T: Iterable[int]) -> MaxFlowResult:
-    """Minimum cut separating vertex set S from vertex set T.
-
-    The returned side contains all of S and none of T. Singleton sides
-    skip contraction entirely, so min_ST_cut_exact(g, {s}, {t}) is
-    exactly min_st_cut_exact(g, s, t).
+    Each multi-vertex side is contracted into a fresh label, never a
+    vertex of g, so the side in g is the oracle's side within V(g),
+    plus S. Singleton sides skip contraction: that case is exactly
+    ``st_cut(g, s, t)``.
     """
     S = sorted({int(v) for v in S})
     T = sorted({int(v) for v in T})
@@ -66,25 +65,28 @@ def min_ST_cut_exact(g: Graph, S: Iterable[int], T: Iterable[int]) -> MaxFlowRes
     if not set(S) <= g.vertex_set or not set(T) <= g.vertex_set:
         raise ValueError("S and T must be subsets of the vertex set")
     if len(S) == 1 and len(T) == 1:
-        return min_st_cut_exact(g, S[0], T[0])
+        return st_cut(g, S[0], T[0])
     work = g
-    maps: list[ContractionMap] = []
-    if len(S) > 1:
-        s_label = max(work.vertices) + 1
-        work, cm = contract(work, S, s_label)
-        maps.append(cm)
-    else:
-        s_label = S[0]
-    if len(T) > 1:
-        t_label = max(work.vertices) + 1
-        work, cm = contract(work, T, t_label)
-        maps.append(cm)
-    else:
-        t_label = T[0]
-    res = min_st_cut_exact(work, s_label, t_label)
-    side = _expand(res.cut.side, maps, g)
-    value = cut_weight(g, side)
-    return MaxFlowResult(cut=CutSide(side=side, value=value), value=value)
+    labels = []
+    for block in (S, T):
+        label = block[0]
+        if len(block) > 1:
+            label = max(work.vertices) + 1
+            work, _ = contract(work, block, label)
+        labels.append(label)
+    side = st_cut(work, labels[0], labels[1]).side
+    return make_cut_side(g, (side & g.vertex_set) | set(S))
+
+
+def min_ST_cut_exact(g: Graph, S: Iterable[int], T: Iterable[int]) -> MaxFlowResult:
+    """Minimum cut separating vertex set S from vertex set T.
+
+    The returned side contains all of S and none of T. Singleton sides
+    skip contraction entirely, so min_ST_cut_exact(g, {s}, {t}) is
+    exactly min_st_cut_exact(g, s, t).
+    """
+    cut = _reduce_ST_cut(g, S, T, lambda h, s, t: min_st_cut_exact(h, s, t).cut)
+    return MaxFlowResult(cut=cut, value=cut.value)
 
 
 def isolating_cuts_exact(g: Graph, R: Iterable[int]) -> dict[int, CutSide]:

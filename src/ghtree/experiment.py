@@ -23,8 +23,9 @@ from .dp import INFINITE, Epsilon, Rng
 from .exact import gomory_hu_exact
 from .generators import generate
 from .graph import Graph
-from .io import load_graph
+from .io import _write_lines, load_graph
 from .pipeline import GHTreeAbort, final_gh_tree
+from .private_cuts import DEFAULT_C1, DEFAULT_C2, DEFAULT_C_DEPTH, DEFAULT_PENALTY_CONST
 from .steiner import SteinerTree, min_edge_on_path
 
 CSV_HEADER = "pair_s,pair_t,seed,eps,lambda_exact,tree_value,side_true_weight,side_error,value_error"
@@ -59,10 +60,10 @@ class ExperimentConfig:
     eps: tuple[float, ...] = (1.0,)
     seeds: tuple[int, ...] = (0,)
     mode: str = "private"
-    c1: float = 4.0
-    c2: float = 4.0
-    c_depth: float = 4.0
-    penalty_const: float = 4.0
+    c1: float = DEFAULT_C1
+    c2: float = DEFAULT_C2
+    c_depth: float = DEFAULT_C_DEPTH
+    penalty_const: float = DEFAULT_PENALTY_CONST
     out: str | None = None
 
     def __post_init__(self):
@@ -214,10 +215,7 @@ def write_csv(report: ExperimentReport, path: str) -> None:
                 )
             )
         )
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _write_lines(path, lines)
 
 
 _SCALAR_KEYS = {"generator", "input", "mode", "out"}

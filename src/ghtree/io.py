@@ -16,6 +16,7 @@ identity and equal objects produce byte-identical files.
 
 from __future__ import annotations
 
+import math
 import os
 
 from .graph import Graph
@@ -64,7 +65,7 @@ def load_graph(path: str) -> Graph:
             n = _parse_int(toks[1], lineno, "vertex count")
             m = _parse_int(toks[2], lineno, "edge count")
             if n < 1 or m < 0:
-                raise ValueError(f"line {lineno}: invalid sizes n={n}, m={m}")
+                raise GraphFormatError(f"line {lineno}: invalid sizes n={n}, m={m}")
         elif tag == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before p header")
@@ -74,18 +75,18 @@ def load_graph(path: str) -> Graph:
             v = _parse_int(toks[2], lineno, "endpoint")
             w = _parse_float(toks[3], lineno, "weight")
             if not 0 <= u < n or not 0 <= v < n:
-                raise ValueError(f"line {lineno}: endpoint outside [0, {n})")
+                raise GraphFormatError(f"line {lineno}: endpoint outside [0, {n})")
             if u == v:
-                raise ValueError(f"line {lineno}: self-loop on vertex {u}")
-            if not w > 0.0:
-                raise ValueError(f"line {lineno}: edge weight must be positive, got {w!r}")
+                raise GraphFormatError(f"line {lineno}: self-loop on vertex {u}")
+            if not 0.0 < w < math.inf:
+                raise GraphFormatError(f"line {lineno}: edge weight must be positive and finite, got {w!r}")
             edges.append((u, v, w))
         else:
             raise GraphFormatError(f"line {lineno}: unknown record type {tag!r}")
     if n is None:
         raise GraphFormatError("missing p header")
     if len(edges) != m:
-        raise ValueError(f"header declares {m} edges but file has {len(edges)}")
+        raise GraphFormatError(f"header declares {m} edges but file has {len(edges)}")
     return Graph(range(n), edges)
 
 
@@ -112,7 +113,7 @@ def load_tree(path: str) -> SteinerTree:
                 raise GraphFormatError(f"line {lineno}: expected 't <n>'")
             n = _parse_int(toks[1], lineno, "vertex count")
             if n < 1:
-                raise ValueError(f"line {lineno}: invalid vertex count {n}")
+                raise GraphFormatError(f"line {lineno}: invalid vertex count {n}")
         elif tag == "b":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: mapping before t header")
@@ -121,7 +122,7 @@ def load_tree(path: str) -> SteinerTree:
             v = _parse_int(toks[1], lineno, "vertex")
             t = _parse_int(toks[2], lineno, "terminal")
             if v in fmap:
-                raise ValueError(f"line {lineno}: duplicate mapping for vertex {v}")
+                raise GraphFormatError(f"line {lineno}: duplicate mapping for vertex {v}")
             fmap[v] = t
         elif tag == "e":
             if n is None:
@@ -132,16 +133,19 @@ def load_tree(path: str) -> SteinerTree:
             v = _parse_int(toks[2], lineno, "endpoint")
             w = _parse_float(toks[3], lineno, "weight")
             if w < 0.0:
-                raise ValueError(f"line {lineno}: tree edge weight must be nonnegative")
+                raise GraphFormatError(f"line {lineno}: tree edge weight must be nonnegative")
             edges.append((u, v, w))
         else:
             raise GraphFormatError(f"line {lineno}: unknown record type {tag!r}")
     if n is None:
         raise GraphFormatError("missing t header")
     if len(fmap) != n:
-        raise ValueError(f"header declares {n} mapped vertices but file has {len(fmap)}")
+        raise GraphFormatError(f"header declares {n} mapped vertices but file has {len(fmap)}")
     nodes = sorted(v for v, t in fmap.items() if v == t)
-    return SteinerTree(nodes, edges, fmap)
+    try:
+        return SteinerTree(nodes, edges, fmap)
+    except ValueError as err:
+        raise GraphFormatError(str(err)) from err
 
 
 def save_tree(tree: SteinerTree, path: str) -> None:

@@ -18,19 +18,15 @@ over how a single edge change can land across sibling branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .dp import Epsilon, PrivacyLedger, Rng, sample_laplace
 from .exact import min_st_cut_exact
 from .graph import CutSide, Graph, contract
+from .private_cuts import DEFAULT_C1, DEFAULT_C2, DEFAULT_C_DEPTH, DEFAULT_PENALTY_CONST
 from .private_cuts import IsoCutParams, private_isolating_cuts
 from .steiner import SteinerTree, combine_steiner
-
-DEFAULT_C1 = 4.0
-DEFAULT_C2 = 4.0
-DEFAULT_C_DEPTH = 4.0
-DEFAULT_PENALTY_CONST = 4.0
 
 
 class GHTreeAbort(RuntimeError):
@@ -114,15 +110,7 @@ class RecursionParams:
         return math.ceil(self.c_depth * math.log2(self.n_max) ** 2)
 
     def deeper(self) -> "RecursionParams":
-        return RecursionParams(
-            eps=self.eps,
-            t=self.t + 1,
-            n_max=self.n_max,
-            c_depth=self.c_depth,
-            c1=self.c1,
-            c2=self.c2,
-            penalty_const=self.penalty_const,
-        )
+        return replace(self, t=self.t + 1)
 
 
 def gh_tree_step(

@@ -2,11 +2,13 @@
 
 The s-t mechanism attaches exponentially distributed noise edges from
 every vertex to both endpoints and solves the noised instance exactly,
-reporting the true weight of the side it found. The isolating-cut
-routine runs the bit-partition scheme on top of that mechanism and, to
-keep regions from ballooning, adds a penalty weight between each
-region's terminals-of-interest and its contracted outside before the
-final combined cut.
+reporting the true weight of the side it found. The S-T cut is the
+exact module's S-T reduction with this mechanism as its s-t oracle.
+The isolating-cut routine runs the bit-partition scheme on top of that
+and, to keep regions from ballooning, adds a penalty weight between
+each region's terminals-of-interest and its contracted outside before
+the final combined cut. The pipeline's default constants live here,
+the lowest module that uses one.
 """
 
 from __future__ import annotations
@@ -17,8 +19,15 @@ from typing import Iterable, Mapping
 
 from ._maxflow import min_cut_source_side
 from .dp import Epsilon, PrivacyLedger, Rng, sample_exponential
-from .exact import _expand, min_st_cut_exact
-from .graph import ContractionMap, CutSide, Graph, contract, cut_weight, make_cut_side
+from .exact import _reduce_ST_cut, min_st_cut_exact
+from .graph import CutSide, Graph, contract, cut_weight, make_cut_side
+
+# Default constants of the pipeline's error allowances (c1, c2), depth
+# cap (c_depth) and large-side penalty; every layer takes them from here.
+DEFAULT_C1 = 4.0
+DEFAULT_C2 = 4.0
+DEFAULT_C_DEPTH = 4.0
+DEFAULT_PENALTY_CONST = 4.0
 
 
 @dataclass(frozen=True)
@@ -33,7 +42,7 @@ class IsoCutParams:
     eps: Epsilon
     beta: float
     U: frozenset[int]
-    penalty_const: float = 4.0
+    penalty_const: float = DEFAULT_PENALTY_CONST
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -100,33 +109,7 @@ def private_min_ST_cut(
     Singleton sides skip contraction, so a call with |S| = |T| = 1 is
     bit-for-bit the same as private_min_st_cut under the same stream.
     """
-    S = sorted({int(v) for v in S})
-    T = sorted({int(v) for v in T})
-    if not S or not T:
-        raise ValueError("S and T must be nonempty")
-    if set(S) & set(T):
-        raise ValueError("S and T must be disjoint")
-    if not set(S) <= g.vertex_set or not set(T) <= g.vertex_set:
-        raise ValueError("S and T must be subsets of the vertex set")
-    if len(S) == 1 and len(T) == 1:
-        return private_min_st_cut(g, S[0], T[0], eps, rng, ledger)
-    work = g
-    maps: list[ContractionMap] = []
-    if len(S) > 1:
-        s_label = max(work.vertices) + 1
-        work, cm = contract(work, S, s_label)
-        maps.append(cm)
-    else:
-        s_label = S[0]
-    if len(T) > 1:
-        t_label = max(work.vertices) + 1
-        work, cm = contract(work, T, t_label)
-        maps.append(cm)
-    else:
-        t_label = T[0]
-    inner = private_min_st_cut(work, s_label, t_label, eps, rng, ledger)
-    side = _expand(inner.side, maps, g)
-    return CutSide(side=side, value=cut_weight(g, side))
+    return _reduce_ST_cut(g, S, T, lambda h, s, t: private_min_st_cut(h, s, t, eps, rng, ledger))
 
 
 def private_isolating_cuts(

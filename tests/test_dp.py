@@ -14,8 +14,6 @@ from ghtree import (
     LedgerEntry,
     PrivacyLedger,
     Rng,
-    ledger_assert,
-    ledger_charge,
     sample_exponential,
     sample_laplace,
 )
@@ -167,10 +165,10 @@ class TestLedger:
 
     def test_charges_accumulate(self):
         led = PrivacyLedger(Epsilon(1.0))
-        ledger_charge(led, "a", 1.0, 4.0)
-        ledger_charge(led, "b", 1.0, 4.0, count=2)
+        led.charge("a", 1.0, 4.0)
+        led.charge("b", 1.0, 4.0, count=2)
         assert led.total() == pytest.approx(0.75)
-        assert ledger_assert(led)
+        assert led.within_budget()
 
     def test_over_budget_detected(self):
         led = PrivacyLedger(Epsilon(0.5))

@@ -85,6 +85,13 @@ class TestGraphFiles:
             ("p 2 1\ne 0 1 abc\n", "must be a number"),
             ("p 2 1\nq 0 1 1.0\n", "unknown record"),
             ("", "missing p header"),
+            ("p 0 0\n", "invalid sizes"),
+            ("p 2 -1\n", "invalid sizes"),
+            ("p 2 1\ne 0 5 1.0\n", "outside"),
+            ("p 2 1\ne 0 0 1.0\n", "self-loop"),
+            ("p 2 1\ne 0 1 0.0\n", "positive"),
+            ("p 2 1\ne 0 1 inf\n", "finite"),
+            ("p 2 2\ne 0 1 1.0\n", "declares 2 edges"),
         ],
     )
     def test_structural_errors(self, tmp_path, content, match):
@@ -144,6 +151,13 @@ class TestTreeFiles:
             ("e 0 1 1.0\n", "edge before t header"),
             ("t 1\nt 1\nb 0 0\n", "duplicate t header"),
             ("", "missing t header"),
+            ("t 0\n", "invalid vertex count"),
+            ("t 2\nb 0 0\nb 0 0\n", "duplicate mapping"),
+            ("t 2\nb 0 0\n", "declares 2 mapped"),
+            ("t 2\nb 0 0\nb 1 1\ne 0 1 -1.0\n", "nonnegative"),
+            ("t 2\nb 0 0\nb 1 1\n", "spanning tree"),
+            ("t 2\nb 0 0\nb 1 0\ne 0 1 1.0\n", "outside the node set"),
+            ("t 2\nb 0 0\nb 1 5\n", "non-terminal"),
         ],
     )
     def test_structural_errors(self, tmp_path, content, match):
