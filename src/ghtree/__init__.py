@@ -35,7 +35,6 @@ from .experiment import (
 )
 from .generators import generate
 from .graph import (
-    ContractionMap,
     CutSide,
     Graph,
     are_neighboring,
@@ -64,7 +63,6 @@ from .steiner import SteinerTree, combine_steiner, component_nodes, min_edge_on_
 
 __all__ = [
     "AbortRecord",
-    "ContractionMap",
     "CutSide",
     "Epsilon",
     "ExperimentConfig",

@@ -1,16 +1,14 @@
 """Dinic max-flow on flat arrays, used for every exact min-cut call.
 
-The kernel works on CSR arc arrays so it can be compiled with numba
-when available; set GHTREE_PURE_PYTHON=1 to force the interpreted
-fallback (same code path, identical arithmetic, just slower). The
-kernel returns the final BFS level array: vertices still reachable
-from the source in the residual network form the minimal source-side
-min cut, which is the tie-break every caller relies on.
+The kernel works on CSR arc arrays and is compiled with numba exactly
+when numba imports; otherwise the same code runs interpreted, with
+identical arithmetic, just slower. The kernel returns the final BFS
+level array: vertices still reachable from the source in the residual
+network form the minimal source-side min cut, which is the tie-break
+every caller relies on.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -82,15 +80,13 @@ def _dinic_levels(csr_ptr, csr_arc, arc_dst, arc_cap, s, t):
                 iters[u] += 1
 
 
-USING_NUMBA = False
-if os.environ.get("GHTREE_PURE_PYTHON", "") != "1":
-    try:
-        import numba
+try:
+    import numba
 
-        _dinic_levels = numba.njit(cache=True, nogil=True)(_dinic_levels)
-        USING_NUMBA = True
-    except ImportError:
-        pass
+    _dinic_levels = numba.njit(cache=True, nogil=True)(_dinic_levels)
+    USING_NUMBA = True
+except ImportError:
+    USING_NUMBA = False
 
 
 def _build_arrays(g: Graph) -> tuple[dict[int, int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -2,11 +2,13 @@
 
 These are the noiseless reference algorithms. They double as
 subroutines of the private pipeline, which calls them on graphs that
-already carry noise edges. The S-T reduction (contract each side into
-one vertex, cut, map the side back) lives here once and is shared with
-the private S-T cut, which passes its noised s-t mechanism as the
-oracle. All cut values returned here are recomputed boundary weights,
-never solver bookkeeping.
+already carry noise edges. Two reductions live here once and are shared
+with ``private_cuts``: the S-T reduction (contract each side into one
+vertex, cut, map the side back), which the private S-T cut runs with
+its noised s-t mechanism as the oracle, and the bit partition of
+isolating cuts into disjoint regions, which the private isolating cuts
+run with the private S-T cut. All cut values returned here are
+recomputed boundary weights, never solver bookkeeping.
 """
 
 from __future__ import annotations
@@ -71,8 +73,7 @@ def _reduce_ST_cut(
     for block in (S, T):
         label = block[0]
         if len(block) > 1:
-            label = max(work.vertices) + 1
-            work, _ = contract(work, block, label)
+            work, label = contract(work, block)
         labels.append(label)
     side = st_cut(work, labels[0], labels[1]).side
     return make_cut_side(g, (side & g.vertex_set) | set(S))
@@ -89,6 +90,40 @@ def min_ST_cut_exact(g: Graph, S: Iterable[int], T: Iterable[int]) -> MaxFlowRes
     return MaxFlowResult(cut=cut, value=cut.value)
 
 
+def _isolating_terminals(g: Graph, R: Iterable[int]) -> list[int]:
+    """Validated terminals of an isolating-cuts call, deduplicated and sorted."""
+    R = sorted({int(v) for v in R})
+    if len(R) < 2:
+        raise ValueError("isolating cuts need at least two terminals")
+    if not set(R) <= g.vertex_set:
+        raise ValueError("terminals must be graph vertices")
+    return R
+
+
+def _isolating_regions(
+    g: Graph, R: list[int], ST_side: Callable[[int, list[int], list[int]], frozenset[int]]
+) -> list[tuple[int, set[int], Graph, int]]:
+    """Bit partition of V into disjoint regions, one around each terminal.
+
+    Terminals are identified with 0..|R|-1 in the order of ``R``. Round
+    i takes ``ST_side(i, A, B)``, the side of a cut separating the
+    terminals whose bit i is 0 (A) from the rest (B), and shrinks every
+    region to its terminal's side. Returns (r, W_r, h, t) per terminal:
+    h is g with everything outside W_r contracted into the vertex t.
+    """
+    region = {r: set(g.vertices) for r in R}
+    for i in range((len(R) - 1).bit_length()):
+        A = [r for idx, r in enumerate(R) if not (idx >> i) & 1]
+        B = [r for idx, r in enumerate(R) if (idx >> i) & 1]
+        side = ST_side(i, A, B)
+        for idx, r in enumerate(R):
+            if (idx >> i) & 1:
+                region[r] -= side
+            else:
+                region[r] &= side
+    return [(r, region[r], *contract(g, g.vertex_set - region[r])) for r in R]
+
+
 def isolating_cuts_exact(g: Graph, R: Iterable[int]) -> dict[int, CutSide]:
     """Minimum isolating cuts for every terminal in R simultaneously.
 
@@ -99,29 +134,9 @@ def isolating_cuts_exact(g: Graph, R: Iterable[int]) -> dict[int, CutSide]:
     terminal, the outputs are pairwise disjoint, and each is a minimum
     cut separating its terminal from the rest of R.
     """
-    R = sorted({int(v) for v in R})
-    if len(R) < 2:
-        raise ValueError("isolating cuts need at least two terminals")
-    if not set(R) <= g.vertex_set:
-        raise ValueError("terminals must be graph vertices")
-    region = {r: set(g.vertices) for r in R}
-    rounds = (len(R) - 1).bit_length()
-    for i in range(rounds):
-        A = [r for idx, r in enumerate(R) if not (idx >> i) & 1]
-        B = [r for idx, r in enumerate(R) if (idx >> i) & 1]
-        side = min_ST_cut_exact(g, A, B).cut.side
-        for idx, r in enumerate(R):
-            if (idx >> i) & 1:
-                region[r] -= side
-            else:
-                region[r] &= side
-    out: dict[int, CutSide] = {}
-    for r in R:
-        t_label = max(g.vertices) + 1
-        h, _ = contract(g, g.vertex_set - region[r], t_label)
-        side = min_st_cut_exact(h, r, t_label).cut.side
-        out[r] = make_cut_side(g, side)
-    return out
+    R = _isolating_terminals(g, R)
+    regions = _isolating_regions(g, R, lambda i, A, B: min_ST_cut_exact(g, A, B).cut.side)
+    return {r: make_cut_side(g, min_st_cut_exact(h, r, t).cut.side) for r, _, h, t in regions}
 
 
 def gomory_hu_exact(g: Graph, terminals: Iterable[int] | None = None) -> SteinerTree:
@@ -146,10 +161,8 @@ def _gh_steiner(g: Graph, U: list[int]) -> SteinerTree:
     s, t = U[0], U[1]
     res = min_st_cut_exact(g, s, t)
     side = res.cut.side
-    x_label = max(g.vertices) + 1
-    g_side, _ = contract(g, g.vertex_set - side, x_label)
-    y_label = max(g.vertices) + 1
-    g_rest, _ = contract(g, side, y_label)
+    g_side, x_label = contract(g, g.vertex_set - side)
+    g_rest, y_label = contract(g, side)
     t_side = _gh_steiner(g_side, [u for u in U if u in side])
     t_rest = _gh_steiner(g_rest, [u for u in U if u not in side])
     return combine_steiner(t_rest, [(t_side, x_label, y_label, res.value)])

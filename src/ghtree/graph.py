@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 
 def _canon(u: int, v: int) -> tuple[int, int]:
@@ -27,7 +26,7 @@ class Graph:
     dropped, negative or non-finite weights are rejected.
     """
 
-    __slots__ = ("_vertices", "_vset", "_weights", "_adj")
+    __slots__ = ("_vertices", "_vset", "_weights")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int, float]] = ()):
         vs = sorted({int(v) for v in vertices})
@@ -43,15 +42,9 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) has invalid weight {w!r}")
             key = _canon(u, v)
             weights[key] = weights.get(key, 0.0) + w
-        weights = {k: w for k, w in sorted(weights.items()) if w > 0.0}
-        adj: dict[int, dict[int, float]] = {v: {} for v in vs}
-        for (u, v), w in weights.items():
-            adj[u][v] = w
-            adj[v][u] = w
         self._vertices: tuple[int, ...] = tuple(vs)
         self._vset = vset
-        self._weights = weights
-        self._adj = adj
+        self._weights = {k: w for k, w in sorted(weights.items()) if w > 0.0}
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -86,14 +79,13 @@ class Graph:
             yield u, v, w
 
     def adjacency(self, v: int) -> list[tuple[int, float]]:
+        """Neighbours of v with edge weights, sorted by neighbour."""
         if v not in self._vset:
             raise ValueError(f"vertex {v} not in graph")
-        return sorted(self._adj[v].items())
+        return sorted((b if a == v else a, w) for (a, b), w in self._weights.items() if v in (a, b))
 
     def degree(self, v: int) -> int:
-        if v not in self._vset:
-            raise ValueError(f"vertex {v} not in graph")
-        return len(self._adj[v])
+        return len(self.adjacency(v))
 
     def total_weight(self) -> float:
         return sum(w for _, w in sorted(self._weights.items()))
@@ -120,21 +112,6 @@ class CutSide:
 
     side: frozenset[int]
     value: float
-
-
-@dataclass(frozen=True)
-class ContractionMap:
-    """Total vertex map from an uncontracted graph onto its contraction.
-
-    ``forward`` sends every original vertex either to itself or to
-    ``label``, the fresh vertex standing for the contracted block.
-    """
-
-    forward: Mapping[int, int]
-    label: int
-
-    def apply(self, v: int) -> int:
-        return self.forward[v]
 
 
 def cut_weight(g: Graph, side: Iterable[int]) -> float:
@@ -164,32 +141,28 @@ def make_cut_side(g: Graph, side: Iterable[int]) -> CutSide:
     return CutSide(side=s, value=cut_weight(g, s))
 
 
-def contract(g: Graph, block: Iterable[int], label: int) -> tuple[Graph, ContractionMap]:
-    """Contract ``block`` into the single fresh vertex ``label``.
+def contract(g: Graph, block: Iterable[int]) -> tuple[Graph, int]:
+    """Contract ``block`` into one fresh vertex; return the graph and its label.
 
-    Edges between the block and any outside vertex merge by summation;
-    edges internal to the block disappear. ``label`` must not collide
-    with a surviving vertex. Contracting the whole vertex set yields a
+    The label is max(V) + 1, so it never collides with a surviving
+    vertex and is the largest vertex of the result. Edges between the
+    block and any outside vertex merge by summation; edges internal to
+    the block disappear. Contracting the whole vertex set yields a
     single-vertex graph.
     """
     b = {int(v) for v in block}
-    label = int(label)
     if not b:
         raise ValueError("cannot contract an empty block")
     if not b <= g.vertex_set:
         raise ValueError("contraction block contains vertices outside the graph")
-    survivors = g.vertex_set - b
-    if label in survivors:
-        raise ValueError(f"contraction label {label} collides with a surviving vertex")
-    forward = {v: (label if v in b else v) for v in g.vertices}
-    new_vertices = sorted(survivors) + [label]
+    label = g.vertices[-1] + 1
     new_edges = []
     for u, v, w in g.edges():
-        fu, fv = forward[u], forward[v]
+        fu = label if u in b else u
+        fv = label if v in b else v
         if fu != fv:
             new_edges.append((fu, fv, w))
-    contracted = Graph(new_vertices, new_edges)
-    return contracted, ContractionMap(forward=MappingProxyType(forward), label=label)
+    return Graph([v for v in g.vertices if v not in b] + [label], new_edges), label
 
 
 def are_neighboring(g1: Graph, g2: Graph) -> bool:

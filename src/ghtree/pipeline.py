@@ -237,8 +237,7 @@ def _gh_rec(
     for v in step.R_star:
         side = step.sets[v].side
         u_inside = [u for u in U if u in side]
-        x_label = max(g.vertices) + 1
-        g_v, _ = contract(g, g.vertex_set - side, x_label)
+        g_v, x_label = contract(g, g.vertex_set - side)
         if len(u_inside) > 1:
             mask_rng = rng.child(f"mask.{v}")
             edges = [(a, b, w) for a, b, w in g_v.edges() if x_label not in (a, b)]
@@ -250,8 +249,7 @@ def _gh_rec(
             subtree = _gh_rec(g_v, u_inside, rp.deeper(), rng.child(f"branch.{v}"), depths)
         else:
             subtree = _single_node_tree(g_v.vertices, v)
-        y_label = max(remainder.vertices) + 1
-        remainder, _ = contract(remainder, side, y_label)
+        remainder, y_label = contract(remainder, side)
         children.append((subtree, x_label, y_label, step.true_weights[v]))
     u_rest = [u for u in U if u not in step.D]
     if len(u_rest) > 1:

@@ -4,11 +4,11 @@ The s-t mechanism attaches exponentially distributed noise edges from
 every vertex to both endpoints and solves the noised instance exactly,
 reporting the true weight of the side it found. The S-T cut is the
 exact module's S-T reduction with this mechanism as its s-t oracle.
-The isolating-cut routine runs the bit-partition scheme on top of that
-and, to keep regions from ballooning, adds a penalty weight between
-each region's terminals-of-interest and its contracted outside before
-the final combined cut. The pipeline's default constants live here,
-the lowest module that uses one.
+The isolating-cut routine runs the exact module's bit partition with
+the private S-T cut and, to keep regions from ballooning, adds a
+penalty weight between each region's terminals-of-interest and its
+contracted outside before the final combined cut. The pipeline's
+default constants live here, the lowest module that uses one.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Iterable, Mapping
 
 from ._maxflow import min_cut_source_side
 from .dp import Epsilon, PrivacyLedger, Rng, sample_exponential
-from .exact import _reduce_ST_cut, min_st_cut_exact
-from .graph import CutSide, Graph, contract, cut_weight, make_cut_side
+from .exact import _isolating_regions, _isolating_terminals, _reduce_ST_cut, min_st_cut_exact
+from .graph import CutSide, Graph, cut_weight, make_cut_side
 
 # Default constants of the pipeline's error allowances (c1, c2), depth
 # cap (c_depth) and large-side penalty; every layer takes them from here.
@@ -132,25 +132,13 @@ def private_isolating_cuts(
     discourages outputs that swallow most of U. An empty U skips the
     penalty entirely.
     """
-    R = sorted({int(v) for v in R})
-    if len(R) < 2:
-        raise ValueError("isolating cuts need at least two terminals")
-    if not set(R) <= g.vertex_set:
-        raise ValueError("terminals must be graph vertices")
+    R = _isolating_terminals(g, R)
     if not params.U <= g.vertex_set:
         raise ValueError("penalty universe must be a subset of the vertex set")
     eps_call = params.eps.split(math.log2(len(R)) + 2.0)
-    region = {r: set(g.vertices) for r in R}
-    rounds = (len(R) - 1).bit_length()
-    for i in range(rounds):
-        A = [r for idx, r in enumerate(R) if not (idx >> i) & 1]
-        B = [r for idx, r in enumerate(R) if (idx >> i) & 1]
-        side = private_min_ST_cut(g, A, B, eps_call, rng.child(f"round.{i}"), ledger).side
-        for idx, r in enumerate(R):
-            if (idx >> i) & 1:
-                region[r] -= side
-            else:
-                region[r] &= side
+    regions = _isolating_regions(
+        g, R, lambda i, A, B: private_min_ST_cut(g, A, B, eps_call, rng.child(f"round.{i}"), ledger).side
+    )
     if params.U and not params.eps.is_noiseless:
         penalty = (
             params.penalty_const
@@ -160,29 +148,26 @@ def private_isolating_cuts(
         )
     else:
         penalty = 0.0
-    combined_vertices: list[int] = []
     combined_edges: list[tuple[int, int, float]] = []
     sources: list[int] = []
     sinks: list[int] = []
-    backmaps: list[tuple[int, dict[int, int]]] = []
+    relabels: list[dict[int, int]] = []
     next_label = 0
-    for r in R:
-        t_label = max(g.vertices) + 1
-        h, _ = contract(g, g.vertex_set - region[r], t_label)
+    for r, region, h, t in regions:
         edges = list(h.edges())
         if penalty > 0.0:
-            edges.extend((u, t_label, penalty) for u in sorted(region[r] & params.U))
+            edges.extend((u, t, penalty) for u in sorted(region & params.U))
         relabel = {v: next_label + i for i, v in enumerate(h.vertices)}
         next_label += h.n
-        combined_vertices.extend(relabel.values())
         combined_edges.extend((relabel[u], relabel[v], w) for u, v, w in edges)
         sources.append(relabel[r])
-        sinks.append(relabel[t_label])
-        backmaps.append((r, {relabel[v]: v for v in region[r]}))
-    combined = Graph(combined_vertices, combined_edges)
+        sinks.append(relabel[t])
+        relabels.append(relabel)
+    combined = Graph(range(next_label), combined_edges)
     side = private_min_ST_cut(combined, sources, sinks, eps_call, rng.child("combined"), ledger).side
-    cuts: dict[int, CutSide] = {}
-    for r, back in backmaps:
-        cuts[r] = make_cut_side(g, {orig for new, orig in back.items() if new in side})
+    cuts = {
+        r: make_cut_side(g, {v for v in region if relabel[v] in side})
+        for (r, region, _, _), relabel in zip(regions, relabels)
+    }
     total = sum(cuts[r].value for r in R)
     return IsoCutsResult(cuts=cuts, total_value=total)

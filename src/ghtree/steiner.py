@@ -153,13 +153,9 @@ def min_edge_on_path(tree: SteinerTree, u: int, v: int) -> tuple[int, int, float
     path = tree_path(tree, u, v)
     if len(path) < 2:
         raise ValueError("path has no edges")
-    weights = {}
-    for a, nbrs in tree._adj.items():
-        for b, w in nbrs:
-            weights[(a, b)] = w
     best = None
     for a, b in zip(path, path[1:]):
-        w = weights[(a, b)]
+        w = next(w for y, w in tree.adjacency(a) if y == b)
         if best is None or w < best[2]:
             best = (a, b, w)
     return best

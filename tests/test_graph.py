@@ -110,6 +110,11 @@ class TestCutWeight:
         side = set(g.vertices[: g.n // 2])
         rest = set(g.vertices) - side
         assert cut_weight(g, side) == pytest.approx(cut_weight(g, rest), abs=1e-12)
+        # Adjacency and degree are views of the same edge list.
+        for v in g.vertices:
+            pairs = sorted((b if a == v else a, w) for a, b, w in g.edges() if v in (a, b))
+            assert g.adjacency(v) == pairs
+            assert g.degree(v) == len(g.adjacency(v))
 
     @given(strategies.connected_graphs(min_n=3))
     @settings(max_examples=60, deadline=None)
@@ -133,27 +138,30 @@ class TestCutWeight:
 class TestContract:
     def test_block_edges_vanish_boundary_edges_merge(self):
         g = Graph(range(4), [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0), (2, 3, 4.0)])
-        h, cmap = contract(g, {0, 1}, 9)
-        assert h.vertex_set == {2, 3, 9}
-        assert h.weight(9, 2) == 5.0
+        h, label = contract(g, {0, 1})
+        assert label == max(g.vertices) + 1 == 4
+        assert h.vertex_set == {2, 3, 4}
+        assert h.weight(4, 2) == 5.0
         assert h.weight(2, 3) == 4.0
-        assert cmap.apply(0) == 9 and cmap.apply(1) == 9 and cmap.apply(3) == 3
 
-    def test_label_collision_rejected(self):
-        with pytest.raises(ValueError, match="collides"):
-            contract(triangle(), {0}, 1)
-
-    def test_reusing_block_member_as_label_is_fine(self):
-        h, _ = contract(triangle(), {0, 1}, 0)
-        assert h.vertex_set == {0, 2}
+    def test_block_holding_the_largest_vertex_gets_a_fresh_label(self):
+        h, label = contract(triangle(), {1, 2})
+        assert label == 3
+        assert h.vertices == (0, 3)
+        assert h.weight(0, 3) == 5.0
 
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            contract(triangle(), set(), 9)
+            contract(triangle(), set())
+
+    def test_block_outside_graph_rejected(self):
+        with pytest.raises(ValueError, match="outside the graph"):
+            contract(triangle(), {0, 9})
 
     def test_whole_vertex_set_contracts_to_point(self):
-        h, _ = contract(triangle(), {0, 1, 2}, 7)
-        assert h.vertices == (7,)
+        h, label = contract(triangle(), {0, 1, 2})
+        assert label == 3
+        assert h.vertices == (3,)
         assert h.m == 0
 
     @given(strategies.connected_graphs(min_n=3))
@@ -161,8 +169,8 @@ class TestContract:
     def test_cut_weights_are_preserved_under_contraction(self, g):
         # Cutting around the supernode equals cutting around its block.
         block = set(g.vertices[: g.n // 2])
-        label = max(g.vertices) + 1
-        h, _ = contract(g, block, label)
+        h, label = contract(g, block)
+        assert label == max(g.vertices) + 1
         for v in h.vertex_set - {label}:
             assert cut_weight(h, {label, v}) == pytest.approx(
                 cut_weight(g, block | {v}), abs=1e-12
