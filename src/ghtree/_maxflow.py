@@ -1,120 +1,67 @@
-"""Dinic max-flow on flat arrays, used for every exact min-cut call.
+"""Dinic max-flow on plain Python lists, used for every exact min-cut call.
 
-The kernel works on CSR arc arrays and is compiled with numba exactly
-when numba imports; otherwise the same code runs interpreted, with
-identical arithmetic, just slower. The kernel returns the final BFS
-level array: vertices still reachable from the source in the residual
-network form the minimal source-side min cut, which is the tie-break
-every caller relies on.
+The k-th edge of ``g.edges()`` becomes arc 2k (u -> v) and arc 2k+1
+(v -> u), both with the edge weight as capacity, so the reverse of arc
+``a`` is ``a ^ 1``; each vertex lists its arc ids in increasing order.
+The kernel returns the final BFS level list: vertices still reachable
+from the source in the residual network form the minimal source-side
+min cut, which is the tie-break every caller relies on.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .graph import Graph
 
+# Read by bench/run.py for its "backend" field; the kernel is never jitted.
+USING_NUMBA = False
 
-def _dinic_levels(csr_ptr, csr_arc, arc_dst, arc_cap, s, t):
-    n = csr_ptr.shape[0] - 1
-    level = np.empty(n, dtype=np.int64)
-    queue = np.empty(n, dtype=np.int64)
-    iters = np.empty(n, dtype=np.int64)
-    path_arcs = np.empty(n, dtype=np.int64)
+
+def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: int, t: int) -> list[int]:
+    n = len(adj)
     while True:
-        for i in range(n):
-            level[i] = -1
+        level = [-1] * n
         level[s] = 0
-        queue[0] = s
-        qh, qt = 0, 1
-        while qh < qt:
-            u = queue[qh]
-            qh += 1
-            for ptr in range(csr_ptr[u], csr_ptr[u + 1]):
-                a = csr_arc[ptr]
-                v = arc_dst[a]
-                if level[v] < 0 and arc_cap[a] > 0.0:
-                    level[v] = level[u] + 1
-                    queue[qt] = v
-                    qt += 1
+        queue = [s]
+        for u in queue:  # FIFO: the loop also visits vertices appended during it
+            lv = level[u] + 1
+            for a in adj[u]:
+                v = head[a]
+                if level[v] < 0 and cap[a] > 0.0:
+                    level[v] = lv
+                    queue.append(v)
         if level[t] < 0:
             return level
-        for i in range(n):
-            iters[i] = csr_ptr[i]
-        depth = 0
+        it = [0] * n
+        path: list[int] = []
         u = s
         while True:
             if u == t:
-                delta = np.inf
-                for d in range(depth):
-                    c = arc_cap[path_arcs[d]]
-                    if c < delta:
-                        delta = c
-                for d in range(depth):
-                    a = path_arcs[d]
-                    arc_cap[a] -= delta
-                    arc_cap[a ^ 1] += delta
+                delta = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= delta
+                    cap[a ^ 1] += delta
                 nd = 0
-                while nd < depth and arc_cap[path_arcs[nd]] > 0.0:
+                while nd < len(path) and cap[path[nd]] > 0.0:
                     nd += 1
-                depth = nd
-                u = s if nd == 0 else arc_dst[path_arcs[nd - 1]]
+                del path[nd:]
+                u = head[path[-1]] if path else s
                 continue
-            advanced = False
-            while iters[u] < csr_ptr[u + 1]:
-                a = csr_arc[iters[u]]
-                v = arc_dst[a]
-                if arc_cap[a] > 0.0 and level[v] == level[u] + 1:
-                    path_arcs[depth] = a
-                    depth += 1
-                    u = v
-                    advanced = True
+            arcs = adj[u]
+            lv = level[u] + 1
+            for i in range(it[u], len(arcs)):
+                a = arcs[i]
+                if cap[a] > 0.0 and level[head[a]] == lv:
+                    it[u] = i
+                    path.append(a)
+                    u = head[a]
                     break
-                iters[u] += 1
-            if not advanced:
+            else:
                 if u == s:
                     break
                 level[u] = -2
-                depth -= 1
-                u = s if depth == 0 else arc_dst[path_arcs[depth - 1]]
-                iters[u] += 1
-
-
-try:
-    import numba
-
-    _dinic_levels = numba.njit(cache=True, nogil=True)(_dinic_levels)
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
-
-
-def _build_arrays(g: Graph) -> tuple[dict[int, int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    index = {v: i for i, v in enumerate(g.vertices)}
-    edges = list(g.edges())
-    m2 = 2 * len(edges)
-    arc_dst = np.empty(m2, dtype=np.int64)
-    arc_cap = np.empty(m2, dtype=np.float64)
-    tails = np.empty(m2, dtype=np.int64)
-    for k, (u, v, w) in enumerate(edges):
-        iu, iv = index[u], index[v]
-        arc_dst[2 * k] = iv
-        arc_cap[2 * k] = w
-        tails[2 * k] = iu
-        arc_dst[2 * k + 1] = iu
-        arc_cap[2 * k + 1] = w
-        tails[2 * k + 1] = iv
-    n = g.n
-    counts = np.bincount(tails, minlength=n) if m2 else np.zeros(n, dtype=np.int64)
-    csr_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=csr_ptr[1:])
-    csr_arc = np.empty(m2, dtype=np.int64)
-    fill = csr_ptr[:-1].copy()
-    for a in range(m2):
-        u = tails[a]
-        csr_arc[fill[u]] = a
-        fill[u] += 1
-    return index, csr_ptr, csr_arc, arc_dst, arc_cap
+                path.pop()
+                u = head[path[-1]] if path else s
+                it[u] += 1
 
 
 def min_cut_source_side(g: Graph, s: int, t: int) -> frozenset[int]:
@@ -124,7 +71,16 @@ def min_cut_source_side(g: Graph, s: int, t: int) -> frozenset[int]:
     in the final residual network. Deterministic for a given graph: the
     arc order is derived from the sorted edge list.
     """
-    index, csr_ptr, csr_arc, arc_dst, arc_cap = _build_arrays(g)
-    level = _dinic_levels(csr_ptr, csr_arc, arc_dst, arc_cap, index[s], index[t])
     verts = g.vertices
-    return frozenset(verts[i] for i in range(g.n) if level[i] >= 0)
+    index = {v: i for i, v in enumerate(verts)}
+    adj: list[list[int]] = [[] for _ in verts]
+    head: list[int] = []
+    cap: list[float] = []
+    for u, v, w in g.edges():
+        iu, iv = index[u], index[v]
+        adj[iu].append(len(head))
+        adj[iv].append(len(head) + 1)
+        head += (iv, iu)
+        cap += (w, w)
+    level = _dinic_levels(adj, head, cap, index[s], index[t])
+    return frozenset(v for v, lv in zip(verts, level) if lv >= 0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import CutSide, Graph, cut_weight, make_cut_side
+from .graph import CutSide, Graph, make_cut_side
 from .steiner import SteinerTree, component_nodes, min_edge_on_path
 
 

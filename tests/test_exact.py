@@ -65,6 +65,24 @@ class TestMinStCut:
         assert s in res.cut.side and t not in res.cut.side
         assert cut_weight(g, res.cut.side) == pytest.approx(res.value, abs=1e-12)
 
+    @given(strategies.graphs_with_pair())
+    @settings(max_examples=100, deadline=None)
+    def test_side_is_intersection_of_all_minimum_sides(self, gst):
+        # Labels 3v+2 are non-contiguous, as in contracted graphs, so the
+        # kernel's vertex-index map is exercised. Quarter-integer weights
+        # sum exactly, so the minimum sides are found by equality.
+        g0, s0, t0 = gst
+        g = Graph([3 * v + 2 for v in g0.vertices], [(3 * u + 2, 3 * v + 2, w) for u, v, w in g0.edges()])
+        s, t = 3 * s0 + 2, 3 * t0 + 2
+        bits = oracles.vertex_bits(g)
+        values = oracles.all_cut_values(g)
+        masks = [m for m in range(len(values)) if (m >> bits[s]) & 1 and not (m >> bits[t]) & 1]
+        best = min(values[m] for m in masks)
+        minimal = frozenset.intersection(
+            *(oracles.side_from_mask(g, m) for m in masks if values[m] == best)
+        )
+        assert min_st_cut_exact(g, s, t).cut.side == minimal
+
     def test_agrees_with_package_brute_force(self):
         for seed in range(30):
             g = generate("erdos-renyi-weighted", {"n": 8, "p": 0.4}, seed)
