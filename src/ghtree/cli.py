@@ -9,27 +9,19 @@ config file. Exit codes: 0 success, 1 validation or format errors,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .applications import min_k_cut, tree_query
-from .dp import INFINITE, Epsilon, Rng
+from .dp import Epsilon, Rng
 from .exact import gomory_hu_exact
 from .experiment import env_constants, parse_config, run_experiment, write_csv
 from .io import load_graph, load_tree, save_tree
 from .pipeline import GHTreeAbort, final_gh_tree
 
 
-def _parse_eps(raw: str) -> Epsilon:
-    value = float(raw)
-    if math.isinf(value):
-        return INFINITE
-    return Epsilon(value)
-
-
 def _cmd_build(args: argparse.Namespace) -> int:
     g = load_graph(args.input)
-    tree = final_gh_tree(g, _parse_eps(args.eps), Rng(args.seed), **env_constants())
+    tree = final_gh_tree(g, Epsilon(float(args.eps)), Rng(args.seed), **env_constants())
     save_tree(tree, args.out)
     print(f"wrote tree with {len(tree.nodes)} nodes to {args.out}")
     return 0

@@ -7,6 +7,13 @@ minus the exact min cut (never negative), value_error is the noisy
 reported value minus the exact min cut (signed). Aborted cells are
 recorded and skipped, never retried. CSV output is byte-deterministic
 for a fixed config.
+
+The answers are the ones ``tree_query`` gives, without a query per
+pair: a tree has only n-1 distinct edge cuts, so each tree edge's side
+weight is computed once, and one DFS per source finds the minimum edge
+on the path to every other node (ties go to the edge nearest the
+source, as in ``min_edge_on_path``). The exact values come from the
+same DFS over the exact tree. Evaluation costs O(n*m + n^2) per cell.
 """
 
 from __future__ import annotations
@@ -16,17 +23,16 @@ import os
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .applications import tree_query
-from .dp import INFINITE, Epsilon, Rng
+from .dp import Epsilon, Rng
 from .exact import gomory_hu_exact
 from .generators import generate
-from .graph import Graph
+from .graph import Graph, cut_weight
 from .io import _write_lines, load_graph
 from .pipeline import GHTreeAbort, final_gh_tree
 from .private_cuts import DEFAULT_C1, DEFAULT_C2, DEFAULT_C_DEPTH, DEFAULT_PENALTY_CONST
-from .steiner import SteinerTree, min_edge_on_path
+from .steiner import SteinerTree
 
 CSV_HEADER = "pair_s,pair_t,seed,eps,lambda_exact,tree_value,side_true_weight,side_error,value_error"
 
@@ -128,6 +134,75 @@ def _instance(config: ExperimentConfig, seed: int) -> Graph:
     return load_graph(config.input_path)
 
 
+def _edge_cut_weights(tree: SteinerTree, g: Graph) -> dict[tuple[int, int], float]:
+    """True weight of the cut each tree edge induces, keyed by both orientations.
+
+    The tree is rooted at its first node and each edge's side is the
+    preimage of the subtree below it. Both sides of an edge have the
+    same boundary, which ``cut_weight`` sums in canonical edge order, so
+    one value serves both orientations bit for bit.
+    """
+    root = tree.nodes[0]
+    parent = {root: root}
+    order = []
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y, _ in tree.adjacency(x):
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
+    # ``order`` is a preorder, so each subtree is a contiguous slice.
+    size = dict.fromkeys(order, 1)
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+    cuts: dict[tuple[int, int], float] = {}
+    for i in range(1, len(order)):
+        x = order[i]
+        value = cut_weight(g, tree.preimage(order[i : i + size[x]]))
+        cuts[(parent[x], x)] = cuts[(x, parent[x])] = value
+    return cuts
+
+
+def _path_minima(tree: SteinerTree, s: int) -> dict[int, tuple[int, int, float] | None]:
+    """Minimum edge (a, b, w) on the tree path from s to every node.
+
+    The rule is ``min_edge_on_path``'s: walking away from s, the edge
+    replaces the best so far only when strictly lighter, so ties go to
+    the edge nearest s, and a is the endpoint closer to s. s maps to None.
+    """
+    best: dict[int, tuple[int, int, float] | None] = {s: None}
+    stack = [s]
+    while stack:
+        x = stack.pop()
+        bx = best[x]
+        for y, w in tree.adjacency(x):
+            if y not in best:
+                best[y] = (x, y, w) if bx is None or w < bx[2] else bx
+                stack.append(y)
+    return best
+
+
+def _pair_answers(
+    g: Graph, exact_tree: SteinerTree, tree: SteinerTree
+) -> Iterator[tuple[int, int, float, float, float]]:
+    """(s, t, lambda_exact, tree_value, side_true_weight) for every pair.
+
+    Pairs come in sweep order: s ascending, then every later t. The
+    tree's answers equal ``tree_query(tree, g, s, t)``'s value and side
+    weight, and lambda_exact is the exact tree's path minimum.
+    """
+    cuts = _edge_cut_weights(tree, g)
+    vertices = g.vertices
+    for i, s in enumerate(vertices):
+        exact_min = _path_minima(exact_tree, s)
+        tree_min = _path_minima(tree, s)
+        for t in vertices[i + 1 :]:
+            a, b, value = tree_min[t]
+            yield s, t, exact_min[t][2], value, cuts[(a, b)]
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the sweep; aborted cells contribute an AbortRecord, no rows."""
     start = time.perf_counter()
@@ -136,14 +211,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for seed in config.seeds:
         g = _instance(config, seed)
         exact_tree = gomory_hu_exact(g)
-        pairs = [
-            (s, t)
-            for i, s in enumerate(g.vertices)
-            for t in g.vertices[i + 1 :]
-        ]
-        lam = {
-            (s, t): min_edge_on_path(exact_tree, s, t)[2] for s, t in pairs
-        }
         cells: list[tuple[str, SteinerTree]] = []
         if config.mode == "exact-baseline":
             cells.append(("exact", exact_tree))
@@ -157,7 +224,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 try:
                     tree = final_gh_tree(
                         g,
-                        INFINITE if math.isinf(value) else Epsilon(value),
+                        Epsilon(value),
                         rng,
                         c_depth=config.c_depth,
                         c1=config.c1,
@@ -169,9 +236,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     continue
                 cells.append((label, tree))
         for label, tree in cells:
-            for s, t in pairs:
-                tree_value, cut = tree_query(tree, g, s, t)
-                exact_value = lam[(s, t)]
+            for s, t, exact_value, tree_value, side_value in _pair_answers(g, exact_tree, tree):
                 rows.append(
                     ExperimentRow(
                         pair_s=s,
@@ -180,8 +245,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                         eps=label,
                         lambda_exact=exact_value,
                         tree_value=tree_value,
-                        side_true_weight=cut.value,
-                        side_error=cut.value - exact_value,
+                        side_true_weight=side_value,
+                        side_error=side_value - exact_value,
                         value_error=tree_value - exact_value,
                     )
                 )

@@ -169,7 +169,7 @@ def component_nodes(tree: SteinerTree, drop: tuple[int, int], anchor: int) -> fr
     while stack:
         x = stack.pop()
         for y, _ in tree.adjacency(x):
-            if {x, y} == {da, db}:
+            if (x == da and y == db) or (x == db and y == da):
                 continue
             if y not in reached:
                 reached.add(y)

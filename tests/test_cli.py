@@ -59,6 +59,14 @@ class TestBuildVerb:
         assert code == 2
         assert "abort:" in capsys.readouterr().err
 
+    def test_negative_infinite_eps_exits_1(self, graph_file, tmp_path, capsys):
+        path, _ = graph_file
+        out = tmp_path / "t.txt"
+        code = main(["build", "--input", path, "--eps=-inf", "--seed", "0", "--out", str(out)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_1(self, tmp_path, capsys):
         code = main(
             ["build", "--input", str(tmp_path / "none.txt"), "--eps", "1", "--seed", "0",

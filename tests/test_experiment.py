@@ -5,9 +5,24 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghtree import ExperimentConfig, parse_config, run_experiment, write_csv
-from ghtree.experiment import CSV_HEADER
+from ghtree import (
+    INFINITE,
+    ExperimentConfig,
+    Rng,
+    SteinerTree,
+    final_gh_tree,
+    parse_config,
+    run_experiment,
+    tree_query,
+    write_csv,
+)
+from ghtree.experiment import CSV_HEADER, _instance, _pair_answers
+from ghtree.exact import gomory_hu_exact
+from ghtree.steiner import min_edge_on_path
+from strategies import connected_graphs
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -103,6 +118,61 @@ class TestRun:
         assert report.aborts[0].eps == "0.5"
         assert report.rows == []
         assert report.max_side_error is None
+
+
+@st.composite
+def graphs_with_trees(draw):
+    """Connected graph plus two random spanning trees on its vertices.
+
+    Tree weights come from {0.0, 1.0, 2.0}, so tied path minima are common.
+    """
+    g = draw(connected_graphs(min_n=2, max_n=8))
+    weight = st.sampled_from([0.0, 1.0, 2.0])
+
+    def spanning_tree():
+        order = draw(st.permutations(list(g.vertices)))
+        edges = [
+            (order[i], order[draw(st.integers(0, i - 1))], draw(weight))
+            for i in range(1, len(order))
+        ]
+        return SteinerTree(g.vertices, edges)
+
+    return g, spanning_tree(), spanning_tree()
+
+
+def per_pair_answers(g, exact_tree, tree):
+    """The harness's answers recomputed with one tree_query per pair."""
+    out = []
+    for i, s in enumerate(g.vertices):
+        for t in g.vertices[i + 1 :]:
+            value, cut = tree_query(tree, g, s, t)
+            out.append((s, t, min_edge_on_path(exact_tree, s, t)[2], value, cut.value))
+    return out
+
+
+class TestPairAnswers:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_with_trees())
+    def test_matches_tree_query_per_pair(self, case):
+        g, exact_tree, tree = case
+        assert list(_pair_answers(g, exact_tree, tree)) == per_pair_answers(g, exact_tree, tree)
+
+    @pytest.mark.parametrize("mode", ["noiseless", "exact-baseline"])
+    def test_rows_match_tree_query_loop(self, mode):
+        config = small_config(params={"n": 12, "p": 0.3}, seeds=(0,), mode=mode)
+        report = run_experiment(config)
+        g = _instance(config, 0)
+        exact_tree = gomory_hu_exact(g)
+        tree = exact_tree if mode == "exact-baseline" else final_gh_tree(g, INFINITE, Rng(0))
+        expected = per_pair_answers(g, exact_tree, tree)
+        got = [
+            (r.pair_s, r.pair_t, r.lambda_exact, r.tree_value, r.side_true_weight)
+            for r in report.rows
+        ]
+        assert got == expected
+        for r in report.rows:
+            assert r.side_error == r.side_true_weight - r.lambda_exact
+            assert r.value_error == r.tree_value - r.lambda_exact
 
 
 class TestCsv:
