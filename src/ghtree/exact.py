@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ._maxflow import min_cut_source_side
-from .graph import CutSide, Graph, contract, cut_weight, make_cut_side
+from .graph import (
+    CutSide,
+    Graph,
+    _contract_complements,
+    _disjoint_cut_sides,
+    contract,
+    cut_weight,
+    make_cut_side,
+)
 from .steiner import SteinerTree, combine_steiner
 
 BRUTE_FORCE_LIMIT = 20
@@ -53,10 +61,10 @@ def _reduce_ST_cut(
 ) -> CutSide:
     """Minimum S-T cut from an s-t cut oracle: contract, cut, map back.
 
-    Each multi-vertex side is contracted into a fresh label, never a
-    vertex of g, so the side in g is the oracle's side within V(g),
-    plus S. Singleton sides skip contraction: that case is exactly
-    ``st_cut(g, s, t)``.
+    The multi-vertex sides are contracted in one call, S first, into
+    fresh labels, never vertices of g, so the side in g is the oracle's
+    side within V(g), plus S. Singleton sides skip contraction: that
+    case is exactly ``st_cut(g, s, t)``.
     """
     S = sorted({int(v) for v in S})
     T = sorted({int(v) for v in T})
@@ -68,14 +76,11 @@ def _reduce_ST_cut(
         raise ValueError("S and T must be subsets of the vertex set")
     if len(S) == 1 and len(T) == 1:
         return st_cut(g, S[0], T[0])
-    work = g
-    labels = []
-    for block in (S, T):
-        label = block[0]
-        if len(block) > 1:
-            work, label = contract(work, block)
-        labels.append(label)
-    side = st_cut(work, labels[0], labels[1]).side
+    blocks = [block for block in (S, T) if len(block) > 1]
+    work, label = contract(g, *blocks)
+    s = label if len(S) > 1 else S[0]
+    t = label + len(blocks) - 1 if len(T) > 1 else T[0]
+    side = st_cut(work, s, t).side
     return make_cut_side(g, (side & g.vertex_set) | set(S))
 
 
@@ -109,7 +114,8 @@ def _isolating_regions(
     i takes ``ST_side(i, A, B)``, the side of a cut separating the
     terminals whose bit i is 0 (A) from the rest (B), and shrinks every
     region to its terminal's side. Returns (r, W_r, h, t) per terminal:
-    h is g with everything outside W_r contracted into the vertex t.
+    h is g with everything outside W_r contracted into the vertex t,
+    and the disjoint regions' graphs are built in one edge scan.
     """
     region = {r: set(g.vertices) for r in R}
     for i in range((len(R) - 1).bit_length()):
@@ -121,7 +127,8 @@ def _isolating_regions(
                 region[r] -= side
             else:
                 region[r] &= side
-    return [(r, region[r], *contract(g, g.vertex_set - region[r])) for r in R]
+    graphs, t = _contract_complements(g, [region[r] for r in R])
+    return [(r, region[r], h, t) for r, h in zip(R, graphs)]
 
 
 def isolating_cuts_exact(g: Graph, R: Iterable[int]) -> dict[int, CutSide]:
@@ -136,7 +143,8 @@ def isolating_cuts_exact(g: Graph, R: Iterable[int]) -> dict[int, CutSide]:
     """
     R = _isolating_terminals(g, R)
     regions = _isolating_regions(g, R, lambda i, A, B: min_ST_cut_exact(g, A, B).cut.side)
-    return {r: make_cut_side(g, min_st_cut_exact(h, r, t).cut.side) for r, _, h, t in regions}
+    sides = [min_st_cut_exact(h, r, t).cut.side for r, _, h, t in regions]
+    return dict(zip(R, _disjoint_cut_sides(g, sides)))
 
 
 def gomory_hu_exact(g: Graph, terminals: Iterable[int] | None = None) -> SteinerTree:

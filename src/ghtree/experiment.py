@@ -32,6 +32,7 @@ from .graph import Graph, cut_weight
 from .io import _write_lines, load_graph
 from .pipeline import GHTreeAbort, final_gh_tree
 from .private_cuts import DEFAULT_C1, DEFAULT_C2, DEFAULT_C_DEPTH, DEFAULT_PENALTY_CONST
+from .private_cuts import _check_constants
 from .steiner import SteinerTree
 
 CSV_HEADER = "pair_s,pair_t,seed,eps,lambda_exact,tree_value,side_true_weight,side_error,value_error"
@@ -84,6 +85,9 @@ class ExperimentConfig:
         for e in self.eps:
             if math.isnan(e) or e <= 0.0:
                 raise ValueError(f"eps values must be positive, got {e!r}")
+        _check_constants(
+            c1=self.c1, c2=self.c2, c_depth=self.c_depth, penalty_const=self.penalty_const
+        )
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def _canon(u: int, v: int) -> tuple[int, int]:
@@ -45,6 +45,20 @@ class Graph:
         self._vertices: tuple[int, ...] = tuple(vs)
         self._vset = vset
         self._weights = {k: w for k, w in sorted(weights.items()) if w > 0.0}
+
+    @classmethod
+    def _trusted(cls, vertices: tuple[int, ...], weights: dict[tuple[int, int], float]) -> Graph:
+        """Graph from input that is already valid, without checking it.
+
+        ``vertices`` is a sorted tuple of ints and every key of
+        ``weights`` a pair (u, v) of them with u < v, mapped to a
+        positive finite weight. Only the key order is restored here.
+        """
+        g = object.__new__(cls)
+        g._vertices = vertices
+        g._vset = frozenset(vertices)
+        g._weights = dict(sorted(weights.items()))
+        return g
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -141,28 +155,119 @@ def make_cut_side(g: Graph, side: Iterable[int]) -> CutSide:
     return CutSide(side=s, value=cut_weight(g, s))
 
 
-def contract(g: Graph, block: Iterable[int]) -> tuple[Graph, int]:
-    """Contract ``block`` into one fresh vertex; return the graph and its label.
+def _disjoint_groups(
+    g: Graph, groups: Iterable[Iterable[int]], what: str
+) -> tuple[list[frozenset[int]], dict[int, int]]:
+    """Pairwise disjoint vertex groups of g, and the index of each member's group."""
+    sets: list[frozenset[int]] = []
+    owner: dict[int, int] = {}
+    for i, group in enumerate(groups):
+        s = frozenset(int(v) for v in group)
+        if not s <= g.vertex_set:
+            raise ValueError(f"{what} contains vertices outside the graph")
+        if not owner.keys().isdisjoint(s):
+            raise ValueError(f"{what}s must be pairwise disjoint")
+        owner.update(dict.fromkeys(s, i))
+        sets.append(s)
+    return sets, owner
 
-    The label is max(V) + 1, so it never collides with a surviving
-    vertex and is the largest vertex of the result. Edges between the
-    block and any outside vertex merge by summation; edges internal to
-    the block disappear. Contracting the whole vertex set yields a
-    single-vertex graph.
+
+def _disjoint_cut_sides(g: Graph, sides: Sequence[Iterable[int]]) -> list[CutSide]:
+    """``make_cut_side`` for each of several pairwise disjoint sides, in one edge scan.
+
+    Each side must be a proper nonempty subset of the vertex set. Each
+    total is summed in canonical edge order, as ``cut_weight`` sums it,
+    so the values are bitwise equal to one ``cut_weight`` per side.
     """
-    b = {int(v) for v in block}
-    if not b:
+    sets, owner = _disjoint_groups(g, sides, "cut side")
+    for s in sets:
+        if not s or not s < g.vertex_set:
+            raise ValueError("cut side must be a proper nonempty subset of the vertex set")
+    totals = [0.0] * len(sets)
+    for (u, v), w in g._weights.items():
+        su = owner.get(u)
+        sv = owner.get(v)
+        if su != sv:
+            if su is not None:
+                totals[su] += w
+            if sv is not None:
+                totals[sv] += w
+    return [CutSide(side=s, value=total) for s, total in zip(sets, totals)]
+
+
+def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
+    """Contract each disjoint block into one fresh vertex, in one edge scan.
+
+    Block i gets the label max(V) + 1 + i, so no label collides with a
+    surviving vertex; the first label is returned with the graph. Edges
+    internal to a block disappear; edges between the same two vertices
+    of the result merge by summation. Contracting the whole vertex set
+    yields a single-vertex graph.
+
+    The result is bitwise that of contracting the blocks one at a time
+    in the order given. A vertex's edges into a block are summed in
+    canonical edge order, which visits them in increasing order of the
+    block vertex, as each one-block contraction does. An edge between
+    blocks i < j is the sum, over the vertices b of block j in
+    increasing order, of b's summed edges into block i.
+    """
+    if not blocks:
+        raise ValueError("contract needs at least one block")
+    sets, owner = _disjoint_groups(g, blocks, "contraction block")
+    if not all(sets):
         raise ValueError("cannot contract an empty block")
-    if not b <= g.vertex_set:
-        raise ValueError("contraction block contains vertices outside the graph")
     label = g.vertices[-1] + 1
-    new_edges = []
-    for u, v, w in g.edges():
-        fu = label if u in b else u
-        fv = label if v in b else v
-        if fu != fv:
-            new_edges.append((fu, fv, w))
-    return Graph([v for v in g.vertices if v not in b] + [label], new_edges), label
+    to = {v: label + i for v, i in owner.items()}
+    weights: dict[tuple[int, int], float] = {}
+    into_earlier: dict[tuple[int, int], float] = {}
+    for (u, v), w in g._weights.items():
+        fu = to.get(u, u)
+        fv = to.get(v, v)
+        if fu == fv:
+            continue
+        if fu != u and fv != v:
+            key = (v, fu) if fu < fv else (u, fv)
+            into_earlier[key] = into_earlier.get(key, 0.0) + w
+            continue
+        key = (fu, fv) if fu < fv else (fv, fu)
+        weights[key] = weights.get(key, 0.0) + w
+    for (b, earlier), w in sorted(into_earlier.items()):
+        key = (earlier, to[b])
+        weights[key] = weights.get(key, 0.0) + w
+    vertices = tuple(v for v in g.vertices if v not in to) + tuple(range(label, label + len(sets)))
+    return Graph._trusted(vertices, weights), label
+
+
+def _contract_complements(g: Graph, regions: Sequence[Iterable[int]]) -> tuple[list[Graph], int]:
+    """``contract(g, V - W)`` for each of several pairwise disjoint regions W, in one edge scan.
+
+    Each region must be a nonempty proper subset of the vertex set.
+    Every result labels the contracted outside max(V) + 1, the label
+    returned, and equals the one-region contraction bitwise: a vertex's
+    edges to the outside are summed in canonical edge order either way.
+    The regions' graphs hold O(m + number of regions) edges in total.
+    """
+    sets, owner = _disjoint_groups(g, regions, "region")
+    for s in sets:
+        if not s or not s < g.vertex_set:
+            raise ValueError("a region must be a proper nonempty subset of the vertex set")
+    label = g.vertices[-1] + 1
+    weights: list[dict[tuple[int, int], float]] = [{} for _ in sets]
+    for (u, v), w in g._weights.items():
+        ru = owner.get(u)
+        rv = owner.get(v)
+        if ru == rv:
+            if ru is not None:
+                weights[ru][u, v] = w
+            continue
+        if ru is not None:
+            d = weights[ru]
+            d[u, label] = d.get((u, label), 0.0) + w
+        if rv is not None:
+            d = weights[rv]
+            d[v, label] = d.get((v, label), 0.0) + w
+    graphs = [Graph._trusted(tuple(sorted(s)) + (label,), d) for s, d in zip(sets, weights)]
+    return graphs, label
 
 
 def are_neighboring(g1: Graph, g2: Graph) -> bool:

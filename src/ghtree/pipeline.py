@@ -23,9 +23,9 @@ from typing import Iterable, Mapping
 
 from .dp import Epsilon, PrivacyLedger, Rng, sample_laplace
 from .exact import min_st_cut_exact
-from .graph import CutSide, Graph, contract
+from .graph import CutSide, Graph, _contract_complements, contract
 from .private_cuts import DEFAULT_C1, DEFAULT_C2, DEFAULT_C_DEPTH, DEFAULT_PENALTY_CONST
-from .private_cuts import IsoCutParams, private_isolating_cuts
+from .private_cuts import IsoCutParams, _check_constants, private_isolating_cuts
 from .steiner import SteinerTree, combine_steiner
 
 
@@ -59,8 +59,7 @@ class StepParams:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta!r}")
-        if self.c1 <= 0.0 or self.c2 <= 0.0:
-            raise ValueError("threshold constants must be positive")
+        _check_constants(c1=self.c1, c2=self.c2, penalty_const=self.penalty_const)
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,9 @@ class RecursionParams:
             raise ValueError("depth must be nonnegative")
         if self.n_max < 2:
             raise ValueError("n_max must be at least 2")
-        if self.c_depth <= 0.0:
-            raise ValueError("c_depth must be positive")
+        _check_constants(
+            c_depth=self.c_depth, c1=self.c1, c2=self.c2, penalty_const=self.penalty_const
+        )
 
     @property
     def t_max(self) -> int:
@@ -217,6 +217,12 @@ def _gh_rec(
     rng: Rng,
     depths: set[int],
 ) -> SteinerTree:
+    """One frame: a step at a random pivot, a child per carved side, the backbone.
+
+    Side i of R*, in the step's order, is the backbone's vertex
+    max(V) + 1 + i, and every child calls the rest of g max(V) + 1;
+    ``combine_steiner`` joins the trees on those labels.
+    """
     if rp.t > rp.t_max:
         raise GHTreeAbort(depth=rp.t, t_max=rp.t_max, seed=rng.seed)
     if len(U) == 1:
@@ -232,30 +238,36 @@ def _gh_rec(
     )
     step = gh_tree_step(g, s, U, step_params, rng.child("step"))
     mask_scale = 0.0 if rp.eps.is_noiseless else 8.0 * rp.t_max / rp.eps.value
+    label = g.vertices[-1] + 1
+    sides = [step.sets[v].side for v in step.R_star]
+    inside = [[u for u in U if u in side] for side in sides]
+    nested = [i for i, u_inside in enumerate(inside) if len(u_inside) > 1]
+    graphs = {}
+    if nested:
+        graphs = dict(zip(nested, _contract_complements(g, [sides[i] for i in nested])[0]))
     children: list[tuple[SteinerTree, int, int, float]] = []
-    remainder = g
-    for v in step.R_star:
-        side = step.sets[v].side
-        u_inside = [u for u in U if u in side]
-        g_v, x_label = contract(g, g.vertex_set - side)
-        if len(u_inside) > 1:
+    for i, v in enumerate(step.R_star):
+        if i in graphs:
+            g_v = graphs[i]
             mask_rng = rng.child(f"mask.{v}")
-            edges = [(a, b, w) for a, b, w in g_v.edges() if x_label not in (a, b)]
-            for u in sorted(side):
-                w = max(0.0, g_v.weight(x_label, u) + sample_laplace(mask_scale, mask_rng))
+            edges = [(a, b, w) for a, b, w in g_v.edges() if label not in (a, b)]
+            for u in sorted(sides[i]):
+                w = max(0.0, g_v.weight(label, u) + sample_laplace(mask_scale, mask_rng))
                 if w > 0.0:
-                    edges.append((x_label, u, w))
+                    edges.append((label, u, w))
             g_v = Graph(g_v.vertices, edges)
-            subtree = _gh_rec(g_v, u_inside, rp.deeper(), rng.child(f"branch.{v}"), depths)
+            subtree = _gh_rec(g_v, inside[i], rp.deeper(), rng.child(f"branch.{v}"), depths)
         else:
-            subtree = _single_node_tree(g_v.vertices, v)
-        remainder, y_label = contract(remainder, side)
-        children.append((subtree, x_label, y_label, step.true_weights[v]))
+            subtree = _single_node_tree([*sorted(sides[i]), label], v)
+        children.append((subtree, label, label + i, step.true_weights[v]))
     u_rest = [u for u in U if u not in step.D]
     if len(u_rest) > 1:
+        remainder = contract(g, *sides)[0] if sides else g
         backbone = _gh_rec(remainder, u_rest, rp.deeper(), rng.child("rest"), depths)
     else:
-        backbone = _single_node_tree(remainder.vertices, u_rest[0])
+        carved = frozenset().union(*sides)
+        rest = [u for u in g.vertices if u not in carved] + list(range(label, label + len(sides)))
+        backbone = _single_node_tree(rest, u_rest[0])
     return combine_steiner(backbone, children)
 
 
@@ -272,6 +284,10 @@ def gh_tree(
     region is contracted and descended into with its boundary edges
     masked by clamped Laplace noise toward every inside vertex; the
     uncovered remainder is contracted and handled as the backbone.
+    Each frame builds the carved regions' graphs in one edge scan and
+    the remainder, every carved side contracted, in one more; a region
+    holding a single terminal becomes a single-node child with no graph
+    built, and the remainder is built only when the backbone recurses.
     Ledger cost is eps/(2 t_max) per executed depth level, charged once
     per level rather than per branch because sibling subgraphs split
     any single edge difference between at most two of them.

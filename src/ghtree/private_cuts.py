@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 from ._maxflow import min_cut_source_side
 from .dp import Epsilon, PrivacyLedger, Rng, sample_exponential
 from .exact import _isolating_regions, _isolating_terminals, _reduce_ST_cut, min_st_cut_exact
-from .graph import CutSide, Graph, cut_weight, make_cut_side
+from .graph import CutSide, Graph, _disjoint_cut_sides, cut_weight
 
 # Default constants of the pipeline's error allowances (c1, c2), depth
 # cap (c_depth) and large-side penalty; every layer takes them from here.
@@ -28,6 +28,13 @@ DEFAULT_C1 = 4.0
 DEFAULT_C2 = 4.0
 DEFAULT_C_DEPTH = 4.0
 DEFAULT_PENALTY_CONST = 4.0
+
+
+def _check_constants(**constants: float) -> None:
+    """Reject any pipeline constant that is not a positive finite number."""
+    for name, value in constants.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -47,8 +54,7 @@ class IsoCutParams:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta!r}")
-        if self.penalty_const <= 0.0:
-            raise ValueError("penalty_const must be positive")
+        _check_constants(penalty_const=self.penalty_const)
         object.__setattr__(self, "U", frozenset(int(v) for v in self.U))
 
 
@@ -124,7 +130,8 @@ def private_isolating_cuts(
     Terminals are identified with 0..|R|-1 in vertex order. One private
     S-T cut per bit position refines disjoint regions, then a single
     private cut on the disjoint union of the contracted regions
-    produces every output simultaneously. Each of the
+    produces every output simultaneously. The region graphs and the
+    outputs' cut values each take one edge scan of g. Each of the
     floor(lg(|R|-1)) + 2 private calls runs at eps / (lg|R| + 2).
 
     Region graphs carry a penalty weight between each vertex of
@@ -165,9 +172,10 @@ def private_isolating_cuts(
         relabels.append(relabel)
     combined = Graph(range(next_label), combined_edges)
     side = private_min_ST_cut(combined, sources, sinks, eps_call, rng.child("combined"), ledger).side
-    cuts = {
-        r: make_cut_side(g, {v for v in region if relabel[v] in side})
-        for (r, region, _, _), relabel in zip(regions, relabels)
-    }
+    sides = [
+        [v for v in region if relabel[v] in side]
+        for (_, region, _, _), relabel in zip(regions, relabels)
+    ]
+    cuts = dict(zip(R, _disjoint_cut_sides(g, sides)))
     total = sum(cuts[r].value for r in R)
     return IsoCutsResult(cuts=cuts, total_value=total)

@@ -155,3 +155,18 @@ def tree_claims_all_pairs(tree, g) -> dict:
     for u, v in combinations(sorted(tree.node_set), 2):
         out[(u, v)] = min_edge_on_path(tree, u, v)[2]
     return out
+
+
+def contract_one(g: Graph, block) -> tuple:
+    """One block contracted into max(V) + 1 through the public constructor.
+
+    Edges are relabelled in canonical order and merged by ``Graph``, so a
+    vertex's edges into the block are summed in increasing block-vertex
+    order. Sequential calls are the reference for contracting several
+    blocks at once.
+    """
+    b = set(block)
+    label = g.vertices[-1] + 1
+    edges = [(label if u in b else u, label if v in b else v, w) for u, v, w in g.edges()]
+    kept = [(u, v, w) for u, v, w in edges if u != v]
+    return Graph([v for v in g.vertices if v not in b] + [label], kept), label

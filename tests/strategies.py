@@ -52,3 +52,32 @@ def graphs_with_terminals(draw, min_n: int = 3, max_n: int = 8, min_r: int = 2):
         st.permutations(list(g.vertices)).map(lambda p: tuple(sorted(p[:r])))
     )
     return g, terminals
+
+
+# Thirds are inexact in binary floating point, so the bits of a sum of
+# them depend on the order in which it is added up.
+third_weights = st.integers(1, 12).map(lambda k: k / 3.0)
+
+
+@st.composite
+def graphs_with_disjoint_blocks(draw, max_blocks: int = 4):
+    """Graph with weights in thirds, plus 2..max_blocks disjoint blocks of 1..4 vertices.
+
+    Two of the blocks have at least two vertices each, and every pair
+    between those two is an edge, so contracting both sums edges that
+    join two multi-vertex blocks. Blocks come in random order and never
+    cover every vertex with one block.
+    """
+    sizes = [draw(st.integers(2, 4)), draw(st.integers(2, 4))]
+    sizes += draw(st.lists(st.integers(1, 4), max_size=max_blocks - 2))
+    n = sum(sizes) + draw(st.integers(0, 3))
+    order = draw(st.permutations(range(n)))
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(sorted(order[start : start + size]))
+        start += size
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = set(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)))
+    chosen |= {(min(a, b), max(a, b)) for a in blocks[0] for b in blocks[1]}
+    edges = [(u, v, draw(third_weights)) for u, v in sorted(chosen)]
+    return Graph(range(n), edges), draw(st.permutations(blocks))

@@ -67,6 +67,19 @@ class TestBuildVerb:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "env, value",
+        [("GHTREE_C1", "nan"), ("GHTREE_PENALTY_CONST", "nan"), ("GHTREE_C_DEPTH", "inf")],
+    )
+    def test_nonfinite_constant_exits_1(self, graph_file, tmp_path, capsys, monkeypatch, env, value):
+        monkeypatch.setenv(env, value)
+        path, _ = graph_file
+        out = tmp_path / "t.txt"
+        code = main(["build", "--input", path, "--eps", "1", "--seed", "0", "--out", str(out)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_1(self, tmp_path, capsys):
         code = main(
             ["build", "--input", str(tmp_path / "none.txt"), "--eps", "1", "--seed", "0",

@@ -58,6 +58,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(eps=(math.nan,))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize("name", ["c1", "c2", "c_depth", "penalty_const"])
+    def test_constants_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            small_config(**{name: value})
+
 
 class TestRun:
     def test_noiseless_mode_has_zero_errors(self):

@@ -6,6 +6,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import strategies
@@ -16,6 +17,7 @@ from ghtree import (
     cut_weight,
     make_cut_side,
 )
+from ghtree.graph import _contract_complements, _disjoint_cut_sides
 
 
 def triangle() -> Graph:
@@ -176,6 +178,112 @@ class TestContract:
                 cut_weight(g, block | {v}), abs=1e-12
             )
         assert cut_weight(h, {label}) == pytest.approx(cut_weight(g, block), abs=1e-12)
+
+
+    @given(strategies.graphs_with_disjoint_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_several_blocks_equal_one_block_at_a_time(self, case):
+        # Bitwise equality, also on edges that join two multi-vertex blocks.
+        g, blocks = case
+        h, label = contract(g, *blocks)
+        seq = g
+        for i, block in enumerate(blocks):
+            seq, seq_label = oracles.contract_one(seq, block)
+            assert seq_label == label + i
+        assert h == seq
+        assert list(h.edges()) == list(seq.edges())
+        assert h.vertices == seq.vertices
+
+    @given(strategies.connected_graphs(min_n=3))
+    @settings(max_examples=60, deadline=None)
+    def test_one_block_matches_reference(self, g):
+        block = g.vertices[1 : 1 + g.n // 2]
+        h, label = contract(g, block)
+        ref, ref_label = oracles.contract_one(g, block)
+        assert (h, label) == (ref, ref_label)
+        assert list(h.edges()) == list(ref.edges())
+
+    def test_sums_between_blocks_follow_the_later_block(self):
+        # Blocks {0, 1} then {2, 3}: one at a time gives (w02 + w12) + (w03 + w13),
+        # which differs in the last bit from the flat scan-order sum.
+        t1, t2 = 1.0 / 3.0, 2.0 / 3.0
+        g = Graph(range(4), [(0, 2, t2), (0, 3, t2), (1, 2, t2), (1, 3, t1)])
+        h, label = contract(g, {0, 1}, {2, 3})
+        assert h.vertices == (4, 5)
+        assert h.weight(4, 5) == (t2 + t2) + (t2 + t1)
+        assert h.weight(4, 5) != ((t2 + t2) + t2) + t1
+
+    def test_no_block_and_overlapping_blocks_rejected(self):
+        with pytest.raises(ValueError, match="at least one block"):
+            contract(triangle())
+        with pytest.raises(ValueError, match="disjoint"):
+            contract(triangle(), {0, 1}, {1, 2})
+
+
+class TestContractComplements:
+    @given(strategies.graphs_with_disjoint_blocks())
+    @settings(max_examples=100, deadline=None)
+    def test_each_region_graph_is_its_outside_contracted(self, case):
+        g, regions = case
+        graphs, label = _contract_complements(g, regions)
+        assert len(graphs) == len(regions)
+        for region, h in zip(regions, graphs):
+            ref, ref_label = oracles.contract_one(g, g.vertex_set - set(region))
+            assert label == ref_label
+            assert h == ref
+            assert list(h.edges()) == list(ref.edges())
+            assert h.vertices == ref.vertices
+
+    def test_regions_must_be_disjoint_proper_and_nonempty(self):
+        g = triangle()
+        with pytest.raises(ValueError, match="disjoint"):
+            _contract_complements(g, [{0}, {0, 1}])
+        with pytest.raises(ValueError, match="proper nonempty"):
+            _contract_complements(g, [set()])
+        with pytest.raises(ValueError, match="proper nonempty"):
+            _contract_complements(g, [{0, 1, 2}])
+        with pytest.raises(ValueError, match="outside the graph"):
+            _contract_complements(g, [{0, 9}])
+
+
+class TestDisjointCutSides:
+    @given(strategies.graphs_with_disjoint_blocks())
+    @settings(max_examples=100, deadline=None)
+    def test_values_equal_cut_weight_per_side(self, case):
+        g, sides = case
+        cuts = _disjoint_cut_sides(g, sides)
+        assert len(cuts) == len(sides)
+        for side, cut in zip(sides, cuts):
+            assert cut.side == frozenset(side)
+            assert cut.value == cut_weight(g, side)
+            assert cut == make_cut_side(g, side)
+
+    def test_sides_must_be_disjoint_proper_and_nonempty(self):
+        g = triangle()
+        with pytest.raises(ValueError, match="disjoint"):
+            _disjoint_cut_sides(g, [{0}, {0, 1}])
+        with pytest.raises(ValueError, match="proper nonempty"):
+            _disjoint_cut_sides(g, [{0}, set()])
+        with pytest.raises(ValueError, match="proper nonempty"):
+            _disjoint_cut_sides(g, [{0, 1, 2}])
+        with pytest.raises(ValueError, match="outside the graph"):
+            _disjoint_cut_sides(g, [{9}])
+
+
+class TestTrustedConstructor:
+    @given(strategies.connected_graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_public_constructor(self, g, random):
+        vertices = tuple(3 * v + 2 for v in g.vertices)
+        items = [((3 * u + 2, 3 * v + 2), w) for u, v, w in g.edges()]
+        random.shuffle(items)
+        trusted = Graph._trusted(vertices, dict(items))
+        public = Graph(vertices, [(u, v, w) for (u, v), w in items])
+        assert trusted == public
+        assert hash(trusted) == hash(public)
+        assert list(trusted.edges()) == list(public.edges())
+        assert trusted.vertices == public.vertices
+        assert trusted.vertex_set == public.vertex_set
 
 
 class TestNeighboring:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import pytest
@@ -39,6 +40,9 @@ def step_params(eps, beta=0.001) -> StepParams:
     return StepParams(eps=eps, beta=beta)
 
 
+NONFINITE = (math.nan, math.inf, -math.inf)
+
+
 class TestRecursionParams:
     def test_depth_cap_formula(self):
         assert RecursionParams(eps=Epsilon(1.0), t=0, n_max=50).t_max == 128
@@ -56,6 +60,20 @@ class TestRecursionParams:
             RecursionParams(eps=Epsilon(1.0), t=0, n_max=1)
         with pytest.raises(ValueError):
             RecursionParams(eps=Epsilon(1.0), t=0, n_max=5, c_depth=0.0)
+
+    @pytest.mark.parametrize("value", NONFINITE)
+    @pytest.mark.parametrize("name", ["c_depth", "c1", "c2", "penalty_const"])
+    def test_nonfinite_constant_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            RecursionParams(eps=Epsilon(1.0), t=0, n_max=5, **{name: value})
+
+
+class TestStepParams:
+    @pytest.mark.parametrize("value", NONFINITE)
+    @pytest.mark.parametrize("name", ["c1", "c2", "penalty_const"])
+    def test_nonfinite_constant_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            StepParams(eps=Epsilon(1.0), beta=0.5, **{name: value})
 
 
 class TestStep:

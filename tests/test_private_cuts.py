@@ -121,6 +121,11 @@ class TestIsoParams:
         with pytest.raises(ValueError):
             IsoCutParams(eps=Epsilon(1.0), beta=0.5, U=frozenset(), penalty_const=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_penalty_const_finite(self, value):
+        with pytest.raises(ValueError, match="penalty_const must be positive and finite"):
+            IsoCutParams(eps=Epsilon(1.0), beta=0.5, U=frozenset(), penalty_const=value)
+
 
 def iso_params(eps, g, beta=0.01) -> IsoCutParams:
     return IsoCutParams(eps=eps, beta=beta, U=frozenset(g.vertices))
