@@ -1,11 +1,18 @@
 """Dinic max-flow on plain Python lists, used for every exact min-cut call.
 
-The k-th edge of ``g.edges()`` becomes arc 2k (u -> v) and arc 2k+1
-(v -> u), both with the edge weight as capacity, so the reverse of arc
-``a`` is ``a ^ 1``; each vertex lists its arc ids in increasing order.
-The kernel returns the final BFS level list: vertices still reachable
-from the source in the residual network form the minimal source-side
-min cut, which is the tie-break every caller relies on.
+Arcs are numbered from the graph's edge store, in canonical edge
+order: its k-th edge becomes arc 2k (u -> v) and arc 2k+1 (v -> u),
+both with the edge weight as capacity, so the reverse of arc ``a`` is
+``a ^ 1``; each vertex lists its arc ids in increasing order. The
+kernel returns the final BFS level list: vertices still reachable from
+the source in the residual network form the minimal source-side min
+cut, which is the tie-break every caller relies on.
+
+The arc arrays of the last graph cut are kept, one network at a time,
+so the many flows a caller runs on one unchanged graph (a step's pivot
+values) build it once; each flow works on its own copy of the
+capacities. Graphs are immutable, so the same object means the same
+network.
 """
 
 from __future__ import annotations
@@ -14,6 +21,12 @@ from .graph import Graph
 
 # Read by bench/run.py for its "backend" field; the kernel is never jitted.
 USING_NUMBA = False
+
+# Vertex index, per-vertex arc ids, arc heads and initial capacities.
+_Network = tuple[dict[int, int], list[list[int]], list[int], list[float]]
+
+# The last graph cut and its network: the memo holds one entry at a time.
+_last: tuple[Graph, _Network] | None = None
 
 
 def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: int, t: int) -> list[int]:
@@ -64,23 +77,34 @@ def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: in
                 it[u] += 1
 
 
-def min_cut_source_side(g: Graph, s: int, t: int) -> frozenset[int]:
-    """Minimal side of a minimum s-t cut that contains s.
-
-    Runs Dinic to completion and returns the vertices reachable from s
-    in the final residual network. Deterministic for a given graph: the
-    arc order is derived from the sorted edge list.
-    """
-    verts = g.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    adj: list[list[int]] = [[] for _ in verts]
+def _network(g: Graph) -> _Network:
+    """The flow network of g, built once for consecutive calls on the same graph."""
+    global _last
+    last = _last  # one read, so a concurrent replacement cannot pair g with another network
+    if last is not None and last[0] is g:
+        return last[1]
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adj: list[list[int]] = [[] for _ in index]
     head: list[int] = []
     cap: list[float] = []
-    for u, v, w in g.edges():
+    for (u, v), w in g._weights.items():
         iu, iv = index[u], index[v]
         adj[iu].append(len(head))
         adj[iv].append(len(head) + 1)
         head += (iv, iu)
         cap += (w, w)
-    level = _dinic_levels(adj, head, cap, index[s], index[t])
-    return frozenset(v for v, lv in zip(verts, level) if lv >= 0)
+    net = (index, adj, head, cap)
+    _last = (g, net)
+    return net
+
+
+def min_cut_source_side(g: Graph, s: int, t: int) -> frozenset[int]:
+    """Minimal side of a minimum s-t cut that contains s.
+
+    Runs Dinic to completion and returns the vertices reachable from s
+    in the final residual network. Deterministic for a given graph: the
+    arc order is derived from the canonical edge order.
+    """
+    index, adj, head, cap = _network(g)
+    level = _dinic_levels(adj, head, cap[:], index[s], index[t])
+    return frozenset(v for v, lv in zip(g.vertices, level) if lv >= 0)

@@ -141,7 +141,7 @@ def cut_weight(g: Graph, side: Iterable[int]) -> float:
     if not s or len(s) == g.n:
         return 0.0
     total = 0.0
-    for u, v, w in g.edges():
+    for (u, v), w in g._weights.items():
         if (u in s) != (v in s):
             total += w
     return total

@@ -90,14 +90,16 @@ def private_min_st_cut(
         ledger.charge("private_st_cut", 1.0, mean)
     if eps.is_noiseless:
         return min_st_cut_exact(g, s, t).cut
-    additions = []
+    weights = dict(g._weights)
     for v in g.vertices:
         if v == s or v == t:
             continue
-        additions.append((v, s, sample_exponential(mean, rng)))
-        additions.append((v, t, sample_exponential(mean, rng)))
-    noised = Graph(g.vertices, list(g.edges()) + additions)
-    side = min_cut_source_side(noised, s, t)
+        for end in (s, t):
+            key = (v, end) if v < end else (end, v)
+            w = weights.get(key, 0.0) + sample_exponential(mean, rng)
+            if w > 0.0:  # a zero draw on a non-edge adds no edge
+                weights[key] = w
+    side = min_cut_source_side(Graph._trusted(g.vertices, weights), s, t)
     return CutSide(side=side, value=cut_weight(g, side))
 
 
@@ -153,24 +155,29 @@ def private_isolating_cuts(
             * math.log2(len(R)) ** 2
             / (params.eps.value * len(params.U))
         )
+        if math.isinf(penalty):
+            raise ValueError(f"penalty weight overflows at eps={params.eps.value!r}")
     else:
         penalty = 0.0
-    combined_edges: list[tuple[int, int, float]] = []
+    combined_weights: dict[tuple[int, int], float] = {}
     sources: list[int] = []
     sinks: list[int] = []
     relabels: list[dict[int, int]] = []
     next_label = 0
     for r, region, h, t in regions:
-        edges = list(h.edges())
-        if penalty > 0.0:
-            edges.extend((u, t, penalty) for u in sorted(region & params.U))
+        # Labels rise with h's vertex order, so relabelled keys stay canonical.
         relabel = {v: next_label + i for i, v in enumerate(h.vertices)}
         next_label += h.n
-        combined_edges.extend((relabel[u], relabel[v], w) for u, v, w in edges)
+        for (u, v), w in h._weights.items():
+            combined_weights[relabel[u], relabel[v]] = w
+        if penalty > 0.0:
+            for u in sorted(region & params.U):
+                key = (relabel[u], relabel[t])  # t, the contracted outside, is h's largest vertex
+                combined_weights[key] = combined_weights.get(key, 0.0) + penalty
         sources.append(relabel[r])
         sinks.append(relabel[t])
         relabels.append(relabel)
-    combined = Graph(range(next_label), combined_edges)
+    combined = Graph._trusted(tuple(range(next_label)), combined_weights)
     side = private_min_ST_cut(combined, sources, sinks, eps_call, rng.child("combined"), ledger).side
     sides = [
         [v for v in region if relabel[v] in side]

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ghtree import Graph
+from ghtree import CutSide, Graph, cut_weight, min_st_cut_exact, sample_exponential
 
 
 def vertex_bits(g: Graph) -> dict:
@@ -170,3 +170,25 @@ def contract_one(g: Graph, block) -> tuple:
     edges = [(label if u in b else u, label if v in b else v, w) for u, v, w in g.edges()]
     kept = [(u, v, w) for u, v, w in edges if u != v]
     return Graph([v for v in g.vertices if v not in b] + [label], kept), label
+
+
+def private_min_st_cut(g: Graph, s, t, eps, rng) -> CutSide:
+    """The noise-edge s-t mechanism, its noised graph built by ``Graph``.
+
+    Draws in the mechanism's order: for each vertex other than s and t,
+    in vertex order, the noise on its edge to s, then to t. The
+    validating constructor stacks each draw onto any existing weight
+    after it and drops pairs that sum to 0.0. The side found in the
+    noised graph is returned with its weight in g.
+    """
+    if eps.is_noiseless:
+        return min_st_cut_exact(g, s, t).cut
+    mean = 1.0 / eps.value
+    additions = []
+    for v in g.vertices:
+        if v != s and v != t:
+            additions.append((v, s, sample_exponential(mean, rng)))
+            additions.append((v, t, sample_exponential(mean, rng)))
+    noised = Graph(g.vertices, list(g.edges()) + additions)
+    side = min_st_cut_exact(noised, s, t).cut.side
+    return CutSide(side=side, value=cut_weight(g, side))

@@ -12,13 +12,13 @@ grid_weights = st.integers(1, 12).map(lambda k: k / 4.0)
 
 
 @st.composite
-def connected_graphs(draw, min_n: int = 2, max_n: int = 8):
+def connected_graphs(draw, min_n: int = 2, max_n: int = 8, weights=grid_weights):
     """Connected weighted graph: random spanning tree plus extra edges."""
     n = draw(st.integers(min_n, max_n))
     edges: dict[tuple[int, int], float] = {}
     for v in range(1, n):
         u = draw(st.integers(0, v - 1))
-        edges[(u, v)] = draw(grid_weights)
+        edges[(u, v)] = draw(weights)
     extra = draw(
         st.lists(
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
@@ -30,7 +30,7 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 8):
             continue
         key = (min(a, b), max(a, b))
         if key not in edges:
-            edges[key] = draw(grid_weights)
+            edges[key] = draw(weights)
     return Graph(range(n), [(u, v, w) for (u, v), w in edges.items()])
 
 

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import strategies
@@ -94,6 +95,49 @@ class TestMinStCut:
         g = Graph(range(21), [(i, i + 1, 1.0) for i in range(20)])
         with pytest.raises(ValueError, match="refuses"):
             brute_force_min_cut(g, 0, 20)
+
+
+def fresh_cut(g: Graph, s: int, t: int):
+    """The cut on a new copy of g, so no network built for g is reused."""
+    return min_st_cut_exact(Graph(g.vertices, g.edges()), s, t)
+
+
+class TestFlowNetworkReuse:
+    """Repeated cuts on one graph object reuse its flow network.
+
+    Weights in thirds are inexact, so a flow that started from another
+    flow's residual capacities, or from another graph's network, shows
+    up as a different side or value.
+    """
+
+    @given(
+        strategies.connected_graphs(min_n=3, weights=strategies.third_weights),
+        strategies.connected_graphs(weights=strategies.third_weights),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_pair_in_any_order_equals_fresh_graphs(self, g, h, data):
+        pairs = [(s, t) for s in g.vertices for t in g.vertices if s != t]
+        expected = {(s, t): fresh_cut(g, s, t) for s, t in pairs}
+        h_expected = fresh_cut(h, h.vertices[0], h.vertices[-1])
+        order = data.draw(st.permutations(pairs))
+        interleave = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        for (s, t), cut_h in zip(order, interleave):
+            got = min_st_cut_exact(g, s, t)
+            assert got.cut.side == expected[s, t].cut.side
+            assert got.value == expected[s, t].value
+            if cut_h:
+                assert min_st_cut_exact(h, h.vertices[0], h.vertices[-1]) == h_expected
+
+    def test_graph_then_other_graph_then_graph_again(self):
+        # Same vertex set, different edges: a network chosen by anything
+        # but the graph object itself would cut h with g's arcs.
+        g = dumbbell6()
+        h = Graph(range(6), [(0, 1, 1 / 3), (1, 2, 2 / 3), (2, 3, 1 / 3), (3, 4, 1.0), (4, 5, 1 / 3)])
+        calls = [(g, 0, 1), (g, 0, 5), (g, 5, 0), (h, 0, 5), (g, 0, 5), (h, 1, 4), (h, 2, 0), (g, 0, 5)]
+        expected = [fresh_cut(graph, s, t) for graph, s, t in calls]
+        assert [min_st_cut_exact(graph, s, t) for graph, s, t in calls] == expected
+        assert [e.cut.side for e in expected[1:4]] == [{0, 1, 2}, {3, 4, 5}, {0}]
 
 
 class TestMinSTCut:

@@ -7,7 +7,9 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import strategies
 from ghtree import (
     INFINITE,
@@ -76,6 +78,39 @@ class TestPrivateStCut:
             private_min_st_cut(g, 0, 0, Epsilon(1.0), Rng(0))
         with pytest.raises(ValueError):
             private_min_st_cut(g, 0, 99, Epsilon(1.0), Rng(0))
+
+
+class ZeroRng:
+    """A stream whose every uniform is 0.0, so every exponential draw is zero."""
+
+    def uniform(self) -> float:
+        return 0.0
+
+
+class TestNoisedInstance:
+    """The noised graph equals the one the validating constructor builds."""
+
+    @given(strategies.graphs_with_pair(), st.sampled_from([0.25, 1.0, 8.0]), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_validating_construction(self, gst, eps, seed):
+        g, s, t = gst
+        got = private_min_st_cut(g, s, t, Epsilon(eps), Rng(seed))
+        assert got == oracles.private_min_st_cut(g, s, t, Epsilon(eps), Rng(seed))
+
+    def test_noise_stacks_onto_edges_to_s_and_t(self):
+        # 1-0 and 2-0 are edges to s = 0; 2-3, 4-3 and 5-3 are edges to t = 3.
+        g = Graph(range(6), [(0, 1, 1 / 3), (0, 2, 2 / 3), (2, 3, 1 / 3), (3, 4, 1.0), (3, 5, 1 / 3), (1, 4, 2 / 3)])
+        for seed in range(20):
+            rng, ref_rng = Rng(seed), Rng(seed)
+            got = private_min_st_cut(g, 0, 3, Epsilon(2.0), rng)
+            assert got == oracles.private_min_st_cut(g, 0, 3, Epsilon(2.0), ref_rng)
+            assert rng.uniform() == ref_rng.uniform()
+
+    def test_zero_draws_add_no_edges(self):
+        g = dumbbell6()
+        got = private_min_st_cut(g, 0, 5, Epsilon(1.0), ZeroRng())
+        assert got == oracles.private_min_st_cut(g, 0, 5, Epsilon(1.0), ZeroRng())
+        assert got == min_st_cut_exact(g, 0, 5).cut
 
 
 class TestPrivateSTCut:
@@ -189,3 +224,10 @@ class TestPrivateIsolatingCuts:
         bad = IsoCutParams(eps=Epsilon(1.0), beta=0.1, U=frozenset({99}))
         with pytest.raises(ValueError):
             private_isolating_cuts(g, [0, 3], bad, Rng(0))
+
+    def test_overflowing_penalty_rejected(self):
+        # At eps=1e-307 the noise means are finite but the penalty is not.
+        g = dumbbell6()
+        params = IsoCutParams(eps=Epsilon(1e-307), beta=0.01, U=frozenset({0}))
+        with pytest.raises(ValueError, match="penalty weight overflows"):
+            private_isolating_cuts(g, [0, 5], params, Rng(0))
