@@ -17,7 +17,6 @@ from .dp import (
 )
 from .exact import (
     MaxFlowResult,
-    brute_force_min_cut,
     gomory_hu_exact,
     isolating_cuts_exact,
     min_ST_cut_exact,
@@ -84,7 +83,6 @@ __all__ = [
     "StepParams",
     "SteinerTree",
     "are_neighboring",
-    "brute_force_min_cut",
     "combine_steiner",
     "component_nodes",
     "contract",

@@ -8,6 +8,16 @@ kernel returns the final BFS level list: vertices still reachable from
 the source in the residual network form the minimal source-side min
 cut, which is the tie-break every caller relies on.
 
+A phase's BFS stops after scanning the vertex that labels the sink t,
+and every other vertex it put on t's level is unlabelled again. This
+changes no augmentation. Levels below t's are complete when t is
+reached, and in a full level graph a vertex on t's level other than t,
+or beyond it, reaches t by no path of increasing levels: the DFS would
+enter it, find a dead end and change no capacity. So the DFS looks at
+the same arcs in the same order, pushes the same paths and does the
+same float arithmetic. The last BFS, which finds t unreachable, runs to
+completion, so the returned reachable set is unchanged as well.
+
 The arc arrays of the last graph cut are kept, one network at a time,
 so the many flows a caller runs on one unchanged graph (a step's pivot
 values) build it once; each flow works on its own copy of the
@@ -42,20 +52,33 @@ def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: in
                 if level[v] < 0 and cap[a] > 0.0:
                     level[v] = lv
                     queue.append(v)
-        if level[t] < 0:
+            if level[t] >= 0:
+                break
+        else:
             return level
+        # Unlabel the rest of t's level, so the DFS never enters those dead ends.
+        lt = level[t]
+        for v in reversed(queue):
+            if level[v] != lt:
+                break
+            level[v] = -1
+        level[t] = lt
         it = [0] * n
         path: list[int] = []
         u = s
         while True:
             if u == t:
-                delta = min(cap[a] for a in path)
+                # The first arc of least capacity is the first one saturated:
+                # x - y == 0.0 exactly when x == y, for finite floats.
+                nd = 0
+                delta = cap[path[0]]
+                for i in range(1, len(path)):
+                    if cap[path[i]] < delta:
+                        delta = cap[path[i]]
+                        nd = i
                 for a in path:
                     cap[a] -= delta
                     cap[a ^ 1] += delta
-                nd = 0
-                while nd < len(path) and cap[path[nd]] > 0.0:
-                    nd += 1
                 del path[nd:]
                 u = head[path[-1]] if path else s
                 continue

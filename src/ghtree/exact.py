@@ -26,9 +26,7 @@ from .graph import (
     cut_weight,
     make_cut_side,
 )
-from .steiner import SteinerTree, combine_steiner
-
-BRUTE_FORCE_LIMIT = 20
+from .steiner import SteinerTree, _single_node_tree, combine_steiner
 
 
 @dataclass(frozen=True)
@@ -165,41 +163,21 @@ def gomory_hu_exact(g: Graph, terminals: Iterable[int] | None = None) -> Steiner
 
 def _gh_steiner(g: Graph, U: list[int]) -> SteinerTree:
     if len(U) == 1:
-        return SteinerTree([U[0]], (), {v: U[0] for v in g.vertices})
-    s, t = U[0], U[1]
-    res = min_st_cut_exact(g, s, t)
+        return _single_node_tree(g.vertices, U[0])
+    res = min_st_cut_exact(g, U[0], U[1])
     side = res.cut.side
-    g_side, x_label = contract(g, g.vertex_set - side)
-    g_rest, y_label = contract(g, side)
-    t_side = _gh_steiner(g_side, [u for u in U if u in side])
-    t_rest = _gh_steiner(g_rest, [u for u in U if u not in side])
-    return combine_steiner(t_rest, [(t_side, x_label, y_label, res.value)])
+    label = g.vertices[-1] + 1  # the other half, contracted, in either half's graph
+    t_side = _gh_half(g, side, [u for u in U if u in side], label)
+    t_rest = _gh_half(g, g.vertex_set - side, [u for u in U if u not in side], label)
+    return combine_steiner(t_rest, [(t_side, label, label, res.value)])
 
 
-def brute_force_min_cut(g: Graph, s: int, t: int) -> MaxFlowResult:
-    """Minimum s-t cut by enumerating every side containing s.
+def _gh_half(g: Graph, keep: frozenset[int], U: list[int], label: int) -> SteinerTree:
+    """Tree of g with everything outside ``keep`` contracted into ``label``.
 
-    Refuses graphs with more than 20 vertices. Ties resolve to the
-    lexicographically smallest side under the vertex order.
+    A half holding one terminal needs no graph: its tree maps the kept
+    vertices and the label to that terminal.
     """
-    if g.n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force refuses graphs with more than {BRUTE_FORCE_LIMIT} vertices")
-    if not g.has_vertex(s) or not g.has_vertex(t):
-        raise ValueError("cut endpoints must be graph vertices")
-    if s == t:
-        raise ValueError("cut endpoints must differ")
-    others = [v for v in g.vertices if v != s]
-    t_bit = 1 << others.index(t)
-    best_w = None
-    best_side: tuple[int, ...] | None = None
-    for mask in range(1 << len(others)):
-        if mask & t_bit:
-            continue
-        side = frozenset([s] + [v for i, v in enumerate(others) if (mask >> i) & 1])
-        w = cut_weight(g, side)
-        key = tuple(sorted(side))
-        if best_w is None or w < best_w or (w == best_w and key < best_side):
-            best_w = w
-            best_side = key
-    cut = CutSide(side=frozenset(best_side), value=best_w)
-    return MaxFlowResult(cut=cut, value=best_w)
+    if len(U) == 1:
+        return _single_node_tree([*sorted(keep), label], U[0])
+    return _gh_steiner(contract(g, g.vertex_set - keep)[0], U)

@@ -92,15 +92,6 @@ class Graph:
         for (u, v), w in self._weights.items():
             yield u, v, w
 
-    def adjacency(self, v: int) -> list[tuple[int, float]]:
-        """Neighbours of v with edge weights, sorted by neighbour."""
-        if v not in self._vset:
-            raise ValueError(f"vertex {v} not in graph")
-        return sorted((b if a == v else a, w) for (a, b), w in self._weights.items() if v in (a, b))
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency(v))
-
     def total_weight(self) -> float:
         return sum(w for _, w in sorted(self._weights.items()))
 

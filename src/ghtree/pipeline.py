@@ -26,7 +26,7 @@ from .exact import min_st_cut_exact
 from .graph import CutSide, Graph, _contract_complements, contract
 from .private_cuts import DEFAULT_C1, DEFAULT_C2, DEFAULT_C_DEPTH, DEFAULT_PENALTY_CONST
 from .private_cuts import IsoCutParams, _check_constants, private_isolating_cuts
-from .steiner import SteinerTree, combine_steiner
+from .steiner import SteinerTree, _single_node_tree, combine_steiner
 
 
 class GHTreeAbort(RuntimeError):
@@ -204,10 +204,6 @@ def gh_tree_step(
         sets={v: sets_i[v] for v in selected},
         true_weights={v: sets_i[v].value for v in selected},
     )
-
-
-def _single_node_tree(vertices: Iterable[int], terminal: int) -> SteinerTree:
-    return SteinerTree([terminal], (), {v: terminal for v in vertices})
 
 
 def _gh_rec(

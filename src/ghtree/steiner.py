@@ -177,6 +177,11 @@ def component_nodes(tree: SteinerTree, drop: tuple[int, int], anchor: int) -> fr
     return frozenset(reached)
 
 
+def _single_node_tree(vertices: Iterable[int], terminal: int) -> SteinerTree:
+    """The tree of a graph region holding one terminal: every vertex maps to it."""
+    return SteinerTree([terminal], (), {v: terminal for v in vertices})
+
+
 def combine_steiner(
     t_large: SteinerTree,
     children: Sequence[tuple[SteinerTree, int, int, float]],

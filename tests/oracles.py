@@ -11,7 +11,9 @@ from itertools import combinations
 
 import numpy as np
 
-from ghtree import CutSide, Graph, cut_weight, min_st_cut_exact, sample_exponential
+from ghtree import CutSide, Graph, MaxFlowResult, cut_weight, min_st_cut_exact, sample_exponential
+
+BRUTE_FORCE_LIMIT = 20
 
 
 def vertex_bits(g: Graph) -> dict:
@@ -38,6 +40,46 @@ def all_cut_values(g: Graph) -> np.ndarray:
 def side_from_mask(g: Graph, mask: int) -> frozenset:
     bits = vertex_bits(g)
     return frozenset(v for v in g.vertices if (mask >> bits[v]) & 1)
+
+
+def adjacency(g: Graph, v) -> list:
+    """Neighbours of v with edge weights, sorted by neighbour."""
+    if not g.has_vertex(v):
+        raise ValueError(f"vertex {v} not in graph")
+    return sorted((b if a == v else a, w) for a, b, w in g.edges() if v in (a, b))
+
+
+def degree(g: Graph, v) -> int:
+    return len(adjacency(g, v))
+
+
+def brute_force_min_cut(g: Graph, s, t) -> MaxFlowResult:
+    """Minimum s-t cut by enumerating every side containing s.
+
+    Refuses graphs with more than 20 vertices. Ties resolve to the
+    lexicographically smallest side under the vertex order.
+    """
+    if g.n > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force refuses graphs with more than {BRUTE_FORCE_LIMIT} vertices")
+    if not g.has_vertex(s) or not g.has_vertex(t):
+        raise ValueError("cut endpoints must be graph vertices")
+    if s == t:
+        raise ValueError("cut endpoints must differ")
+    others = [v for v in g.vertices if v != s]
+    t_bit = 1 << others.index(t)
+    best_w = None
+    best_side = None
+    for mask in range(1 << len(others)):
+        if mask & t_bit:
+            continue
+        side = frozenset([s] + [v for i, v in enumerate(others) if (mask >> i) & 1])
+        w = cut_weight(g, side)
+        key = tuple(sorted(side))
+        if best_w is None or w < best_w or (w == best_w and key < best_side):
+            best_w = w
+            best_side = key
+    cut = CutSide(side=frozenset(best_side), value=best_w)
+    return MaxFlowResult(cut=cut, value=best_w)
 
 
 def brute_min_st_value(g: Graph, s, t) -> float:
@@ -192,3 +234,58 @@ def private_min_st_cut(g: Graph, s, t, eps, rng) -> CutSide:
     noised = Graph(g.vertices, list(g.edges()) + additions)
     side = min_st_cut_exact(noised, s, t).cut.side
     return CutSide(side=side, value=cut_weight(g, side))
+
+
+def dinic_levels_full_bfs(adj, head, cap, s, t) -> list:
+    """The Dinic kernel with a full BFS per phase, the reference for the package's.
+
+    Same arc arrays and the same in-place updates of ``cap`` as
+    ``ghtree._maxflow._dinic_levels``, but each phase labels every
+    reachable vertex, beyond the sink's level too, and the augmenting
+    path's bottleneck and first saturated arc are found in two scans.
+    """
+    n = len(adj)
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            lv = level[u] + 1
+            for a in adj[u]:
+                v = head[a]
+                if level[v] < 0 and cap[a] > 0.0:
+                    level[v] = lv
+                    queue.append(v)
+        if level[t] < 0:
+            return level
+        it = [0] * n
+        path = []
+        u = s
+        while True:
+            if u == t:
+                delta = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= delta
+                    cap[a ^ 1] += delta
+                nd = 0
+                while nd < len(path) and cap[path[nd]] > 0.0:
+                    nd += 1
+                del path[nd:]
+                u = head[path[-1]] if path else s
+                continue
+            arcs = adj[u]
+            lv = level[u] + 1
+            for i in range(it[u], len(arcs)):
+                a = arcs[i]
+                if cap[a] > 0.0 and level[head[a]] == lv:
+                    it[u] = i
+                    path.append(a)
+                    u = head[a]
+                    break
+            else:
+                if u == s:
+                    break
+                level[u] = -2
+                path.pop()
+                u = head[path[-1]] if path else s
+                it[u] += 1

@@ -35,9 +35,9 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 8, weights=grid_weights)
 
 
 @st.composite
-def graphs_with_pair(draw, min_n: int = 2, max_n: int = 8):
+def graphs_with_pair(draw, min_n: int = 2, max_n: int = 8, weights=grid_weights):
     """Connected graph plus a distinct ordered vertex pair."""
-    g = draw(connected_graphs(min_n=min_n, max_n=max_n))
+    g = draw(connected_graphs(min_n=min_n, max_n=max_n, weights=weights))
     s = draw(st.sampled_from(g.vertices))
     t = draw(st.sampled_from([v for v in g.vertices if v != s]))
     return g, s, t

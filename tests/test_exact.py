@@ -12,7 +12,6 @@ import oracles
 import strategies
 from ghtree import (
     Graph,
-    brute_force_min_cut,
     component_nodes,
     cut_weight,
     generate,
@@ -22,6 +21,7 @@ from ghtree import (
     min_edge_on_path,
     min_st_cut_exact,
 )
+from ghtree._maxflow import _dinic_levels, _network
 
 
 def dumbbell6() -> Graph:
@@ -88,13 +88,13 @@ class TestMinStCut:
         for seed in range(30):
             g = generate("erdos-renyi-weighted", {"n": 8, "p": 0.4}, seed)
             res = min_st_cut_exact(g, 0, 7)
-            ref = brute_force_min_cut(g, 0, 7)
+            ref = oracles.brute_force_min_cut(g, 0, 7)
             assert res.value == pytest.approx(ref.value, abs=1e-9)
 
     def test_brute_force_refuses_large_graphs(self):
         g = Graph(range(21), [(i, i + 1, 1.0) for i in range(20)])
         with pytest.raises(ValueError, match="refuses"):
-            brute_force_min_cut(g, 0, 20)
+            oracles.brute_force_min_cut(g, 0, 20)
 
 
 def fresh_cut(g: Graph, s: int, t: int):
@@ -138,6 +138,50 @@ class TestFlowNetworkReuse:
         expected = [fresh_cut(graph, s, t) for graph, s, t in calls]
         assert [min_st_cut_exact(graph, s, t) for graph, s, t in calls] == expected
         assert [e.cut.side for e in expected[1:4]] == [{0, 1, 2}, {3, 4, 5}, {0}]
+
+
+# Grid weights and thirds give bottleneck ties; free floats give arbitrary bits.
+kernel_weights = st.one_of(strategies.grid_weights, strategies.third_weights, st.floats(1e-3, 1e3))
+
+
+@st.composite
+def disconnected_pairs(draw):
+    """Two disjoint connected graphs side by side, s in the first, t in the second."""
+    a = draw(strategies.connected_graphs(min_n=1, max_n=6, weights=kernel_weights))
+    b = draw(strategies.connected_graphs(min_n=1, max_n=6, weights=kernel_weights))
+    shift = a.n
+    edges = list(a.edges()) + [(u + shift, v + shift, w) for u, v, w in b.edges()]
+    g = Graph(range(a.n + b.n), edges)
+    return g, draw(st.sampled_from(a.vertices)), draw(st.sampled_from(b.vertices)) + shift
+
+
+@st.composite
+def noised_pairs(draw):
+    """A graph whose every other vertex has an edge to both s and t, as a noised s-t cut builds it."""
+    g, s, t = draw(strategies.graphs_with_pair(min_n=3, max_n=12, weights=kernel_weights))
+    noise = [(v, end, draw(st.floats(1e-6, 10.0))) for v in g.vertices if v not in (s, t) for end in (s, t)]
+    return Graph(g.vertices, list(g.edges()) + noise), s, t
+
+
+class TestDinicKernel:
+    """The kernel against the full-BFS reference in ``oracles``, on the same arc arrays."""
+
+    @given(
+        st.one_of(
+            strategies.graphs_with_pair(max_n=12, weights=kernel_weights),
+            disconnected_pairs(),
+            noised_pairs(),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_capacities_and_reachable_set_as_full_bfs(self, case):
+        g, s, t = case
+        index, adj, head, cap = _network(g)
+        got_cap, ref_cap = cap[:], cap[:]
+        got = _dinic_levels(adj, head, got_cap, index[s], index[t])
+        ref = oracles.dinic_levels_full_bfs(adj, head, ref_cap, index[s], index[t])
+        assert [c.hex() for c in got_cap] == [c.hex() for c in ref_cap]
+        assert {i for i, lv in enumerate(got) if lv >= 0} == {i for i, lv in enumerate(ref) if lv >= 0}
 
 
 class TestMinSTCut:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import oracles
 from ghtree import Graph, generate, min_st_cut_exact
 
 
@@ -13,7 +14,7 @@ def is_connected(g: Graph) -> bool:
     stack = [start]
     while stack:
         u = stack.pop()
-        for v, _ in g.adjacency(u):
+        for v, _ in oracles.adjacency(g, u):
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
