@@ -15,13 +15,7 @@ from .dp import (
     sample_exponential,
     sample_laplace,
 )
-from .exact import (
-    MaxFlowResult,
-    gomory_hu_exact,
-    isolating_cuts_exact,
-    min_ST_cut_exact,
-    min_st_cut_exact,
-)
+from .exact import MaxFlowResult, gomory_hu_exact, min_st_cut_exact
 from .experiment import (
     AbortRecord,
     ExperimentConfig,
@@ -54,6 +48,8 @@ from .pipeline import (
 from .private_cuts import (
     IsoCutParams,
     IsoCutsResult,
+    isolating_cuts_exact,
+    min_ST_cut_exact,
     private_isolating_cuts,
     private_min_ST_cut,
     private_min_st_cut,

@@ -87,9 +87,6 @@ class Rng:
         """One float in [0, 1)."""
         return float(self._gen.random())
 
-    def uniforms(self, size: int) -> np.ndarray:
-        return self._gen.random(size)
-
     def integer(self, n: int) -> int:
         """One integer uniform on {0, ..., n-1}."""
         if n <= 0:
@@ -110,36 +107,29 @@ def _check_scale(b: float, what: str) -> float:
     return b
 
 
-def sample_laplace(b: float, rng: Rng, size: int | None = None):
-    """Laplace draw(s) with density exp(-|x|/b) / (2b).
+def sample_laplace(b: float, rng: Rng) -> float:
+    """One Laplace draw with density exp(-|x|/b) / (2b).
 
-    Inverse-CDF over one uniform per draw. A zero scale is the
-    noiseless collapse: returns exact 0.0 and consumes nothing from the
-    stream.
+    Inverse-CDF over one uniform. A zero scale is the noiseless
+    collapse: returns exact 0.0 and consumes nothing from the stream.
     """
     b = _check_scale(b, "laplace scale")
     if b == 0.0:
-        return 0.0 if size is None else np.zeros(size)
-    if size is None:
-        u = max(rng.uniform(), 2.0**-53)
-        p = u - 0.5
-        return -b * math.copysign(1.0, p) * math.log(1.0 - 2.0 * abs(p))
-    u = np.maximum(rng.uniforms(size), 2.0**-53)
+        return 0.0
+    u = max(rng.uniform(), 2.0**-53)
     p = u - 0.5
-    return -b * np.sign(p) * np.log(1.0 - 2.0 * np.abs(p))
+    return -b * math.copysign(1.0, p) * math.log(1.0 - 2.0 * abs(p))
 
 
-def sample_exponential(mean: float, rng: Rng, size: int | None = None):
-    """Exponential draw(s) with the given mean, always nonnegative.
+def sample_exponential(mean: float, rng: Rng) -> float:
+    """One exponential draw with the given mean, always nonnegative.
 
     Zero mean is the noiseless collapse: exact 0.0, nothing consumed.
     """
     mean = _check_scale(mean, "exponential mean")
     if mean == 0.0:
-        return 0.0 if size is None else np.zeros(size)
-    if size is None:
-        return -mean * math.log(1.0 - rng.uniform())
-    return -mean * np.log(1.0 - rng.uniforms(size))
+        return 0.0
+    return -mean * math.log(1.0 - rng.uniform())
 
 
 @dataclass(frozen=True)

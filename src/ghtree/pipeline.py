@@ -69,14 +69,13 @@ class StepOutput:
     ``sets`` maps each selected terminal v to its cut side, which
     contains v, never the pivot, and at most 90% of the step's
     terminals. Sides are pairwise disjoint and ``D`` is the union of
-    their terminal contents. ``true_weights`` are the sides' exact
-    boundary weights in the step's graph.
+    their terminal contents. Each side's value is its exact boundary
+    weight in the step's graph.
     """
 
     D: frozenset[int]
     R_star: tuple[int, ...]
     sets: Mapping[int, CutSide]
-    true_weights: Mapping[int, float]
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,6 @@ def gh_tree_step(
         D=covered,
         R_star=tuple(selected),
         sets={v: sets_i[v] for v in selected},
-        true_weights={v: sets_i[v].value for v in selected},
     )
 
 
@@ -255,7 +253,7 @@ def _gh_rec(
             subtree = _gh_rec(g_v, inside[i], rp.deeper(), rng.child(f"branch.{v}"), depths)
         else:
             subtree = _single_node_tree([*sorted(sides[i]), label], v)
-        children.append((subtree, label, label + i, step.true_weights[v]))
+        children.append((subtree, label, label + i, step.sets[v].value))
     u_rest = [u for u in U if u not in step.D]
     if len(u_rest) > 1:
         remainder = contract(g, *sides)[0] if sides else g

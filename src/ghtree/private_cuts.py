@@ -1,14 +1,15 @@
-"""Private cut primitives: noised min s-t cuts and isolating cuts.
+"""Private cut mechanisms: noised min s-t, S-T and isolating cuts.
 
 The s-t mechanism attaches exponentially distributed noise edges from
 every vertex to both endpoints and solves the noised instance exactly,
-reporting the true weight of the side it found. The S-T cut is the
-exact module's S-T reduction with this mechanism as its s-t oracle.
-The isolating-cut routine runs the exact module's bit partition with
-the private S-T cut and, to keep regions from ballooning, adds a
-penalty weight between each region's terminals-of-interest and its
-contracted outside before the final combined cut. The pipeline's
-default constants live here, the lowest module that uses one.
+reporting the true weight of the side it found. The S-T cut contracts
+each side and runs it. The isolating cuts refine disjoint regions with
+one S-T cut per bit of the terminals' indices, then cut all regions at
+once, with a penalty against regions that swallow most of U. At
+``INFINITE`` they draw nothing and add no penalty, so
+``min_ST_cut_exact`` and ``isolating_cuts_exact`` are these mechanisms
+at ``INFINITE``. The pipeline's default constants live here, the
+lowest module that uses one.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from ._maxflow import min_cut_source_side
-from .dp import Epsilon, PrivacyLedger, Rng, sample_exponential
-from .exact import _isolating_regions, _isolating_terminals, _reduce_ST_cut, min_st_cut_exact
-from .graph import CutSide, Graph, _disjoint_cut_sides, cut_weight
+from .dp import INFINITE, Epsilon, PrivacyLedger, Rng, sample_exponential
+from .exact import MaxFlowResult, min_st_cut_exact
+from .graph import CutSide, Graph, _contract_complements, _disjoint_cut_sides, contract, cut_weight, make_cut_side
 
 # Default constants of the pipeline's error allowances (c1, c2), depth
 # cap (c_depth) and large-side penalty; every layer takes them from here.
@@ -113,11 +114,39 @@ def private_min_ST_cut(
 ) -> CutSide:
     """Private minimum cut separating vertex set S from vertex set T.
 
-    Contracts each side into a supernode and runs the s-t mechanism.
-    Singleton sides skip contraction, so a call with |S| = |T| = 1 is
-    bit-for-bit the same as private_min_st_cut under the same stream.
+    The multi-vertex sides are contracted in one call, S first, into
+    fresh labels, never vertices of g, so the side in g is the s-t
+    mechanism's side within V(g), plus S. Singleton sides skip
+    contraction, so a call with |S| = |T| = 1 is bit-for-bit the same
+    as private_min_st_cut under the same stream.
     """
-    return _reduce_ST_cut(g, S, T, lambda h, s, t: private_min_st_cut(h, s, t, eps, rng, ledger))
+    S = sorted({int(v) for v in S})
+    T = sorted({int(v) for v in T})
+    if not S or not T:
+        raise ValueError("S and T must be nonempty")
+    if set(S) & set(T):
+        raise ValueError("S and T must be disjoint")
+    if not set(S) <= g.vertex_set or not set(T) <= g.vertex_set:
+        raise ValueError("S and T must be subsets of the vertex set")
+    if len(S) == 1 and len(T) == 1:
+        return private_min_st_cut(g, S[0], T[0], eps, rng, ledger)
+    blocks = [block for block in (S, T) if len(block) > 1]
+    work, label = contract(g, *blocks)
+    s = label if len(S) > 1 else S[0]
+    t = label + len(blocks) - 1 if len(T) > 1 else T[0]
+    side = private_min_st_cut(work, s, t, eps, rng, ledger).side
+    return make_cut_side(g, (side & g.vertex_set) | set(S))
+
+
+def min_ST_cut_exact(g: Graph, S: Iterable[int], T: Iterable[int]) -> MaxFlowResult:
+    """Minimum cut separating vertex set S from vertex set T.
+
+    The private S-T cut at an infinite budget, which draws nothing. The
+    returned side contains all of S and none of T, and singleton sides
+    make it exactly min_st_cut_exact(g, s, t).
+    """
+    cut = private_min_ST_cut(g, S, T, INFINITE, Rng(0))
+    return MaxFlowResult(cut=cut, value=cut.value)
 
 
 def private_isolating_cuts(
@@ -129,11 +158,13 @@ def private_isolating_cuts(
 ) -> IsoCutsResult:
     """Private minimum isolating cuts for all terminals in R at once.
 
-    Terminals are identified with 0..|R|-1 in vertex order. One private
-    S-T cut per bit position refines disjoint regions, then a single
-    private cut on the disjoint union of the contracted regions
-    produces every output simultaneously. The region graphs and the
-    outputs' cut values each take one edge scan of g. Each of the
+    Terminals are identified with 0..|R|-1 in vertex order. Round i
+    takes a private S-T cut separating the terminals whose bit i is 0
+    from the rest and shrinks every terminal's region to its side of
+    that cut. A single private cut on the disjoint union of the
+    regions, each with its outside contracted, then produces every
+    output simultaneously. The region graphs and the outputs' cut
+    values each take one edge scan of g. Each of the
     floor(lg(|R|-1)) + 2 private calls runs at eps / (lg|R| + 2).
 
     Region graphs carry a penalty weight between each vertex of
@@ -141,13 +172,25 @@ def private_isolating_cuts(
     discourages outputs that swallow most of U. An empty U skips the
     penalty entirely.
     """
-    R = _isolating_terminals(g, R)
+    R = sorted({int(v) for v in R})
+    if len(R) < 2:
+        raise ValueError("isolating cuts need at least two terminals")
+    if not set(R) <= g.vertex_set:
+        raise ValueError("terminals must be graph vertices")
     if not params.U <= g.vertex_set:
         raise ValueError("penalty universe must be a subset of the vertex set")
     eps_call = params.eps.split(math.log2(len(R)) + 2.0)
-    regions = _isolating_regions(
-        g, R, lambda i, A, B: private_min_ST_cut(g, A, B, eps_call, rng.child(f"round.{i}"), ledger).side
-    )
+    regions = [set(g.vertices) for _ in R]
+    for i in range((len(R) - 1).bit_length()):
+        A = [r for idx, r in enumerate(R) if not (idx >> i) & 1]
+        B = [r for idx, r in enumerate(R) if (idx >> i) & 1]
+        side = private_min_ST_cut(g, A, B, eps_call, rng.child(f"round.{i}"), ledger).side
+        for idx, region in enumerate(regions):
+            if (idx >> i) & 1:
+                region -= side
+            else:
+                region &= side
+    graphs, t = _contract_complements(g, regions)
     if params.U and not params.eps.is_noiseless:
         penalty = (
             params.penalty_const
@@ -164,7 +207,7 @@ def private_isolating_cuts(
     sinks: list[int] = []
     relabels: list[dict[int, int]] = []
     next_label = 0
-    for r, region, h, t in regions:
+    for r, region, h in zip(R, regions, graphs):
         # Labels rise with h's vertex order, so relabelled keys stay canonical.
         relabel = {v: next_label + i for i, v in enumerate(h.vertices)}
         next_label += h.n
@@ -181,8 +224,21 @@ def private_isolating_cuts(
     side = private_min_ST_cut(combined, sources, sinks, eps_call, rng.child("combined"), ledger).side
     sides = [
         [v for v in region if relabel[v] in side]
-        for (_, region, _, _), relabel in zip(regions, relabels)
+        for region, relabel in zip(regions, relabels)
     ]
     cuts = dict(zip(R, _disjoint_cut_sides(g, sides)))
     total = sum(cuts[r].value for r in R)
     return IsoCutsResult(cuts=cuts, total_value=total)
+
+
+def isolating_cuts_exact(g: Graph, R: Iterable[int]) -> dict[int, CutSide]:
+    """Minimum isolating cuts for every terminal in R simultaneously.
+
+    The private isolating cuts at an infinite budget, which draw
+    nothing. Each output contains exactly one terminal, the outputs are
+    pairwise disjoint, and each is a minimum cut separating its
+    terminal from the rest of R.
+    """
+    # At INFINITE the penalty is zero, so beta and U have no effect.
+    params = IsoCutParams(INFINITE, 0.5, frozenset())
+    return dict(private_isolating_cuts(g, R, params, Rng(0)).cuts)

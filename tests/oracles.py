@@ -11,7 +11,17 @@ from itertools import combinations
 
 import numpy as np
 
-from ghtree import CutSide, Graph, MaxFlowResult, cut_weight, min_st_cut_exact, sample_exponential
+from ghtree import (
+    CutSide,
+    Graph,
+    MaxFlowResult,
+    contract,
+    cut_weight,
+    make_cut_side,
+    min_ST_cut_exact,
+    min_st_cut_exact,
+    sample_exponential,
+)
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -234,6 +244,34 @@ def private_min_st_cut(g: Graph, s, t, eps, rng) -> CutSide:
     noised = Graph(g.vertices, list(g.edges()) + additions)
     side = min_st_cut_exact(noised, s, t).cut.side
     return CutSide(side=side, value=cut_weight(g, side))
+
+
+def isolating_cuts_per_region(g: Graph, R) -> dict:
+    """Isolating cuts by the bit partition, then one exact flow per region.
+
+    Terminals are identified with 0..|R|-1 in vertex order; round i
+    shrinks every terminal's region to its side of an exact S-T cut
+    separating the terminals whose bit i is 0 from the rest. Each
+    region's graph, its outside contracted into one vertex, then gets
+    its own minimal min cut. The reference for the package's single
+    combined cut over all regions.
+    """
+    R = sorted(R)
+    regions = [set(g.vertices) for _ in R]
+    for i in range((len(R) - 1).bit_length()):
+        A = [r for idx, r in enumerate(R) if not (idx >> i) & 1]
+        B = [r for idx, r in enumerate(R) if (idx >> i) & 1]
+        side = min_ST_cut_exact(g, A, B).cut.side
+        for idx, region in enumerate(regions):
+            if (idx >> i) & 1:
+                region -= side
+            else:
+                region &= side
+    cuts = {}
+    for r, region in zip(R, regions):
+        h, t = contract(g, g.vertex_set - region)
+        cuts[r] = make_cut_side(g, min_st_cut_exact(h, r, t).cut.side)
+    return cuts
 
 
 def dinic_levels_full_bfs(adj, head, cap, s, t) -> list:

@@ -44,9 +44,9 @@ def graphs_with_pair(draw, min_n: int = 2, max_n: int = 8, weights=grid_weights)
 
 
 @st.composite
-def graphs_with_terminals(draw, min_n: int = 3, max_n: int = 8, min_r: int = 2):
+def graphs_with_terminals(draw, min_n: int = 3, max_n: int = 8, min_r: int = 2, weights=grid_weights):
     """Connected graph plus a terminal subset of size at least min_r."""
-    g = draw(connected_graphs(min_n=min_n, max_n=max_n))
+    g = draw(connected_graphs(min_n=min_n, max_n=max_n, weights=weights))
     r = draw(st.integers(min_r, g.n))
     terminals = draw(
         st.permutations(list(g.vertices)).map(lambda p: tuple(sorted(p[:r])))
@@ -57,6 +57,9 @@ def graphs_with_terminals(draw, min_n: int = 3, max_n: int = 8, min_r: int = 2):
 # Thirds are inexact in binary floating point, so the bits of a sum of
 # them depend on the order in which it is added up.
 third_weights = st.integers(1, 12).map(lambda k: k / 3.0)
+
+# Free floats carry arbitrary low-order bits.
+float_weights = st.floats(1e-3, 1e3)
 
 
 @st.composite

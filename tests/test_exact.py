@@ -141,7 +141,7 @@ class TestFlowNetworkReuse:
 
 
 # Grid weights and thirds give bottleneck ties; free floats give arbitrary bits.
-kernel_weights = st.one_of(strategies.grid_weights, strategies.third_weights, st.floats(1e-3, 1e3))
+kernel_weights = st.one_of(strategies.grid_weights, strategies.third_weights, strategies.float_weights)
 
 
 @st.composite

@@ -99,7 +99,7 @@ class TestStep:
             assert len(side & set(g.vertices)) <= 0.9 * k
             # Zero allowance: acceptance forces the side to be optimal.
             lam = min_st_cut_exact(g, s, v).value
-            assert out.true_weights[v] == pytest.approx(lam, abs=1e-9)
+            assert out.sets[v].value == pytest.approx(lam, abs=1e-9)
             assert cut_weight(g, side) == pytest.approx(lam, abs=1e-9)
         for a, b in combinations(out.R_star, 2):
             assert not out.sets[a].side & out.sets[b].side

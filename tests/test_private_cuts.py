@@ -23,6 +23,7 @@ from ghtree import (
     isolating_cuts_exact,
     min_ST_cut_exact,
     min_st_cut_exact,
+    private_cuts,
     private_isolating_cuts,
     private_min_ST_cut,
     private_min_st_cut,
@@ -166,18 +167,45 @@ def iso_params(eps, g, beta=0.01) -> IsoCutParams:
     return IsoCutParams(eps=eps, beta=beta, U=frozenset(g.vertices))
 
 
+class RaisingRng(Rng):
+    """A stream that fails on any draw, and whose children do too."""
+
+    def child(self, label: str) -> "RaisingRng":
+        return RaisingRng(self.seed)
+
+    def uniform(self) -> float:
+        raise AssertionError("a draw was made")
+
+    def integer(self, n: int) -> int:
+        raise AssertionError("a draw was made")
+
+    def permutation(self, n: int) -> list[int]:
+        raise AssertionError("a draw was made")
+
+
 class TestPrivateIsolatingCuts:
-    @given(strategies.graphs_with_terminals(min_n=3, max_n=7, min_r=2))
+    @given(
+        strategies.graphs_with_terminals(
+            min_n=3, max_n=12, min_r=2, weights=st.one_of(strategies.third_weights, strategies.float_weights)
+        )
+    )
     @settings(max_examples=50, deadline=None)
     def test_noiseless_matches_exact_per_terminal(self, gt):
         g, terminals = gt
+        want = oracles.isolating_cuts_per_region(g, terminals)
         got = private_isolating_cuts(g, terminals, iso_params(INFINITE, g), Rng(0))
-        want = isolating_cuts_exact(g, terminals)
-        assert set(got.cuts) == set(want)
-        for r in terminals:
-            assert got.cuts[r].side == want[r].side
-            assert got.cuts[r].value == want[r].value
+        assert got.cuts == want
         assert got.total_value == pytest.approx(sum(c.value for c in want.values()))
+        assert isolating_cuts_exact(g, terminals) == want
+
+    def test_exact_forms_draw_nothing(self, monkeypatch):
+        g = generate("erdos-renyi-weighted", {"n": 12, "p": 0.5}, 3)
+        R = [0, 3, 5, 6, 9]
+        with pytest.raises(AssertionError, match="a draw was made"):
+            private_isolating_cuts(g, R, iso_params(Epsilon(1.0), g), RaisingRng(0))
+        monkeypatch.setattr(private_cuts, "Rng", RaisingRng)
+        assert isolating_cuts_exact(g, R) == oracles.isolating_cuts_per_region(g, R)
+        assert min_ST_cut_exact(g, [0, 1], [5, 6]).cut == private_min_ST_cut(g, [0, 1], [5, 6], INFINITE, Rng(0))
 
     def test_exact_call_count_and_budget(self):
         eps = Epsilon(1.0)
