@@ -38,11 +38,9 @@ from .graph import (
 from .io import GraphFormatError, load_graph, load_tree, save_graph, save_tree
 from .pipeline import (
     GHTreeAbort,
-    RecursionParams,
     StepOutput,
     StepParams,
     final_gh_tree,
-    gh_tree,
     gh_tree_step,
 )
 from .private_cuts import (
@@ -73,7 +71,6 @@ __all__ = [
     "LedgerEntry",
     "MaxFlowResult",
     "PrivacyLedger",
-    "RecursionParams",
     "Rng",
     "StepOutput",
     "StepParams",
@@ -86,7 +83,6 @@ __all__ = [
     "env_constants",
     "final_gh_tree",
     "generate",
-    "gh_tree",
     "gh_tree_step",
     "global_min_cut",
     "gomory_hu_exact",

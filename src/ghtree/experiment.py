@@ -37,7 +37,7 @@ from .steiner import SteinerTree
 
 CSV_HEADER = "pair_s,pair_t,seed,eps,lambda_exact,tree_value,side_true_weight,side_error,value_error"
 
-MODES = ("private", "noiseless", "exact-baseline")
+MODES = ("private", "exact-baseline")
 
 _ENV_CONSTANTS = (
     ("c1", "GHTREE_C1"),
@@ -219,8 +219,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         if config.mode == "exact-baseline":
             cells.append(("exact", exact_tree))
         else:
-            eps_values = [math.inf] if config.mode == "noiseless" else list(config.eps)
-            for value in eps_values:
+            for value in config.eps:
                 label = _eps_label(value)
                 # Same stream family for every eps cell: paired (common random
                 # numbers) runs keep error curves comparable seed by seed.

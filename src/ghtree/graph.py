@@ -92,9 +92,6 @@ class Graph:
         for (u, v), w in self._weights.items():
             yield u, v, w
 
-    def total_weight(self) -> float:
-        return sum(w for _, w in sorted(self._weights.items()))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -4,9 +4,9 @@ One step guesses noisy cut values toward a random pivot, carves off
 terminal groups whose private isolating cuts look minimal, and keeps
 the largest batch. The recursion contracts each carved region (masking
 its boundary with noisy edges before descending), recurses on the
-rest, and stitches the child trees back together. The final wrapper
-runs the recursion on half the budget and spends the other half
-noising the tree's edge weights.
+rest, and stitches the child trees back together. ``final_gh_tree``,
+the only way into the recursion, runs it on half the budget and spends
+the other half noising the tree's edge weights.
 
 Budget accounting mirrors the mechanism structure: one step at budget
 e charges e/4 for pivot cut values, e/2 across isolating-cut rounds,
@@ -18,7 +18,7 @@ over how a single edge change can land across sibling branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .dp import Epsilon, PrivacyLedger, Rng, sample_laplace
@@ -78,40 +78,6 @@ class StepOutput:
     sets: Mapping[int, CutSide]
 
 
-@dataclass(frozen=True)
-class RecursionParams:
-    """Recursion state: overall budget, current depth, and constants.
-
-    ``n_max`` is the vertex count of the original graph; the depth cap
-    t_max = ceil(c_depth * lg(n_max)^2) is derived from it, not from
-    the current subgraph.
-    """
-
-    eps: Epsilon
-    t: int
-    n_max: int
-    c_depth: float = DEFAULT_C_DEPTH
-    c1: float = DEFAULT_C1
-    c2: float = DEFAULT_C2
-    penalty_const: float = DEFAULT_PENALTY_CONST
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("depth must be nonnegative")
-        if self.n_max < 2:
-            raise ValueError("n_max must be at least 2")
-        _check_constants(
-            c_depth=self.c_depth, c1=self.c1, c2=self.c2, penalty_const=self.penalty_const
-        )
-
-    @property
-    def t_max(self) -> int:
-        return math.ceil(self.c_depth * math.log2(self.n_max) ** 2)
-
-    def deeper(self) -> "RecursionParams":
-        return replace(self, t=self.t + 1)
-
-
 def gh_tree_step(
     g: Graph,
     s: int,
@@ -143,7 +109,7 @@ def gh_tree_step(
     eps = params.eps
     k = len(U_sorted)
     levels = math.floor(math.log2(k))
-    inv_eps = 0.0 if eps.is_noiseless else 1.0 / eps.value
+    inv_eps = 1.0 / eps.value
     err_iso = params.c1 * (g.n + math.log2(1.0 / params.beta)) * math.log2(k) ** 3 * inv_eps
     err_val = params.c2 * k * math.log2(k / params.beta) * inv_eps
 
@@ -207,31 +173,36 @@ def gh_tree_step(
 def _gh_rec(
     g: Graph,
     U: list[int],
-    rp: RecursionParams,
+    t: int,
     rng: Rng,
+    t_max: int,
+    step_params: StepParams,
+    mask_scale: float,
     depths: set[int],
 ) -> SteinerTree:
-    """One frame: a step at a random pivot, a child per carved side, the backbone.
+    """One frame at depth t: a step at a random pivot, a child per carved side, the backbone.
+
+    Aborts with GHTreeAbort once t exceeds t_max; records each depth it
+    runs at in ``depths``. A carved region holding more than one
+    terminal is descended into with the rest of g contracted to one
+    vertex and its boundary masked: each inside vertex's edge to that
+    vertex becomes its weight plus Laplace noise at ``mask_scale``,
+    clamped at zero. A one-terminal region becomes a single-node child
+    with no graph built. The regions' graphs take one edge scan of g;
+    the remainder, every carved side contracted, takes one more and is
+    built only when the backbone recurses.
 
     Side i of R*, in the step's order, is the backbone's vertex
     max(V) + 1 + i, and every child calls the rest of g max(V) + 1;
     ``combine_steiner`` joins the trees on those labels.
     """
-    if rp.t > rp.t_max:
-        raise GHTreeAbort(depth=rp.t, t_max=rp.t_max, seed=rng.seed)
+    if t > t_max:
+        raise GHTreeAbort(depth=t, t_max=t_max, seed=rng.seed)
     if len(U) == 1:
         return _single_node_tree(g.vertices, U[0])
-    depths.add(rp.t)
+    depths.add(t)
     s = U[rng.child("pivot").integer(len(U))]
-    step_params = StepParams(
-        eps=rp.eps.split(4.0 * rp.t_max),
-        beta=1.0 / rp.n_max**3,
-        c1=rp.c1,
-        c2=rp.c2,
-        penalty_const=rp.penalty_const,
-    )
     step = gh_tree_step(g, s, U, step_params, rng.child("step"))
-    mask_scale = 0.0 if rp.eps.is_noiseless else 8.0 * rp.t_max / rp.eps.value
     label = g.vertices[-1] + 1
     sides = [step.sets[v].side for v in step.R_star]
     inside = [[u for u in U if u in side] for side in sides]
@@ -250,54 +221,21 @@ def _gh_rec(
                 if w > 0.0:
                     edges.append((label, u, w))
             g_v = Graph(g_v.vertices, edges)
-            subtree = _gh_rec(g_v, inside[i], rp.deeper(), rng.child(f"branch.{v}"), depths)
+            branch_rng = rng.child(f"branch.{v}")
+            subtree = _gh_rec(g_v, inside[i], t + 1, branch_rng, t_max, step_params, mask_scale, depths)
         else:
             subtree = _single_node_tree([*sorted(sides[i]), label], v)
         children.append((subtree, label, label + i, step.sets[v].value))
     u_rest = [u for u in U if u not in step.D]
     if len(u_rest) > 1:
         remainder = contract(g, *sides)[0] if sides else g
-        backbone = _gh_rec(remainder, u_rest, rp.deeper(), rng.child("rest"), depths)
+        rest_rng = rng.child("rest")
+        backbone = _gh_rec(remainder, u_rest, t + 1, rest_rng, t_max, step_params, mask_scale, depths)
     else:
         carved = frozenset().union(*sides)
         rest = [u for u in g.vertices if u not in carved] + list(range(label, label + len(sides)))
         backbone = _single_node_tree(rest, u_rest[0])
     return combine_steiner(backbone, children)
-
-
-def gh_tree(
-    g: Graph,
-    U: Iterable[int],
-    rp: RecursionParams,
-    rng: Rng,
-    ledger: PrivacyLedger | None = None,
-) -> SteinerTree:
-    """Recursive private Gomory-Hu tree over terminal set U.
-
-    Aborts with GHTreeAbort once depth exceeds t_max. Each carved
-    region is contracted and descended into with its boundary edges
-    masked by clamped Laplace noise toward every inside vertex; the
-    uncovered remainder is contracted and handled as the backbone.
-    Each frame builds the carved regions' graphs in one edge scan and
-    the remainder, every carved side contracted, in one more; a region
-    holding a single terminal becomes a single-node child with no graph
-    built, and the remainder is built only when the backbone recurses.
-    Ledger cost is eps/(2 t_max) per executed depth level, charged once
-    per level rather than per branch because sibling subgraphs split
-    any single edge difference between at most two of them.
-    """
-    U_sorted = sorted({int(v) for v in U})
-    if not U_sorted:
-        raise ValueError("terminal set must be nonempty")
-    if not set(U_sorted) <= g.vertex_set:
-        raise ValueError("terminals must be graph vertices")
-    depths: set[int] = set()
-    tree = _gh_rec(g, U_sorted, rp, rng, depths)
-    if ledger is not None:
-        level_scale = 0.0 if rp.eps.is_noiseless else 2.0 * rp.t_max / rp.eps.value
-        for d in sorted(depths):
-            ledger.charge(f"gh_tree.level.{d}", 1.0, level_scale)
-    return tree
 
 
 def final_gh_tree(
@@ -313,24 +251,38 @@ def final_gh_tree(
 ) -> SteinerTree:
     """End-to-end private Gomory-Hu tree over all vertices.
 
-    Runs the recursion at half the budget, then spends the other half
-    replacing every tree edge weight with a Laplace-noised copy clamped
-    at zero. Aborts propagate to the caller with the consumed seed;
-    nothing is retried automatically.
+    The recursion, whose tree carries exact cut weights, runs at half
+    the budget, e = eps/2, with depth cap t_max = ceil(c_depth * lg(n)^2)
+    for the input's n vertices. Every frame's step runs at e/(4 t_max)
+    with beta = 1/n^3, and every carved region's boundary is masked at
+    scale 8 t_max/e. The ledger is charged e/(2 t_max) per executed
+    depth level, once per level rather than per branch, because sibling
+    subgraphs split any single edge difference between at most two of
+    them. The other half of the budget replaces every tree edge weight
+    with a Laplace-noised copy clamped at zero. At ``INFINITE`` every
+    scale is 0.0 and nothing is drawn. Aborts propagate to the caller
+    with the consumed seed; nothing is retried automatically.
     """
     if g.n < 2:
         raise ValueError("need at least two vertices to build a tree")
-    rp = RecursionParams(
-        eps=eps.split(2.0),
-        t=0,
-        n_max=g.n,
-        c_depth=c_depth,
+    eps_rec = eps.split(2.0)
+    _check_constants(c_depth=c_depth)
+    t_max = math.ceil(c_depth * math.log2(g.n) ** 2)
+    step_params = StepParams(
+        eps=eps_rec.split(4.0 * t_max),
+        beta=1.0 / g.n**3,
         c1=c1,
         c2=c2,
         penalty_const=penalty_const,
     )
-    tree = gh_tree(g, g.vertices, rp, rng.child("tree"), ledger)
-    weight_scale = 0.0 if eps.is_noiseless else 2.0 * (g.n - 1) / eps.value
+    mask_scale = 8.0 * t_max / eps_rec.value
+    depths: set[int] = set()
+    tree = _gh_rec(g, list(g.vertices), 0, rng.child("tree"), t_max, step_params, mask_scale, depths)
+    if ledger is not None:
+        level_scale = 2.0 * t_max / eps_rec.value
+        for d in sorted(depths):
+            ledger.charge(f"gh_tree.level.{d}", 1.0, level_scale)
+    weight_scale = 2.0 * (g.n - 1) / eps.value
     weight_rng = rng.child("edge_weights")
     noised = [
         (u, v, max(0.0, w + sample_laplace(weight_scale, weight_rng)))

@@ -86,7 +86,7 @@ def private_min_st_cut(
         raise ValueError("cut endpoints must be graph vertices")
     if s == t:
         raise ValueError("cut endpoints must differ")
-    mean = 0.0 if eps.is_noiseless else 1.0 / eps.value
+    mean = 1.0 / eps.value
     if ledger is not None:
         ledger.charge("private_st_cut", 1.0, mean)
     if eps.is_noiseless:
@@ -191,7 +191,8 @@ def private_isolating_cuts(
             else:
                 region &= side
     graphs, t = _contract_complements(g, regions)
-    if params.U and not params.eps.is_noiseless:
+    penalty = 0.0
+    if params.U:
         penalty = (
             params.penalty_const
             * (g.n + math.log2(1.0 / params.beta))
@@ -200,8 +201,6 @@ def private_isolating_cuts(
         )
         if math.isinf(penalty):
             raise ValueError(f"penalty weight overflows at eps={params.eps.value!r}")
-    else:
-        penalty = 0.0
     combined_weights: dict[tuple[int, int], float] = {}
     sources: list[int] = []
     sinks: list[int] = []

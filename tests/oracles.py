@@ -114,6 +114,23 @@ def brute_min_ST_value(g: Graph, S, T) -> float:
     return float(values[ok].min())
 
 
+def brute_minimal_ST_side(g: Graph, S, T) -> frozenset:
+    """Intersection of all minimum-weight sides containing S and none of T.
+
+    Ties are found by equality, so the weights must sum exactly, as
+    quarter integers do.
+    """
+    bits = vertex_bits(g)
+    values = all_cut_values(g)
+    masks = [
+        m
+        for m in range(len(values))
+        if all((m >> bits[s]) & 1 for s in S) and not any((m >> bits[t]) & 1 for t in T)
+    ]
+    best = min(values[m] for m in masks)
+    return frozenset.intersection(*(side_from_mask(g, m) for m in masks if values[m] == best))
+
+
 def brute_isolating_values(g: Graph, terminals) -> dict:
     """Per-terminal minimum isolating cut values, each solved separately."""
     out = {}

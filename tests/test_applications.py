@@ -115,7 +115,7 @@ class TestMinKCut:
         g = dumbbell6()
         sol = min_k_cut(gomory_hu_exact(g), g, g.n)
         assert all(len(p) == 1 for p in sol.parts)
-        assert sol.value == pytest.approx(g.total_weight())
+        assert sol.value == pytest.approx(sum(w for _, _, w in g.edges()))
 
     def test_k_bounds(self):
         g = dumbbell6()

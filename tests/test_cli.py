@@ -142,7 +142,7 @@ class TestBenchVerb:
         conf = tmp_path / "exp.conf"
         conf.write_text(
             "generator = erdos-renyi-weighted\nn = 8\np = 0.5\n"
-            "eps = 1\nseeds = 0..1\nmode = noiseless\n"
+            "eps = inf\nseeds = 0..1\n"
         )
         out = str(tmp_path / "r.csv")
         assert main(["bench", "--config", str(conf), "--out", out]) == 0
@@ -156,7 +156,7 @@ class TestBenchVerb:
         out = str(tmp_path / "r.csv")
         conf = tmp_path / "exp.conf"
         conf.write_text(
-            f"generator = cycle\nn = 5\neps = 1\nseeds = 0\nmode = noiseless\nout = {out}\n"
+            f"generator = cycle\nn = 5\neps = inf\nseeds = 0\nout = {out}\n"
         )
         assert main(["bench", "--config", str(conf)]) == 0
         assert f"wrote {out}" in capsys.readouterr().out

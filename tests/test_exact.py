@@ -75,14 +75,7 @@ class TestMinStCut:
         g0, s0, t0 = gst
         g = Graph([3 * v + 2 for v in g0.vertices], [(3 * u + 2, 3 * v + 2, w) for u, v, w in g0.edges()])
         s, t = 3 * s0 + 2, 3 * t0 + 2
-        bits = oracles.vertex_bits(g)
-        values = oracles.all_cut_values(g)
-        masks = [m for m in range(len(values)) if (m >> bits[s]) & 1 and not (m >> bits[t]) & 1]
-        best = min(values[m] for m in masks)
-        minimal = frozenset.intersection(
-            *(oracles.side_from_mask(g, m) for m in masks if values[m] == best)
-        )
-        assert min_st_cut_exact(g, s, t).cut.side == minimal
+        assert min_st_cut_exact(g, s, t).cut.side == oracles.brute_minimal_ST_side(g, [s], [t])
 
     def test_agrees_with_package_brute_force(self):
         for seed in range(30):

@@ -67,7 +67,7 @@ class TestConfig:
 
 class TestRun:
     def test_noiseless_mode_has_zero_errors(self):
-        report = run_experiment(small_config(mode="noiseless", seeds=(0, 1, 2)))
+        report = run_experiment(small_config(eps=(math.inf,), seeds=(0, 1, 2)))
         assert len(report.rows) == 3 * (10 * 9 // 2)
         for row in report.rows:
             assert row.eps == "inf"
@@ -104,7 +104,7 @@ class TestRun:
         path = str(tmp_path / "g.txt")
         save_graph(g, path)
         report = run_experiment(
-            ExperimentConfig(input_path=path, mode="noiseless", seeds=(0,))
+            ExperimentConfig(input_path=path, eps=(math.inf,), seeds=(0,))
         )
         assert len(report.rows) == 6
         assert report.max_side_error == pytest.approx(0.0, abs=1e-9)
@@ -163,13 +163,19 @@ class TestPairAnswers:
         g, exact_tree, tree = case
         assert list(_pair_answers(g, exact_tree, tree)) == per_pair_answers(g, exact_tree, tree)
 
-    @pytest.mark.parametrize("mode", ["noiseless", "exact-baseline"])
-    def test_rows_match_tree_query_loop(self, mode):
-        config = small_config(params={"n": 12, "p": 0.3}, seeds=(0,), mode=mode)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param({"eps": (math.inf,)}, id="noiseless"),
+            pytest.param({"mode": "exact-baseline"}, id="exact-baseline"),
+        ],
+    )
+    def test_rows_match_tree_query_loop(self, overrides):
+        config = small_config(params={"n": 12, "p": 0.3}, seeds=(0,), **overrides)
         report = run_experiment(config)
         g = _instance(config, 0)
         exact_tree = gomory_hu_exact(g)
-        tree = exact_tree if mode == "exact-baseline" else final_gh_tree(g, INFINITE, Rng(0))
+        tree = exact_tree if config.mode == "exact-baseline" else final_gh_tree(g, INFINITE, Rng(0))
         expected = per_pair_answers(g, exact_tree, tree)
         got = [
             (r.pair_s, r.pair_t, r.lambda_exact, r.tree_value, r.side_true_weight)

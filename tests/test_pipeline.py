@@ -16,18 +16,17 @@ from ghtree import (
     GHTreeAbort,
     Graph,
     PrivacyLedger,
-    RecursionParams,
     Rng,
     StepParams,
     cut_weight,
     final_gh_tree,
     generate,
-    gh_tree,
     gh_tree_step,
     gomory_hu_exact,
     min_edge_on_path,
     min_st_cut_exact,
 )
+from ghtree.pipeline import _gh_rec
 
 
 def dumbbell6() -> Graph:
@@ -43,29 +42,38 @@ def step_params(eps, beta=0.001) -> StepParams:
 NONFINITE = (math.nan, math.inf, -math.inf)
 
 
-class TestRecursionParams:
-    def test_depth_cap_formula(self):
-        assert RecursionParams(eps=Epsilon(1.0), t=0, n_max=50).t_max == 128
-        assert RecursionParams(eps=Epsilon(1.0), t=0, n_max=2, c_depth=1.0).t_max == 1
+def path_graph(n: int) -> Graph:
+    return Graph(range(n), [(i, i + 1, 1.0) for i in range(n - 1)])
 
-    def test_deeper_increments_only_depth(self):
-        rp = RecursionParams(eps=Epsilon(1.0), t=3, n_max=9, c1=5.0)
-        nxt = rp.deeper()
-        assert nxt.t == 4 and nxt.n_max == 9 and nxt.c1 == 5.0 and nxt.eps == rp.eps
+
+def level_entries(ledger: PrivacyLedger) -> list:
+    return [e for e in ledger.entries if e.name.startswith("gh_tree.level.")]
+
+
+class TestRecursionParams:
+    """The recursion's depth cap and constants, as final_gh_tree sets them."""
+
+    def test_depth_cap_formula(self):
+        # Each level is charged at scale 2 t_max / (eps / 2).
+        led = PrivacyLedger(Epsilon(1.0))
+        final_gh_tree(path_graph(50), Epsilon(1.0), Rng(0), led)
+        assert {e.scale for e in level_entries(led)} == {2.0 * 128 / 0.5}
+        led = PrivacyLedger(Epsilon(1.0))
+        final_gh_tree(path_graph(2), Epsilon(1.0), Rng(0), led, c_depth=1.0)
+        assert {e.scale for e in level_entries(led)} == {2.0 * 1 / 0.5}
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RecursionParams(eps=Epsilon(1.0), t=-1, n_max=5)
-        with pytest.raises(ValueError):
-            RecursionParams(eps=Epsilon(1.0), t=0, n_max=1)
-        with pytest.raises(ValueError):
-            RecursionParams(eps=Epsilon(1.0), t=0, n_max=5, c_depth=0.0)
+        with pytest.raises(ValueError, match="two vertices"):
+            final_gh_tree(Graph([0]), Epsilon(1.0), Rng(0))
+        for name in ("c_depth", "c1", "c2", "penalty_const"):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                final_gh_tree(dumbbell6(), Epsilon(1.0), Rng(0), **{name: 0.0})
 
     @pytest.mark.parametrize("value", NONFINITE)
     @pytest.mark.parametrize("name", ["c_depth", "c1", "c2", "penalty_const"])
     def test_nonfinite_constant_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-            RecursionParams(eps=Epsilon(1.0), t=0, n_max=5, **{name: value})
+            final_gh_tree(dumbbell6(), Epsilon(1.0), Rng(0), **{name: value})
 
 
 class TestStepParams:
@@ -155,11 +163,12 @@ def tree_values(tree, pairs):
 
 
 class TestGhTree:
+    """The private recursion, through final_gh_tree or one frame of it."""
+
     @given(strategies.connected_graphs(min_n=2, max_n=8))
     @settings(max_examples=30, deadline=None)
     def test_noiseless_terminal_values_are_exact(self, g):
-        rp = RecursionParams(eps=INFINITE, t=0, n_max=g.n)
-        tree = gh_tree(g, g.vertices, rp, Rng(0))
+        tree = final_gh_tree(g, INFINITE, Rng(0))
         assert tree.node_set == g.vertex_set
         for u, v in combinations(g.vertices, 2):
             assert min_edge_on_path(tree, u, v)[2] == pytest.approx(
@@ -168,8 +177,9 @@ class TestGhTree:
 
     def test_steiner_terminal_subset(self):
         g = dumbbell6()
-        rp = RecursionParams(eps=INFINITE, t=0, n_max=g.n)
-        tree = gh_tree(g, [0, 3, 5], rp, Rng(2))
+        params = StepParams(eps=INFINITE, beta=1.0 / g.n**3)
+        t_max = math.ceil(4.0 * math.log2(g.n) ** 2)
+        tree = _gh_rec(g, [0, 3, 5], 0, Rng(2), t_max, params, 0.0, set())
         assert tree.node_set == {0, 3, 5}
         assert set(tree.f) == g.vertex_set
         assert min_edge_on_path(tree, 0, 3)[2] == pytest.approx(1.0)
@@ -177,9 +187,9 @@ class TestGhTree:
 
     def test_abort_when_entering_too_deep(self):
         g = dumbbell6()
-        rp = RecursionParams(eps=Epsilon(1.0), t=5, n_max=2, c_depth=1.0)
+        params = StepParams(eps=Epsilon(1.0), beta=1.0 / g.n**3)
         with pytest.raises(GHTreeAbort) as exc:
-            gh_tree(g, g.vertices, rp, Rng(3))
+            _gh_rec(g, list(g.vertices), 5, Rng(3), 1, params, 0.0, set())
         assert exc.value.depth == 5
         assert exc.value.t_max == 1
         assert exc.value.seed == 3
@@ -187,15 +197,14 @@ class TestGhTree:
     def test_ledger_charges_per_level(self):
         g = generate("erdos-renyi-weighted", {"n": 12, "p": 0.4}, 1)
         eps = Epsilon(2.0)
-        rp = RecursionParams(eps=eps, t=0, n_max=g.n)
         led = PrivacyLedger(eps)
-        gh_tree(g, g.vertices, rp, Rng(5), led)
-        levels = [e for e in led.entries if e.name.startswith("gh_tree.level.")]
+        final_gh_tree(g, eps, Rng(5), led)
+        levels = level_entries(led)
         assert levels
-        per_level = eps.value / (2.0 * rp.t_max)
+        t_max = math.ceil(4.0 * math.log2(g.n) ** 2)
         for e in levels:
-            assert e.cost == pytest.approx(per_level)
-        assert led.total() <= eps.value + 1e-12
+            assert e.cost == pytest.approx(eps.value / (4.0 * t_max))
+        assert led.within_budget()
 
 
 class TestFinalTree:

@@ -40,9 +40,11 @@ class TestPrivateStCut:
     @given(strategies.graphs_with_pair())
     @settings(max_examples=60, deadline=None)
     def test_noiseless_equals_exact(self, gst):
+        # Quarter-integer weights sum exactly, so values compare by equality.
         g, s, t = gst
         got = private_min_st_cut(g, s, t, INFINITE, Rng(0))
-        assert got == min_st_cut_exact(g, s, t).cut
+        assert got.value == oracles.brute_min_st_value(g, s, t)
+        assert got.side == oracles.brute_minimal_ST_side(g, [s], [t])
 
     def test_noiseless_consumes_no_randomness(self):
         rng = Rng(5)
@@ -125,7 +127,8 @@ class TestPrivateSTCut:
     def test_noiseless_equals_exact_on_groups(self):
         g = dumbbell6()
         got = private_min_ST_cut(g, [0, 1], [4, 5], INFINITE, Rng(0))
-        assert got == min_ST_cut_exact(g, [0, 1], [4, 5]).cut
+        assert got.value == oracles.brute_min_ST_value(g, [0, 1], [4, 5]) == 1.0
+        assert got.side == oracles.brute_minimal_ST_side(g, [0, 1], [4, 5]) == {0, 1, 2}
 
     @given(strategies.graphs_with_terminals(min_n=4, min_r=4))
     @settings(max_examples=40, deadline=None)
