@@ -55,26 +55,45 @@ def gomory_hu_exact(g: Graph, terminals: Iterable[int] | None = None) -> Steiner
         raise ValueError("terminal set must be nonempty")
     if not set(U) <= g.vertex_set:
         raise ValueError("terminals must be graph vertices")
-    return _gh_steiner(g, U)
-
-
-def _gh_steiner(g: Graph, U: list[int]) -> SteinerTree:
     if len(U) == 1:
         return _single_node_tree(g.vertices, U[0])
+    # Work runs in the plain recursion's order: a split's side half, then
+    # its rest half, then the join of their trees. The stack holds the
+    # pending halves' graphs, which share no vertex but contraction
+    # labels; a split's graph is dropped once both halves are built,
+    # rather than kept while the rest half recurses. Items are
+    # ("split", graph, terminals), ("tree", tree, None) and
+    # ("join", label, cut value).
+    todo = [("split", g, U)]
+    trees: list[SteinerTree] = []
+    while todo:
+        kind, a, b = todo.pop()
+        if kind == "split":
+            todo += reversed(_split(a, b))
+        elif kind == "tree":
+            trees.append(a)
+        else:
+            t_rest = trees.pop()
+            trees.append(combine_steiner(t_rest, [(trees.pop(), a, a, b)]))
+    return trees.pop()
+
+
+def _split(g: Graph, U: list[int]) -> list[tuple]:
+    """Cut g between U's first two terminals; return the work left.
+
+    That is a half for each side, with the other side contracted, then
+    the join of their trees at the cut's value. A half holding one
+    terminal needs no graph, only a tree that maps its vertices and the
+    label to that terminal.
+    """
     res = min_st_cut_exact(g, U[0], U[1])
     side = res.cut.side
     label = g.vertices[-1] + 1  # the other half, contracted, in either half's graph
-    t_side = _gh_half(g, side, [u for u in U if u in side], label)
-    t_rest = _gh_half(g, g.vertex_set - side, [u for u in U if u not in side], label)
-    return combine_steiner(t_rest, [(t_side, label, label, res.value)])
-
-
-def _gh_half(g: Graph, keep: frozenset[int], U: list[int], label: int) -> SteinerTree:
-    """Tree of g with everything outside ``keep`` contracted into ``label``.
-
-    A half holding one terminal needs no graph: its tree maps the kept
-    vertices and the label to that terminal.
-    """
-    if len(U) == 1:
-        return _single_node_tree([*sorted(keep), label], U[0])
-    return _gh_steiner(contract(g, g.vertex_set - keep)[0], U)
+    work = []
+    for keep, other in ((side, g.vertex_set - side), (g.vertex_set - side, side)):
+        T = [u for u in U if u in keep]
+        if len(T) == 1:
+            work.append(("tree", _single_node_tree([*sorted(keep), label], T[0]), None))
+        else:
+            work.append(("split", contract(g, other)[0], T))
+    return work + [("join", label, res.value)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -79,6 +80,9 @@ class TestRng:
         with pytest.raises(ValueError):
             Rng(2**64)
         Rng(2**64 - 1)
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError):
+                Rng(0, (bad,))
 
     def test_integer_range(self):
         r = Rng(0)
@@ -90,6 +94,74 @@ class TestRng:
     def test_permutation_is_a_permutation(self):
         p = Rng(1).permutation(6)
         assert sorted(p) == list(range(6))
+
+
+SEEDS = [0, 3_141_592_653, 2**64 - 1 - 2**40]
+KEYS = [(), (0,), (7, 2**32 - 1), (2**64 - 5, 0, 123_456)]
+# The last two reject about one draw in four, so the rejection loops run.
+INTEGER_RANGES = [1, 2, 3, 200, 2**32, 2**32 + 1, 3 * 2**30, 3 * 2**61]
+
+
+def numpy_stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
+    """The reference generator ``Rng(seed, key)`` reproduces."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def label_word(label: str) -> int:
+    """The spawn-key word ``Rng.child(label)`` appends."""
+    return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
+
+
+class TestRngMatchesNumpy:
+    """Draw for draw equal to numpy's PCG64 seeded through SeedSequence."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("key", KEYS, ids=str)
+    def test_uniform(self, seed, key):
+        ours, ref = Rng(seed, key), numpy_stream(seed, key)
+        assert [ours.uniform() for _ in range(50)] == [float(ref.random()) for _ in range(50)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", INTEGER_RANGES)
+    def test_integer(self, seed, n):
+        ours, ref = Rng(seed, (n,)), numpy_stream(seed, (n,))
+        assert [ours.integer(n) for _ in range(50)] == [int(ref.integers(0, n)) for _ in range(50)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 300])
+    def test_permutation(self, seed, n):
+        ours, ref = Rng(seed, (5,)), numpy_stream(seed, (5,))
+        for _ in range(3):
+            assert ours.permutation(n) == [int(x) for x in ref.permutation(n)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_interleaved_draws_share_the_kept_half(self, seed):
+        """A 32-bit integer draw keeps the high half of its 64-bit word for
+        the next one; uniform draws in between leave it in place."""
+        ours, ref = Rng(seed), numpy_stream(seed, ())
+        for n in [3, 200, 3, 2**32, 2**32 + 1, 200, 200]:
+            assert ours.uniform() == float(ref.random())
+            assert ours.integer(n) == int(ref.integers(0, n))
+            assert ours.uniform() == float(ref.random())
+        assert ours.permutation(40) == [int(x) for x in ref.permutation(40)]
+        assert ours.integer(7) == int(ref.integers(0, 7))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("depth", range(6))
+    @pytest.mark.parametrize("prefix", [(), (0,), (0, 2**32 - 1, 9)], ids=str)
+    def test_child_chain(self, seed, depth, prefix):
+        r, key = Rng(seed, prefix), prefix
+        for i in range(depth):
+            label = f"level.{i}"
+            r, key = r.child(label), key + (label_word(label),)
+        ref = numpy_stream(seed, key)
+        assert [r.uniform() for _ in range(10)] == [float(ref.random()) for _ in range(10)]
+        assert r.integer(1000) == int(ref.integers(0, 1000))
+
+    def test_integer_range_above_int64_rejected(self):
+        with pytest.raises(ValueError):
+            Rng(0).integer(2**63 + 1)
+        assert 0 <= Rng(0).integer(2**63) < 2**63
 
 
 def scalar_draws(sampler, scale: float, rng: Rng, count: int) -> np.ndarray:

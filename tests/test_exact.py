@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -288,3 +289,20 @@ class TestGomoryHu:
             w, side = tree_cut_for_pair(tree, g, u, v)
             assert w == pytest.approx(lam, abs=1e-9)
             assert cut_weight(g, side) == pytest.approx(lam, abs=1e-9)
+
+    def test_memory_stays_near_the_input_size(self):
+        """The graphs alive at once are the pending halves, not every
+        contracted graph on the path from the root. On ER n=120 the peak
+        was 226 times the input graph's allocations when each split kept
+        its graph while its rest half was built, and is 8 times now."""
+        g = generate("erdos-renyi-weighted", {"n": 120, "p": 0.1}, 0)
+        tracemalloc.start()
+        try:
+            g = Graph(g.vertices, list(g.edges()))
+            graph_bytes = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            gomory_hu_exact(g)
+            peak = tracemalloc.get_traced_memory()[1] - graph_bytes
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * graph_bytes

@@ -1,14 +1,17 @@
-"""Every name a package module imports is used in that module.
+"""What the package imports.
 
 There is no linter in the toolchain, so this scan keeps dead imports
 out of ``src/ghtree``: a name bound by ``import``/``from ... import``
 must appear as a name in the module's code or in its ``__all__``.
-``from __future__`` imports are skipped.
+``from __future__`` imports are skipped. The package also imports no
+third-party module: numpy is a test-only reference.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,12 @@ def test_scan_flags_an_unused_name():
         "    return os.path.join\n"
     )
     assert unused_imports(tree) == ["cut_weight (line 3)"]
+
+
+def test_package_and_cli_import_without_numpy():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import ghtree, ghtree.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(SRC.parent)], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
