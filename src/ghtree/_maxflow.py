@@ -18,25 +18,26 @@ the same arcs in the same order, pushes the same paths and does the
 same float arithmetic. The last BFS, which finds t unreachable, runs to
 completion, so the returned reachable set is unchanged as well.
 
-The arc arrays of the last graph cut are kept, one network at a time,
-so the many flows a caller runs on one unchanged graph (a step's pivot
-values) build it once; each flow works on its own copy of the
-capacities. Graphs are immutable, so the same object means the same
-network.
+A graph's network is built on first use and kept on the graph, so
+every flow and every cut weight on one graph object share it; each flow
+works on its own copy of the capacities. Graphs are immutable, so the
+network never goes stale. A cut weight walks the arc lists of the
+smaller of the side and its complement, and adds the crossing arcs'
+capacities in arc order, which is canonical edge order.
 """
 
 from __future__ import annotations
 
-from .graph import Graph
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 # Read by bench/run.py for its "backend" field; the kernel is never jitted.
 USING_NUMBA = False
 
 # Vertex index, per-vertex arc ids, arc heads and initial capacities.
 _Network = tuple[dict[int, int], list[list[int]], list[int], list[float]]
-
-# The last graph cut and its network: the memo holds one entry at a time.
-_last: tuple[Graph, _Network] | None = None
 
 
 def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: int, t: int) -> list[int]:
@@ -101,11 +102,10 @@ def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: in
 
 
 def _network(g: Graph) -> _Network:
-    """The flow network of g, built once for consecutive calls on the same graph."""
-    global _last
-    last = _last  # one read, so a concurrent replacement cannot pair g with another network
-    if last is not None and last[0] is g:
-        return last[1]
+    """The flow network of g, built on first use and kept in the graph's ``_net`` slot."""
+    net = g._net
+    if net is not None:
+        return net
     index = {v: i for i, v in enumerate(g.vertices)}
     adj: list[list[int]] = [[] for _ in index]
     head: list[int] = []
@@ -116,9 +116,25 @@ def _network(g: Graph) -> _Network:
         adj[iv].append(len(head) + 1)
         head += (iv, iu)
         cap += (w, w)
-    net = (index, adj, head, cap)
-    _last = (g, net)
+    net = g._net = (index, adj, head, cap)
     return net
+
+
+def boundary_weight(g: Graph, side: set[int] | frozenset[int]) -> float:
+    """Weight of the edges leaving ``side``, a subset of g's vertices.
+
+    Walks the arcs of the smaller of ``side`` and its complement. Each
+    crossing edge k is met once, as arc 2k or 2k+1, so the sorted arcs
+    add the weights from 0.0 in canonical edge order.
+    """
+    index, adj, head, cap = _network(g)
+    walked = side if 2 * len(side) <= g.n else g.vertex_set - side
+    inside = {index[v] for v in walked}
+    crossing = sorted(a for i in inside for a in adj[i] if head[a] not in inside)
+    total = 0.0
+    for a in crossing:  # not sum(), which compensates from Python 3.12 on
+        total += cap[a]
+    return total
 
 
 def min_cut_source_side(g: Graph, s: int, t: int) -> frozenset[int]:

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from ._maxflow import boundary_weight
+
 
 def _canon(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
@@ -23,10 +25,12 @@ class Graph:
 
     Isolated vertices are allowed; the vertex set is fixed at
     construction. Zero-weight edges supplied to the constructor are
-    dropped, negative or non-finite weights are rejected.
+    dropped, negative or non-finite weights are rejected. The flow
+    network that ``_maxflow`` builds for the graph is kept in ``_net``;
+    equality and hashing ignore it.
     """
 
-    __slots__ = ("_vertices", "_vset", "_weights")
+    __slots__ = ("_vertices", "_vset", "_weights", "_net")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int, float]] = ()):
         vs = sorted({int(v) for v in vertices})
@@ -45,6 +49,7 @@ class Graph:
         self._vertices: tuple[int, ...] = tuple(vs)
         self._vset = vset
         self._weights = {k: w for k, w in sorted(weights.items()) if w > 0.0}
+        self._net = None
 
     @classmethod
     def _trusted(cls, vertices: tuple[int, ...], weights: dict[tuple[int, int], float]) -> Graph:
@@ -58,6 +63,7 @@ class Graph:
         g._vertices = vertices
         g._vset = frozenset(vertices)
         g._weights = dict(sorted(weights.items()))
+        g._net = None
         return g
 
     @property
@@ -120,19 +126,15 @@ def cut_weight(g: Graph, side: Iterable[int]) -> float:
     """Total weight of edges leaving ``side``.
 
     ``side`` must be a subset of the vertex set; the empty set and the
-    full set both have weight 0. Summation runs in canonical edge order
-    so equal sides always produce bitwise-equal totals.
+    full set both have weight 0. Only the edges at the smaller of
+    ``side`` and its complement are read, from the graph's flow network,
+    and the crossing ones are summed in canonical edge order, so equal
+    sides always produce bitwise-equal totals.
     """
     s = {int(v) for v in side}
     if not s <= g.vertex_set:
         raise ValueError("cut side contains vertices outside the graph")
-    if not s or len(s) == g.n:
-        return 0.0
-    total = 0.0
-    for (u, v), w in g._weights.items():
-        if (u in s) != (v in s):
-            total += w
-    return total
+    return boundary_weight(g, s)
 
 
 def make_cut_side(g: Graph, side: Iterable[int]) -> CutSide:
@@ -158,29 +160,6 @@ def _disjoint_groups(
         owner.update(dict.fromkeys(s, i))
         sets.append(s)
     return sets, owner
-
-
-def _disjoint_cut_sides(g: Graph, sides: Sequence[Iterable[int]]) -> list[CutSide]:
-    """``make_cut_side`` for each of several pairwise disjoint sides, in one edge scan.
-
-    Each side must be a proper nonempty subset of the vertex set. Each
-    total is summed in canonical edge order, as ``cut_weight`` sums it,
-    so the values are bitwise equal to one ``cut_weight`` per side.
-    """
-    sets, owner = _disjoint_groups(g, sides, "cut side")
-    for s in sets:
-        if not s or not s < g.vertex_set:
-            raise ValueError("cut side must be a proper nonempty subset of the vertex set")
-    totals = [0.0] * len(sets)
-    for (u, v), w in g._weights.items():
-        su = owner.get(u)
-        sv = owner.get(v)
-        if su != sv:
-            if su is not None:
-                totals[su] += w
-            if sv is not None:
-                totals[sv] += w
-    return [CutSide(side=s, value=total) for s, total in zip(sets, totals)]
 
 
 def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:

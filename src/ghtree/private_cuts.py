@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 from ._maxflow import min_cut_source_side
 from .dp import INFINITE, Epsilon, PrivacyLedger, Rng, sample_exponential
 from .exact import MaxFlowResult, min_st_cut_exact
-from .graph import CutSide, Graph, _contract_complements, _disjoint_cut_sides, contract, cut_weight, make_cut_side
+from .graph import CutSide, Graph, _contract_complements, contract, cut_weight, make_cut_side
 
 # Default constants of the pipeline's error allowances (c1, c2), depth
 # cap (c_depth) and large-side penalty; every layer takes them from here.
@@ -163,9 +163,10 @@ def private_isolating_cuts(
     from the rest and shrinks every terminal's region to its side of
     that cut. A single private cut on the disjoint union of the
     regions, each with its outside contracted, then produces every
-    output simultaneously. The region graphs and the outputs' cut
-    values each take one edge scan of g. Each of the
-    floor(lg(|R|-1)) + 2 private calls runs at eps / (lg|R| + 2).
+    output simultaneously. The region graphs take one edge scan of g,
+    and each output's value reads only the edges at its smaller side.
+    Each of the floor(lg(|R|-1)) + 2 private calls runs at
+    eps / (lg|R| + 2).
 
     Region graphs carry a penalty weight between each vertex of
     region-intersect-U and the region's contracted outside, which
@@ -221,11 +222,10 @@ def private_isolating_cuts(
         relabels.append(relabel)
     combined = Graph._trusted(tuple(range(next_label)), combined_weights)
     side = private_min_ST_cut(combined, sources, sinks, eps_call, rng.child("combined"), ledger).side
-    sides = [
-        [v for v in region if relabel[v] in side]
-        for region, relabel in zip(regions, relabels)
-    ]
-    cuts = dict(zip(R, _disjoint_cut_sides(g, sides)))
+    cuts = {
+        r: make_cut_side(g, [v for v in region if relabel[v] in side])
+        for r, region, relabel in zip(R, regions, relabels)
+    }
     total = sum(cuts[r].value for r in R)
     return IsoCutsResult(cuts=cuts, total_value=total)
 

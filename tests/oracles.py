@@ -47,6 +47,16 @@ def all_cut_values(g: Graph) -> np.ndarray:
     return values
 
 
+def scan_cut_weight(g: Graph, side) -> float:
+    """Weight of the edges leaving ``side``, added one at a time in canonical edge order."""
+    side = set(side)
+    total = 0.0
+    for u, v, w in g.edges():
+        if (u in side) != (v in side):
+            total += w
+    return total
+
+
 def side_from_mask(g: Graph, mask: int) -> frozenset:
     bits = vertex_bits(g)
     return frozenset(v for v in g.vertices if (mask >> bits[v]) & 1)

@@ -61,6 +61,9 @@ third_weights = st.integers(1, 12).map(lambda k: k / 3.0)
 # Free floats carry arbitrary low-order bits.
 float_weights = st.floats(1e-3, 1e3)
 
+# Grid weights and thirds give bottleneck ties; free floats give arbitrary bits.
+kernel_weights = st.one_of(grid_weights, third_weights, float_weights)
+
 
 @st.composite
 def graphs_with_disjoint_blocks(draw, max_blocks: int = 4):

@@ -134,15 +134,37 @@ class TestFlowNetworkReuse:
         assert [e.cut.side for e in expected[1:4]] == [{0, 1, 2}, {3, 4, 5}, {0}]
 
 
-# Grid weights and thirds give bottleneck ties; free floats give arbitrary bits.
-kernel_weights = st.one_of(strategies.grid_weights, strategies.third_weights, strategies.float_weights)
+class TestNetworkSlot:
+    """A graph's flow network is built once, kept on that object and nowhere else."""
+
+    def test_one_graph_builds_one_network(self):
+        g = dumbbell6()
+        assert g._net is None
+        assert _network(g) is _network(g)
+        assert g._net is _network(g)
+
+    def test_equal_distinct_graph_builds_its_own(self):
+        g, h = dumbbell6(), dumbbell6()
+        net = _network(g)
+        assert h._net is None
+        assert _network(h) is not net
+        assert _network(h) == net
+        assert _network(g) is net
+
+    def test_equality_and_hash_ignore_the_network(self):
+        g, h = dumbbell6(), dumbbell6()
+        before = hash(g)
+        min_st_cut_exact(g, 0, 5)
+        assert g._net is not None and h._net is None
+        assert g == h
+        assert hash(g) == hash(h) == before
 
 
 @st.composite
 def disconnected_pairs(draw):
     """Two disjoint connected graphs side by side, s in the first, t in the second."""
-    a = draw(strategies.connected_graphs(min_n=1, max_n=6, weights=kernel_weights))
-    b = draw(strategies.connected_graphs(min_n=1, max_n=6, weights=kernel_weights))
+    a = draw(strategies.connected_graphs(min_n=1, max_n=6, weights=strategies.kernel_weights))
+    b = draw(strategies.connected_graphs(min_n=1, max_n=6, weights=strategies.kernel_weights))
     shift = a.n
     edges = list(a.edges()) + [(u + shift, v + shift, w) for u, v, w in b.edges()]
     g = Graph(range(a.n + b.n), edges)
@@ -152,7 +174,7 @@ def disconnected_pairs(draw):
 @st.composite
 def noised_pairs(draw):
     """A graph whose every other vertex has an edge to both s and t, as a noised s-t cut builds it."""
-    g, s, t = draw(strategies.graphs_with_pair(min_n=3, max_n=12, weights=kernel_weights))
+    g, s, t = draw(strategies.graphs_with_pair(min_n=3, max_n=12, weights=strategies.kernel_weights))
     noise = [(v, end, draw(st.floats(1e-6, 10.0))) for v in g.vertices if v not in (s, t) for end in (s, t)]
     return Graph(g.vertices, list(g.edges()) + noise), s, t
 
@@ -162,7 +184,7 @@ class TestDinicKernel:
 
     @given(
         st.one_of(
-            strategies.graphs_with_pair(max_n=12, weights=kernel_weights),
+            strategies.graphs_with_pair(max_n=12, weights=strategies.kernel_weights),
             disconnected_pairs(),
             noised_pairs(),
         )

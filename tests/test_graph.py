@@ -16,8 +16,9 @@ from ghtree import (
     contract,
     cut_weight,
     make_cut_side,
+    min_st_cut_exact,
 )
-from ghtree.graph import _contract_complements, _disjoint_cut_sides
+from ghtree.graph import _contract_complements
 
 
 def triangle() -> Graph:
@@ -80,6 +81,19 @@ class TestConstruction:
         assert list(g.edges()) == [(0, 1, 1.0), (1, 2, 2.0)]
 
 
+@st.composite
+def sided_graphs(draw):
+    """A graph on spread-out labels, some isolated, with any vertex subset as the side."""
+    g = draw(strategies.connected_graphs(min_n=1, max_n=10, weights=strategies.kernel_weights))
+    isolated = draw(st.integers(0, 3))
+    label = {v: 3 * v + 1 for v in g.vertices}
+    h = Graph(
+        [*label.values(), *(3 * (g.n + i) for i in range(isolated))],
+        [(label[u], label[v], w) for u, v, w in g.edges()],
+    )
+    return h, draw(st.sets(st.sampled_from(h.vertices)))
+
+
 class TestCutWeight:
     def test_triangle_singleton(self):
         assert cut_weight(triangle(), {0}) == 5.0
@@ -127,6 +141,16 @@ class TestCutWeight:
         lhs = cut_weight(g, a) + cut_weight(g, b)
         rhs = cut_weight(g, a | b) + cut_weight(g, a & b)
         assert lhs >= rhs - 1e-9
+
+    @given(sided_graphs(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_an_edge_scan(self, case, flow_first):
+        g, side = case
+        if flow_first and g.n > 1:
+            min_st_cut_exact(g, g.vertices[0], g.vertices[-1])
+        rest = g.vertex_set - side
+        for s in [side, rest, set(), g.vertex_set] + [{v} for v in g.vertices]:
+            assert cut_weight(g, s).hex() == oracles.scan_cut_weight(g, s).hex()
 
     @given(strategies.connected_graphs())
     @settings(max_examples=40, deadline=None)
@@ -244,30 +268,6 @@ class TestContractComplements:
             _contract_complements(g, [{0, 1, 2}])
         with pytest.raises(ValueError, match="outside the graph"):
             _contract_complements(g, [{0, 9}])
-
-
-class TestDisjointCutSides:
-    @given(strategies.graphs_with_disjoint_blocks())
-    @settings(max_examples=100, deadline=None)
-    def test_values_equal_cut_weight_per_side(self, case):
-        g, sides = case
-        cuts = _disjoint_cut_sides(g, sides)
-        assert len(cuts) == len(sides)
-        for side, cut in zip(sides, cuts):
-            assert cut.side == frozenset(side)
-            assert cut.value == cut_weight(g, side)
-            assert cut == make_cut_side(g, side)
-
-    def test_sides_must_be_disjoint_proper_and_nonempty(self):
-        g = triangle()
-        with pytest.raises(ValueError, match="disjoint"):
-            _disjoint_cut_sides(g, [{0}, {0, 1}])
-        with pytest.raises(ValueError, match="proper nonempty"):
-            _disjoint_cut_sides(g, [{0}, set()])
-        with pytest.raises(ValueError, match="proper nonempty"):
-            _disjoint_cut_sides(g, [{0, 1, 2}])
-        with pytest.raises(ValueError, match="outside the graph"):
-            _disjoint_cut_sides(g, [{9}])
 
 
 class TestTrustedConstructor:
