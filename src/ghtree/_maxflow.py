@@ -8,15 +8,17 @@ kernel returns the final BFS level list: vertices still reachable from
 the source in the residual network form the minimal source-side min
 cut, which is the tie-break every caller relies on.
 
-A phase's BFS stops after scanning the vertex that labels the sink t,
-and every other vertex it put on t's level is unlabelled again. This
-changes no augmentation. Levels below t's are complete when t is
-reached, and in a full level graph a vertex on t's level other than t,
-or beyond it, reaches t by no path of increasing levels: the DFS would
-enter it, find a dead end and change no capacity. So the DFS looks at
-the same arcs in the same order, pushes the same paths and does the
-same float arithmetic. The last BFS, which finds t unreachable, runs to
-completion, so the returned reachable set is unchanged as well.
+Each phase labels vertices by residual distance to the sink t, with a
+BFS from t over reverse arcs that stops after scanning the vertex that
+labels s, and the DFS from s takes only arcs that lower that distance
+by one. This changes no augmentation. A walk along such arcs stays on
+shortest residual s-t paths, so they are the arcs of the level graph
+from s minus those into vertices that cannot reach t; a DFS over the
+full level graph would enter such a vertex, change no capacity and move
+past the arc. So the DFS pushes the same paths in the same order and
+does the same float arithmetic. The last phase costs a BFS from t that
+never labels s, then one forward BFS from s whose levels give the
+reachable set.
 
 A graph's network is built on first use and kept on the graph, so
 every flow and every cut weight on one graph object share it; each flow
@@ -40,30 +42,31 @@ USING_NUMBA = False
 _Network = tuple[dict[int, int], list[list[int]], list[int], list[float]]
 
 
+def _bfs(adj: list[list[int]], head: list[int], cap: list[float], root: int, rev: int, stop: int) -> list[int]:
+    """BFS levels from root over arcs a with ``cap[a ^ rev] > 0.0``; ends after scanning the vertex that labels stop."""
+    level = [-1] * len(adj)
+    level[root] = 0
+    queue = [root]
+    for u in queue:  # FIFO: the loop also visits vertices appended during it
+        lv = level[u] + 1
+        for a in adj[u]:
+            v = head[a]
+            if level[v] < 0 and cap[a ^ rev] > 0.0:
+                level[v] = lv
+                queue.append(v)
+        if level[stop] >= 0:
+            break
+    return level
+
+
 def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: int, t: int) -> list[int]:
     n = len(adj)
     while True:
-        level = [-1] * n
-        level[s] = 0
-        queue = [s]
-        for u in queue:  # FIFO: the loop also visits vertices appended during it
-            lv = level[u] + 1
-            for a in adj[u]:
-                v = head[a]
-                if level[v] < 0 and cap[a] > 0.0:
-                    level[v] = lv
-                    queue.append(v)
-            if level[t] >= 0:
-                break
-        else:
-            return level
-        # Unlabel the rest of t's level, so the DFS never enters those dead ends.
-        lt = level[t]
-        for v in reversed(queue):
-            if level[v] != lt:
-                break
-            level[v] = -1
-        level[t] = lt
+        # Residual distance to t: head[a] reaches y over a ^ 1 for each arc a of y.
+        dist = _bfs(adj, head, cap, t, 1, s)
+        if dist[s] < 0:
+            # t is unreachable from s, so this BFS runs to completion.
+            return _bfs(adj, head, cap, s, 0, t)
         it = [0] * n
         path: list[int] = []
         u = s
@@ -84,10 +87,10 @@ def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: in
                 u = head[path[-1]] if path else s
                 continue
             arcs = adj[u]
-            lv = level[u] + 1
+            lv = dist[u] - 1
             for i in range(it[u], len(arcs)):
                 a = arcs[i]
-                if cap[a] > 0.0 and level[head[a]] == lv:
+                if cap[a] > 0.0 and dist[head[a]] == lv:
                     it[u] = i
                     path.append(a)
                     u = head[a]
@@ -95,7 +98,7 @@ def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: in
             else:
                 if u == s:
                     break
-                level[u] = -2
+                dist[u] = -2
                 path.pop()
                 u = head[path[-1]] if path else s
                 it[u] += 1

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from ghtree import (
+    Epsilon,
     Graph,
+    Rng,
     component_nodes,
     cut_weight,
     generate,
@@ -21,6 +23,8 @@ from ghtree import (
     min_ST_cut_exact,
     min_edge_on_path,
     min_st_cut_exact,
+    private_cuts,
+    private_min_st_cut,
 )
 from ghtree._maxflow import _dinic_levels, _network
 
@@ -198,6 +202,68 @@ class TestDinicKernel:
         ref = oracles.dinic_levels_full_bfs(adj, head, ref_cap, index[s], index[t])
         assert [c.hex() for c in got_cap] == [c.hex() for c in ref_cap]
         assert {i for i, lv in enumerate(got) if lv >= 0} == {i for i, lv in enumerate(ref) if lv >= 0}
+
+
+def assert_kernel_matches_full_bfs(g: Graph, s: int, t: int) -> None:
+    index, adj, head, cap = _network(g)
+    got_cap, ref_cap = cap[:], cap[:]
+    got = _dinic_levels(adj, head, got_cap, index[s], index[t])
+    ref = oracles.dinic_levels_full_bfs(adj, head, ref_cap, index[s], index[t])
+    assert [c.hex() for c in got_cap] == [c.hex() for c in ref_cap]
+    assert {i for i, lv in enumerate(got) if lv >= 0} == {i for i, lv in enumerate(ref) if lv >= 0}
+
+
+@st.composite
+def deep_pairs(draw):
+    """A path, cycle or grid of at most 30 vertices plus a few chords, and a distinct pair.
+
+    Long shortest paths give level graphs four or more deep, and the
+    chords leave vertices that reach t by no shortest path, which
+    become dead ends as phases saturate arcs.
+    """
+    shape = draw(st.sampled_from(["path", "cycle", "grid"]))
+    if shape == "grid":
+        rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+        n = rows * cols
+        pairs = [(v, v + 1) for v in range(n) if (v + 1) % cols]
+        pairs += [(v, v + cols) for v in range(n - cols)]
+    else:
+        n = draw(st.integers(5, 30))
+        pairs = [(v, v + 1) for v in range(n - 1)] + ([(0, n - 1)] if shape == "cycle" else [])
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    keys = {(min(a, b), max(a, b)) for a, b in pairs + chords if a != b}
+    g = Graph(range(n), [(u, v, draw(strategies.kernel_weights)) for u, v in sorted(keys)])
+    s = draw(st.sampled_from(g.vertices))
+    t = draw(st.sampled_from([v for v in g.vertices if v != s]))
+    return g, s, t
+
+
+class TestDinicDeepLevels:
+    """The kernel against the full-BFS reference where level graphs are deep and dead ends form mid-phase."""
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("erdos-renyi-weighted", {"n": 60, "p": 0.1}), ("planted-community", {"n": 40})],
+    )
+    def test_every_pivot_flow(self, kind, params):
+        g = generate(kind, params, 0)
+        for t in g.vertices[1:]:
+            assert_kernel_matches_full_bfs(g, 0, t)
+
+    def test_noised_instance(self, monkeypatch):
+        # The instance private_min_st_cut hands to the kernel, captured on its way in.
+        seen = []
+        monkeypatch.setattr(private_cuts, "min_cut_source_side", lambda h, s, t: seen.append((h, s, t)) or frozenset({s}))
+        g = generate("erdos-renyi-weighted", {"n": 60, "p": 0.1}, 0)
+        private_min_st_cut(g, 0, 59, Epsilon(1.0), Rng(0))
+        (h, s, t), = seen
+        assert h.m > g.m
+        assert_kernel_matches_full_bfs(h, s, t)
+
+    @given(deep_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_paths_cycles_and_grids_with_chords(self, case):
+        assert_kernel_matches_full_bfs(*case)
 
 
 class TestMinSTCut:
