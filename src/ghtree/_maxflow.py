@@ -18,19 +18,23 @@ full level graph would enter such a vertex, change no capacity and move
 past the arc. So the DFS pushes the same paths in the same order and
 does the same float arithmetic. The last phase costs a BFS from t that
 never labels s, then one forward BFS from s whose levels give the
-reachable set.
+reachable set. Everything s reaches is among the vertices the BFS from
+t left unlabelled, so the forward BFS stops once it has labelled as
+many vertices as that.
 
-A graph's network is built on first use and kept on the graph, so
-every flow and every cut weight on one graph object share it; each flow
-works on its own copy of the capacities. Graphs are immutable, so the
-network never goes stale. A cut weight walks the arc lists of the
-smaller of the side and its complement, and adds the crossing arcs'
-capacities in arc order, which is canonical edge order.
+A graph's network is built on first use, in one pass over preallocated
+arrays, and kept on the graph, so every flow, cut weight and
+contraction on one graph object share it; each flow works on its own
+copy of the capacities. Graphs are immutable, so the network never
+goes stale. A cut weight walks the arc lists of the smaller of the side
+and its complement, and adds the crossing arcs' capacities in arc
+order, which is canonical edge order. A contraction reads only the
+edges at its blocks, whose ids it takes from the blocks' arc lists.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -42,8 +46,8 @@ USING_NUMBA = False
 _Network = tuple[dict[int, int], list[list[int]], list[int], list[float]]
 
 
-def _bfs(adj: list[list[int]], head: list[int], cap: list[float], root: int, rev: int, stop: int) -> list[int]:
-    """BFS levels from root over arcs a with ``cap[a ^ rev] > 0.0``; ends after scanning the vertex that labels stop."""
+def _bfs(adj: list[list[int]], head: list[int], cap: list[float], root: int, rev: int, stop: int, limit: int) -> list[int]:
+    """BFS levels from root over arcs a with ``cap[a ^ rev] > 0.0``; ends after the scan that labels stop or the limit-th vertex."""
     level = [-1] * len(adj)
     level[root] = 0
     queue = [root]
@@ -54,7 +58,7 @@ def _bfs(adj: list[list[int]], head: list[int], cap: list[float], root: int, rev
             if level[v] < 0 and cap[a ^ rev] > 0.0:
                 level[v] = lv
                 queue.append(v)
-        if level[stop] >= 0:
+        if level[stop] >= 0 or len(queue) == limit:
             break
     return level
 
@@ -63,10 +67,10 @@ def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: in
     n = len(adj)
     while True:
         # Residual distance to t: head[a] reaches y over a ^ 1 for each arc a of y.
-        dist = _bfs(adj, head, cap, t, 1, s)
+        dist = _bfs(adj, head, cap, t, 1, s, n)
         if dist[s] < 0:
-            # t is unreachable from s, so this BFS runs to completion.
-            return _bfs(adj, head, cap, s, 0, t)
+            # This BFS ran to completion; s reaches only vertices it left unlabelled.
+            return _bfs(adj, head, cap, s, 0, t, dist.count(-1))
         it = [0] * n
         path: list[int] = []
         u = s
@@ -111,16 +115,24 @@ def _network(g: Graph) -> _Network:
         return net
     index = {v: i for i, v in enumerate(g.vertices)}
     adj: list[list[int]] = [[] for _ in index]
-    head: list[int] = []
-    cap: list[float] = []
-    for (u, v), w in g._weights.items():
+    head = [0] * (2 * g.m)
+    cap = [0.0] * len(head)
+    cap[::2] = cap[1::2] = list(g._weights.values())
+    a = 0
+    for u, v in g._weights:
         iu, iv = index[u], index[v]
-        adj[iu].append(len(head))
-        adj[iv].append(len(head) + 1)
-        head += (iv, iu)
-        cap += (w, w)
+        adj[iu].append(a)
+        adj[iv].append(a + 1)
+        head[a], head[a + 1] = iv, iu
+        a += 2
     net = g._net = (index, adj, head, cap)
     return net
+
+
+def incident_edges(g: Graph, vertices: Iterable[int]) -> list[int]:
+    """Canonical ids, in increasing order, of g's edges with an endpoint in ``vertices``."""
+    index, adj, _, _ = _network(g)
+    return sorted({a >> 1 for v in vertices for a in adj[index[v]]})
 
 
 def boundary_weight(g: Graph, side: set[int] | frozenset[int]) -> float:

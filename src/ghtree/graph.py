@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from ._maxflow import boundary_weight
+from ._maxflow import boundary_weight, incident_edges
 
 
 def _canon(u: int, v: int) -> tuple[int, int]:
@@ -163,13 +163,15 @@ def _disjoint_groups(
 
 
 def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
-    """Contract each disjoint block into one fresh vertex, in one edge scan.
+    """Contract each disjoint block into one fresh vertex, reading only the edges at its blocks.
 
     Block i gets the label max(V) + 1 + i, so no label collides with a
     surviving vertex; the first label is returned with the graph. Edges
     internal to a block disappear; edges between the same two vertices
     of the result merge by summation. Contracting the whole vertex set
-    yields a single-vertex graph.
+    yields a single-vertex graph. The edges at the blocks are found in
+    the graph's flow network, which is built if g has none yet; every
+    other edge carries over unchanged.
 
     The result is bitwise that of contracting the blocks one at a time
     in the order given. A vertex's edges into a block are summed in
@@ -185,9 +187,13 @@ def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
         raise ValueError("cannot contract an empty block")
     label = g.vertices[-1] + 1
     to = {v: label + i for v, i in owner.items()}
-    weights: dict[tuple[int, int], float] = {}
+    incident = incident_edges(g, to)
+    keys = list(g._weights)
+    weights = dict(g._weights)
     into_earlier: dict[tuple[int, int], float] = {}
-    for (u, v), w in g._weights.items():
+    for k in incident:
+        u, v = key = keys[k]
+        w = weights.pop(key)
         fu = to.get(u, u)
         fv = to.get(v, v)
         if fu == fv:

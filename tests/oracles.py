@@ -251,6 +251,56 @@ def contract_one(g: Graph, block) -> tuple:
     return Graph([v for v in g.vertices if v not in b] + [label], kept), label
 
 
+def scan_contract(g: Graph, *blocks) -> tuple:
+    """``contract`` as one scan over every edge, the reference for the package's.
+
+    Blocks must be nonempty and pairwise disjoint. Every edge is read in
+    canonical order: an edge between two blocks goes into a per-vertex
+    sum into the earlier block, any other edge not inside a block is
+    added to its relabelled pair, and the sums between blocks are added
+    last, in increasing order of (later-block vertex, earlier label).
+    """
+    label = g.vertices[-1] + 1
+    to = {v: label + i for i, block in enumerate(blocks) for v in block}
+    weights = {}
+    into_earlier = {}
+    for u, v, w in g.edges():
+        fu = to.get(u, u)
+        fv = to.get(v, v)
+        if fu == fv:
+            continue
+        if fu != u and fv != v:
+            key = (v, fu) if fu < fv else (u, fv)
+            into_earlier[key] = into_earlier.get(key, 0.0) + w
+            continue
+        key = (fu, fv) if fu < fv else (fv, fu)
+        weights[key] = weights.get(key, 0.0) + w
+    for (b, earlier), w in sorted(into_earlier.items()):
+        key = (earlier, to[b])
+        weights[key] = weights.get(key, 0.0) + w
+    vertices = [v for v in g.vertices if v not in to] + list(range(label, label + len(blocks)))
+    return Graph(vertices, [(u, v, w) for (u, v), w in weights.items()]), label
+
+
+def loop_network(g: Graph) -> tuple:
+    """The flow network of g, its arc arrays grown one edge at a time.
+
+    Edge k of the canonical order becomes arc 2k (u -> v) and arc 2k+1
+    (v -> u), both with capacity w, appended to each endpoint's arc list.
+    Returns (vertex index, arc lists, arc heads, capacities).
+    """
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adj = [[] for _ in index]
+    heads = []
+    caps = []
+    for u, v, w in g.edges():
+        adj[index[u]].append(len(heads))
+        adj[index[v]].append(len(heads) + 1)
+        heads += (index[v], index[u])
+        caps += (w, w)
+    return index, adj, heads, caps
+
+
 def private_min_st_cut(g: Graph, s, t, eps, rng) -> CutSide:
     """The noise-edge s-t mechanism, its noised graph built by ``Graph``.
 
@@ -305,9 +355,11 @@ def dinic_levels_full_bfs(adj, head, cap, s, t) -> list:
     """The Dinic kernel with a full BFS per phase, the reference for the package's.
 
     Same arc arrays and the same in-place updates of ``cap`` as
-    ``ghtree._maxflow._dinic_levels``, but each phase labels every
-    reachable vertex, beyond the sink's level too, and the augmenting
-    path's bottleneck and first saturated arc are found in two scans.
+    ``ghtree._maxflow._dinic_levels``, but each phase labels levels from
+    s, with a forward BFS over every vertex s reaches, where the kernel
+    labels distances to t and stops once it labels s. The DFS follows
+    the full level graph, dead ends included, and the augmenting path's
+    bottleneck and first saturated arc are found in two scans.
     """
     n = len(adj)
     while True:

@@ -238,6 +238,20 @@ def deep_pairs(draw):
     return g, s, t
 
 
+@st.composite
+def detached_pairs(draw):
+    """A ``deep_pairs`` case plus a second such graph on fresh labels, joined to nothing.
+
+    No vertex of the second graph reaches t or is reached from s, so
+    the forward BFS of the last phase labels fewer vertices than the
+    BFS from t leaves unlabelled and must run to the end.
+    """
+    g, s, t = draw(deep_pairs())
+    other = draw(deep_pairs())[0]
+    edges = [*g.edges(), *((u + g.n, v + g.n, w) for u, v, w in other.edges())]
+    return Graph(range(g.n + other.n), edges), s, t
+
+
 class TestDinicDeepLevels:
     """The kernel against the full-BFS reference where level graphs are deep and dead ends form mid-phase."""
 
@@ -263,6 +277,11 @@ class TestDinicDeepLevels:
     @given(deep_pairs())
     @settings(max_examples=200, deadline=None)
     def test_paths_cycles_and_grids_with_chords(self, case):
+        assert_kernel_matches_full_bfs(*case)
+
+    @given(detached_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_vertices_beside_both_ends(self, case):
         assert_kernel_matches_full_bfs(*case)
 
 

@@ -18,6 +18,7 @@ from ghtree import (
     make_cut_side,
     min_st_cut_exact,
 )
+from ghtree._maxflow import _network
 from ghtree.graph import _contract_complements
 
 
@@ -82,16 +83,37 @@ class TestConstruction:
 
 
 @st.composite
-def sided_graphs(draw):
-    """A graph on spread-out labels, some isolated, with any vertex subset as the side."""
-    g = draw(strategies.connected_graphs(min_n=1, max_n=10, weights=strategies.kernel_weights))
+def spread_graphs(draw, min_n: int = 1, weights=strategies.kernel_weights):
+    """A connected graph on spread-out labels, plus up to three isolated vertices."""
+    g = draw(strategies.connected_graphs(min_n=min_n, max_n=10, weights=weights))
     isolated = draw(st.integers(0, 3))
     label = {v: 3 * v + 1 for v in g.vertices}
-    h = Graph(
+    return Graph(
         [*label.values(), *(3 * (g.n + i) for i in range(isolated))],
         [(label[u], label[v], w) for u, v, w in g.edges()],
     )
+
+
+@st.composite
+def sided_graphs(draw):
+    """A spread-out graph with any vertex subset as the side."""
+    h = draw(spread_graphs())
     return h, draw(st.sets(st.sampled_from(h.vertices)))
+
+
+@st.composite
+def blocked_graphs(draw):
+    """A spread-out graph with weights in thirds, and 1-4 disjoint blocks.
+
+    The blocks together hold from one vertex to all but one, in random
+    order, so a block ranges from a singleton to all but one vertex.
+    """
+    h = draw(spread_graphs(min_n=2, weights=strategies.third_weights))
+    order = draw(st.permutations(h.vertices))
+    covered = draw(st.integers(1, h.n - 1))
+    ends = draw(st.sets(st.integers(1, covered - 1), max_size=3)) if covered > 1 else set()
+    bounds = [0, *sorted(ends), covered]
+    return h, [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 class TestCutWeight:
@@ -237,11 +259,35 @@ class TestContract:
         assert h.weight(4, 5) == (t2 + t2) + (t2 + t1)
         assert h.weight(4, 5) != ((t2 + t2) + t2) + t1
 
+    @given(blocked_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_a_full_edge_scan(self, case):
+        # The first call builds g's network, the second reuses it.
+        g, blocks = case
+        ref, ref_label = oracles.scan_contract(g, *blocks)
+        assert g._net is None
+        for _ in range(2):
+            h, label = contract(g, *blocks)
+            assert label == ref_label
+            assert h.vertices == ref.vertices
+            assert [(u, v, w.hex()) for u, v, w in h.edges()] == [(u, v, w.hex()) for u, v, w in ref.edges()]
+            assert g._net is not None
+
     def test_no_block_and_overlapping_blocks_rejected(self):
         with pytest.raises(ValueError, match="at least one block"):
             contract(triangle())
         with pytest.raises(ValueError, match="disjoint"):
             contract(triangle(), {0, 1}, {1, 2})
+
+
+class TestNetwork:
+    @given(spread_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_a_network_grown_one_edge_at_a_time(self, g):
+        index, adj, head, cap = _network(g)
+        ref_index, ref_adj, ref_head, ref_cap = oracles.loop_network(g)
+        assert (index, adj, head) == (ref_index, ref_adj, ref_head)
+        assert [c.hex() for c in cap] == [c.hex() for c in ref_cap]
 
 
 class TestContractComplements:
