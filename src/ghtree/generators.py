@@ -133,7 +133,7 @@ _INT_PARAMS = {"n", "clique", "rows", "cols"}
 
 
 def generate(kind: str, params: Mapping[str, float], seed: int) -> Graph:
-    """Build an instance by generator name; unused keys are rejected."""
+    """Build an instance by generator name; unused keys and fractional or infinite sizes are rejected."""
     if kind not in _KINDS:
         raise ValueError(f"unknown generator {kind!r}; known: {', '.join(sorted(_KINDS))}")
     fn, allowed, seeded = _KINDS[kind]
@@ -142,7 +142,12 @@ def generate(kind: str, params: Mapping[str, float], seed: int) -> Graph:
         raise ValueError(f"generator {kind!r} does not take parameters {unknown}")
     kwargs = {}
     for key, value in params.items():
-        kwargs[key] = int(value) if key in _INT_PARAMS else float(value)
+        value = float(value)
+        if key in _INT_PARAMS:
+            if not value.is_integer():
+                raise ValueError(f"generator parameter {key} must be a whole number, got {value!r}")
+            value = int(value)
+        kwargs[key] = value
     if seeded:
         kwargs["seed"] = int(seed)
     return fn(**kwargs)

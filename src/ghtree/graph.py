@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from ._maxflow import boundary_weight, incident_edges
 
@@ -57,12 +58,13 @@ class Graph:
 
         ``vertices`` is a sorted tuple of ints and every key of
         ``weights`` a pair (u, v) of them with u < v, mapped to a
-        positive finite weight. Only the key order is restored here.
+        positive finite weight. Only the key order is restored here;
+        keys are unique, so sorting on them alone gives the same order.
         """
         g = object.__new__(cls)
         g._vertices = vertices
         g._vset = frozenset(vertices)
-        g._weights = dict(sorted(weights.items()))
+        g._weights = dict(sorted(weights.items(), key=itemgetter(0)))
         g._net = None
         return g
 
@@ -145,23 +147,6 @@ def make_cut_side(g: Graph, side: Iterable[int]) -> CutSide:
     return CutSide(side=s, value=cut_weight(g, s))
 
 
-def _disjoint_groups(
-    g: Graph, groups: Iterable[Iterable[int]], what: str
-) -> tuple[list[frozenset[int]], dict[int, int]]:
-    """Pairwise disjoint vertex groups of g, and the index of each member's group."""
-    sets: list[frozenset[int]] = []
-    owner: dict[int, int] = {}
-    for i, group in enumerate(groups):
-        s = frozenset(int(v) for v in group)
-        if not s <= g.vertex_set:
-            raise ValueError(f"{what} contains vertices outside the graph")
-        if not owner.keys().isdisjoint(s):
-            raise ValueError(f"{what}s must be pairwise disjoint")
-        owner.update(dict.fromkeys(s, i))
-        sets.append(s)
-    return sets, owner
-
-
 def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
     """Contract each disjoint block into one fresh vertex, reading only the edges at its blocks.
 
@@ -182,11 +167,17 @@ def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
     """
     if not blocks:
         raise ValueError("contract needs at least one block")
-    sets, owner = _disjoint_groups(g, blocks, "contraction block")
-    if not all(sets):
-        raise ValueError("cannot contract an empty block")
     label = g.vertices[-1] + 1
-    to = {v: label + i for v, i in owner.items()}
+    to: dict[int, int] = {}
+    for i, block in enumerate(blocks):
+        s = {int(v) for v in block}
+        if not s:
+            raise ValueError("cannot contract an empty block")
+        if not s <= g.vertex_set:
+            raise ValueError("contraction block contains vertices outside the graph")
+        if not to.keys().isdisjoint(s):
+            raise ValueError("contraction blocks must be pairwise disjoint")
+        to.update(dict.fromkeys(s, label + i))
     incident = incident_edges(g, to)
     keys = list(g._weights)
     weights = dict(g._weights)
@@ -207,40 +198,8 @@ def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
     for (b, earlier), w in sorted(into_earlier.items()):
         key = (earlier, to[b])
         weights[key] = weights.get(key, 0.0) + w
-    vertices = tuple(v for v in g.vertices if v not in to) + tuple(range(label, label + len(sets)))
+    vertices = tuple(v for v in g.vertices if v not in to) + tuple(range(label, label + len(blocks)))
     return Graph._trusted(vertices, weights), label
-
-
-def _contract_complements(g: Graph, regions: Sequence[Iterable[int]]) -> tuple[list[Graph], int]:
-    """``contract(g, V - W)`` for each of several pairwise disjoint regions W, in one edge scan.
-
-    Each region must be a nonempty proper subset of the vertex set.
-    Every result labels the contracted outside max(V) + 1, the label
-    returned, and equals the one-region contraction bitwise: a vertex's
-    edges to the outside are summed in canonical edge order either way.
-    The regions' graphs hold O(m + number of regions) edges in total.
-    """
-    sets, owner = _disjoint_groups(g, regions, "region")
-    for s in sets:
-        if not s or not s < g.vertex_set:
-            raise ValueError("a region must be a proper nonempty subset of the vertex set")
-    label = g.vertices[-1] + 1
-    weights: list[dict[tuple[int, int], float]] = [{} for _ in sets]
-    for (u, v), w in g._weights.items():
-        ru = owner.get(u)
-        rv = owner.get(v)
-        if ru == rv:
-            if ru is not None:
-                weights[ru][u, v] = w
-            continue
-        if ru is not None:
-            d = weights[ru]
-            d[u, label] = d.get((u, label), 0.0) + w
-        if rv is not None:
-            d = weights[rv]
-            d[v, label] = d.get((v, label), 0.0) + w
-    graphs = [Graph._trusted(tuple(sorted(s)) + (label,), d) for s, d in zip(sets, weights)]
-    return graphs, label
 
 
 def are_neighboring(g1: Graph, g2: Graph) -> bool:

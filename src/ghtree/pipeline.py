@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 
 from .dp import Epsilon, PrivacyLedger, Rng, sample_laplace
 from .exact import min_st_cut_exact
-from .graph import CutSide, Graph, _contract_complements, contract
+from .graph import CutSide, Graph, contract
 from .private_cuts import DEFAULT_C1, DEFAULT_C2, DEFAULT_C_DEPTH, DEFAULT_PENALTY_CONST
 from .private_cuts import IsoCutParams, _check_constants, private_isolating_cuts
 from .steiner import SteinerTree, _single_node_tree, combine_steiner
@@ -185,12 +185,12 @@ def _gh_rec(
     Aborts with GHTreeAbort once t exceeds t_max; records each depth it
     runs at in ``depths``. A carved region holding more than one
     terminal is descended into with the rest of g contracted to one
-    vertex and its boundary masked: each inside vertex's edge to that
-    vertex becomes its weight plus Laplace noise at ``mask_scale``,
-    clamped at zero. A one-terminal region becomes a single-node child
-    with no graph built. The regions' graphs take one edge scan of g;
-    the remainder, every carved side contracted, takes one more and is
-    built only when the backbone recurses.
+    vertex, ``contract(g, V - side)``, and its boundary masked: each
+    inside vertex's edge to that vertex becomes its weight plus Laplace
+    noise at ``mask_scale``, clamped at zero. A one-terminal region
+    becomes a single-node child with no graph built. The remainder,
+    every carved side contracted in one call, is built only when the
+    backbone recurses.
 
     Side i of R*, in the step's order, is the backbone's vertex
     max(V) + 1 + i, and every child calls the rest of g max(V) + 1;
@@ -206,14 +206,10 @@ def _gh_rec(
     label = g.vertices[-1] + 1
     sides = [step.sets[v].side for v in step.R_star]
     inside = [[u for u in U if u in side] for side in sides]
-    nested = [i for i, u_inside in enumerate(inside) if len(u_inside) > 1]
-    graphs = {}
-    if nested:
-        graphs = dict(zip(nested, _contract_complements(g, [sides[i] for i in nested])[0]))
     children: list[tuple[SteinerTree, int, int, float]] = []
     for i, v in enumerate(step.R_star):
-        if i in graphs:
-            g_v = graphs[i]
+        if len(inside[i]) > 1:
+            g_v = contract(g, g.vertex_set - sides[i])[0]
             mask_rng = rng.child(f"mask.{v}")
             edges = [(a, b, w) for a, b, w in g_v.edges() if label not in (a, b)]
             for u in sorted(sides[i]):

@@ -2,14 +2,14 @@
 
 The s-t mechanism attaches exponentially distributed noise edges from
 every vertex to both endpoints and solves the noised instance exactly,
-reporting the true weight of the side it found. The S-T cut contracts
-each side and runs it. The isolating cuts refine disjoint regions with
-one S-T cut per bit of the terminals' indices, then cut all regions at
-once, with a penalty against regions that swallow most of U. At
-``INFINITE`` they draw nothing and add no penalty, so
-``min_ST_cut_exact`` and ``isolating_cuts_exact`` are these mechanisms
-at ``INFINITE``. The pipeline's default constants live here, the
-lowest module that uses one.
+releasing only the side it found. The S-T cut contracts each side and
+runs it. The isolating cuts refine disjoint regions with one S-T cut
+per bit of the terminals' indices, then cut all regions at once, with
+a penalty against regions that swallow most of U. At ``INFINITE`` they
+draw nothing and add no penalty, so ``min_ST_cut_exact`` and
+``isolating_cuts_exact`` are these mechanisms at ``INFINITE``. A side's
+weight is not private; callers take it from ``make_cut_side``. The
+pipeline's default constants live here, the lowest module that uses one.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Iterable, Mapping
 
 from ._maxflow import min_cut_source_side
 from .dp import INFINITE, Epsilon, PrivacyLedger, Rng, sample_exponential
-from .exact import MaxFlowResult, min_st_cut_exact
-from .graph import CutSide, Graph, _contract_complements, contract, cut_weight, make_cut_side
+from .exact import MaxFlowResult
+from .graph import CutSide, Graph, contract, make_cut_side
 
 # Default constants of the pipeline's error allowances (c1, c2), depth
 # cap (c_depth) and large-side penalty; every layer takes them from here.
@@ -62,7 +62,6 @@ class IsoCutParams:
 @dataclass(frozen=True)
 class IsoCutsResult:
     cuts: Mapping[int, CutSide]
-    total_value: float
 
 
 def private_min_st_cut(
@@ -72,15 +71,15 @@ def private_min_st_cut(
     eps: Epsilon,
     rng: Rng,
     ledger: PrivacyLedger | None = None,
-) -> CutSide:
-    """Min s-t cut under noise edges, reporting the true cut weight.
+) -> frozenset[int]:
+    """Side containing s of a min s-t cut under noise edges.
 
     Every vertex other than s and t gets a noise edge to s and one to
     t, each an independent exponential with mean 1/eps stacked onto any
-    existing weight. The noised instance is cut exactly and the side
-    found is returned with its weight recomputed in the input graph.
-    With an infinite budget this is exactly min_st_cut_exact and
-    consumes no randomness.
+    existing weight. The noised instance is cut exactly and the minimal
+    side containing s is returned. With an infinite budget the mean is
+    0.0, nothing is drawn and the noised instance equals g, so this is
+    min_st_cut_exact's side.
     """
     if not g.has_vertex(s) or not g.has_vertex(t):
         raise ValueError("cut endpoints must be graph vertices")
@@ -89,8 +88,6 @@ def private_min_st_cut(
     mean = 1.0 / eps.value
     if ledger is not None:
         ledger.charge("private_st_cut", 1.0, mean)
-    if eps.is_noiseless:
-        return min_st_cut_exact(g, s, t).cut
     weights = dict(g._weights)
     for v in g.vertices:
         if v == s or v == t:
@@ -100,8 +97,7 @@ def private_min_st_cut(
             w = weights.get(key, 0.0) + sample_exponential(mean, rng)
             if w > 0.0:  # a zero draw on a non-edge adds no edge
                 weights[key] = w
-    side = min_cut_source_side(Graph._trusted(g.vertices, weights), s, t)
-    return CutSide(side=side, value=cut_weight(g, side))
+    return min_cut_source_side(Graph._trusted(g.vertices, weights), s, t)
 
 
 def private_min_ST_cut(
@@ -111,8 +107,8 @@ def private_min_ST_cut(
     eps: Epsilon,
     rng: Rng,
     ledger: PrivacyLedger | None = None,
-) -> CutSide:
-    """Private minimum cut separating vertex set S from vertex set T.
+) -> frozenset[int]:
+    """Side of a private minimum cut that holds vertex set S and not vertex set T.
 
     The multi-vertex sides are contracted in one call, S first, into
     fresh labels, never vertices of g, so the side in g is the s-t
@@ -134,8 +130,8 @@ def private_min_ST_cut(
     work, label = contract(g, *blocks)
     s = label if len(S) > 1 else S[0]
     t = label + len(blocks) - 1 if len(T) > 1 else T[0]
-    side = private_min_st_cut(work, s, t, eps, rng, ledger).side
-    return make_cut_side(g, (side & g.vertex_set) | set(S))
+    side = private_min_st_cut(work, s, t, eps, rng, ledger)
+    return (side & g.vertex_set) | frozenset(S)
 
 
 def min_ST_cut_exact(g: Graph, S: Iterable[int], T: Iterable[int]) -> MaxFlowResult:
@@ -145,7 +141,7 @@ def min_ST_cut_exact(g: Graph, S: Iterable[int], T: Iterable[int]) -> MaxFlowRes
     returned side contains all of S and none of T, and singleton sides
     make it exactly min_st_cut_exact(g, s, t).
     """
-    cut = private_min_ST_cut(g, S, T, INFINITE, Rng(0))
+    cut = make_cut_side(g, private_min_ST_cut(g, S, T, INFINITE, Rng(0)))
     return MaxFlowResult(cut=cut, value=cut.value)
 
 
@@ -163,15 +159,20 @@ def private_isolating_cuts(
     from the rest and shrinks every terminal's region to its side of
     that cut. A single private cut on the disjoint union of the
     regions, each with its outside contracted, then produces every
-    output simultaneously. The region graphs take one edge scan of g,
-    and each output's value reads only the edges at its smaller side.
-    Each of the floor(lg(|R|-1)) + 2 private calls runs at
-    eps / (lg|R| + 2).
+    output simultaneously. Each of the floor(lg(|R|-1)) + 2 private
+    calls runs at eps / (lg|R| + 2).
 
-    Region graphs carry a penalty weight between each vertex of
-    region-intersect-U and the region's contracted outside, which
-    discourages outputs that swallow most of U. An empty U skips the
-    penalty entirely.
+    The union takes one edge scan of g. Each region's vertices take
+    consecutive labels in vertex order, followed by the region's sink,
+    its contracted outside. An edge inside a region is copied over and
+    an edge leaving region r is summed onto (vertex, sink of r) in
+    canonical edge order, so every region's part equals
+    ``contract(g, V - region)`` bitwise, relabelled. Each output's
+    value reads only the edges at its smaller side.
+
+    Each region also carries a penalty weight between each vertex of
+    region-intersect-U and its sink, which discourages outputs that
+    swallow most of U. An empty U skips the penalty entirely.
     """
     R = sorted({int(v) for v in R})
     if len(R) < 2:
@@ -185,13 +186,12 @@ def private_isolating_cuts(
     for i in range((len(R) - 1).bit_length()):
         A = [r for idx, r in enumerate(R) if not (idx >> i) & 1]
         B = [r for idx, r in enumerate(R) if (idx >> i) & 1]
-        side = private_min_ST_cut(g, A, B, eps_call, rng.child(f"round.{i}"), ledger).side
+        side = private_min_ST_cut(g, A, B, eps_call, rng.child(f"round.{i}"), ledger)
         for idx, region in enumerate(regions):
             if (idx >> i) & 1:
                 region -= side
             else:
                 region &= side
-    graphs, t = _contract_complements(g, regions)
     penalty = 0.0
     if params.U:
         penalty = (
@@ -202,32 +202,38 @@ def private_isolating_cuts(
         )
         if math.isinf(penalty):
             raise ValueError(f"penalty weight overflows at eps={params.eps.value!r}")
-    combined_weights: dict[tuple[int, int], float] = {}
-    sources: list[int] = []
+    # The rounds leave the regions pairwise disjoint, each holding its terminal.
+    label: dict[int, int] = {}
+    sink: dict[int, int] = {}  # region vertex -> its region's sink
     sinks: list[int] = []
-    relabels: list[dict[int, int]] = []
-    next_label = 0
-    for r, region, h in zip(R, regions, graphs):
-        # Labels rise with h's vertex order, so relabelled keys stay canonical.
-        relabel = {v: next_label + i for i, v in enumerate(h.vertices)}
-        next_label += h.n
-        for (u, v), w in h._weights.items():
-            combined_weights[relabel[u], relabel[v]] = w
-        if penalty > 0.0:
-            for u in sorted(region & params.U):
-                key = (relabel[u], relabel[t])  # t, the contracted outside, is h's largest vertex
-                combined_weights[key] = combined_weights.get(key, 0.0) + penalty
-        sources.append(relabel[r])
-        sinks.append(relabel[t])
-        relabels.append(relabel)
-    combined = Graph._trusted(tuple(range(next_label)), combined_weights)
-    side = private_min_ST_cut(combined, sources, sinks, eps_call, rng.child("combined"), ledger).side
-    cuts = {
-        r: make_cut_side(g, [v for v in region if relabel[v] in side])
-        for r, region, relabel in zip(R, regions, relabels)
-    }
-    total = sum(cuts[r].value for r in R)
-    return IsoCutsResult(cuts=cuts, total_value=total)
+    for region in regions:
+        first = len(label) + len(sinks)
+        label.update((v, first + i) for i, v in enumerate(sorted(region)))
+        sink.update(dict.fromkeys(region, first + len(region)))
+        sinks.append(first + len(region))
+    weights: dict[tuple[int, int], float] = {}
+    for (u, v), w in g._weights.items():
+        su = sink.get(u)
+        sv = sink.get(v)
+        if su == sv:
+            if su is not None:
+                weights[label[u], label[v]] = w
+            continue
+        if su is not None:
+            key = (label[u], su)
+            weights[key] = weights.get(key, 0.0) + w
+        if sv is not None:
+            key = (label[v], sv)
+            weights[key] = weights.get(key, 0.0) + w
+    if penalty > 0.0:
+        for u in params.U & sink.keys():
+            key = (label[u], sink[u])
+            weights[key] = weights.get(key, 0.0) + penalty
+    combined = Graph._trusted(tuple(range(len(label) + len(R))), weights)
+    sources = [label[r] for r in R]
+    side = private_min_ST_cut(combined, sources, sinks, eps_call, rng.child("combined"), ledger)
+    cuts = {r: make_cut_side(g, [v for v in region if label[v] in side]) for r, region in zip(R, regions)}
+    return IsoCutsResult(cuts=cuts)
 
 
 def isolating_cuts_exact(g: Graph, R: Iterable[int]) -> dict[int, CutSide]:

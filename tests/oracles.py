@@ -7,6 +7,7 @@ cannot be mirrored by the oracle.  Exponential in n; callers keep n small.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -301,17 +302,17 @@ def loop_network(g: Graph) -> tuple:
     return index, adj, heads, caps
 
 
-def private_min_st_cut(g: Graph, s, t, eps, rng) -> CutSide:
+def private_min_st_cut(g: Graph, s, t, eps, rng) -> frozenset:
     """The noise-edge s-t mechanism, its noised graph built by ``Graph``.
 
     Draws in the mechanism's order: for each vertex other than s and t,
     in vertex order, the noise on its edge to s, then to t. The
     validating constructor stacks each draw onto any existing weight
     after it and drops pairs that sum to 0.0. The side found in the
-    noised graph is returned with its weight in g.
+    noised graph is returned.
     """
     if eps.is_noiseless:
-        return min_st_cut_exact(g, s, t).cut
+        return min_st_cut_exact(g, s, t).cut.side
     mean = 1.0 / eps.value
     additions = []
     for v in g.vertices:
@@ -319,36 +320,115 @@ def private_min_st_cut(g: Graph, s, t, eps, rng) -> CutSide:
             additions.append((v, s, sample_exponential(mean, rng)))
             additions.append((v, t, sample_exponential(mean, rng)))
     noised = Graph(g.vertices, list(g.edges()) + additions)
-    side = min_st_cut_exact(noised, s, t).cut.side
-    return CutSide(side=side, value=cut_weight(g, side))
+    return min_st_cut_exact(noised, s, t).cut.side
 
 
-def isolating_cuts_per_region(g: Graph, R) -> dict:
-    """Isolating cuts by the bit partition, then one exact flow per region.
+def bit_partition_regions(g: Graph, R, round_sides) -> list:
+    """Each terminal's region after the isolating cuts' rounds.
 
     Terminals are identified with 0..|R|-1 in vertex order; round i
-    shrinks every terminal's region to its side of an exact S-T cut
-    separating the terminals whose bit i is 0 from the rest. Each
-    region's graph, its outside contracted into one vertex, then gets
-    its own minimal min cut. The reference for the package's single
-    combined cut over all regions.
+    shrinks every terminal's region to its side of ``round_sides[i]``,
+    the cut separating the terminals whose bit i is 0 from the rest.
     """
     R = sorted(R)
     regions = [set(g.vertices) for _ in R]
-    for i in range((len(R) - 1).bit_length()):
-        A = [r for idx, r in enumerate(R) if not (idx >> i) & 1]
-        B = [r for idx, r in enumerate(R) if (idx >> i) & 1]
-        side = min_ST_cut_exact(g, A, B).cut.side
+    for i, side in enumerate(round_sides):
         for idx, region in enumerate(regions):
             if (idx >> i) & 1:
                 region -= side
             else:
                 region &= side
+    return regions
+
+
+def isolating_cuts_per_region(g: Graph, R) -> dict:
+    """Isolating cuts by the bit partition, then one exact flow per region.
+
+    Each round's side is an exact S-T cut. Each region's graph, its
+    outside contracted into one vertex, then gets its own minimal min
+    cut. The reference for the package's single combined cut over all
+    regions.
+    """
+    R = sorted(R)
+    round_sides = []
+    for i in range((len(R) - 1).bit_length()):
+        A = [r for idx, r in enumerate(R) if not (idx >> i) & 1]
+        B = [r for idx, r in enumerate(R) if (idx >> i) & 1]
+        round_sides.append(min_ST_cut_exact(g, A, B).cut.side)
     cuts = {}
-    for r, region in zip(R, regions):
+    for r, region in zip(R, bit_partition_regions(g, R, round_sides)):
         h, t = contract(g, g.vertex_set - region)
         cuts[r] = make_cut_side(g, min_st_cut_exact(h, r, t).cut.side)
     return cuts
+
+
+def contract_complements(g: Graph, regions) -> tuple:
+    """Each of several disjoint regions W with its outside contracted, in one edge scan.
+
+    Every region graph labels the contracted outside max(V) + 1, the
+    label returned. An edge inside a region is copied over; an edge
+    leaving a region is added to (vertex, outside) in canonical edge
+    order. The reference for ``contract(g, V - W)``.
+    """
+    owner = {v: i for i, region in enumerate(regions) for v in region}
+    label = g.vertices[-1] + 1
+    weights = [{} for _ in regions]
+    for (u, v), w in g._weights.items():
+        ru = owner.get(u)
+        rv = owner.get(v)
+        if ru == rv:
+            if ru is not None:
+                weights[ru][u, v] = w
+            continue
+        if ru is not None:
+            d = weights[ru]
+            d[u, label] = d.get((u, label), 0.0) + w
+        if rv is not None:
+            d = weights[rv]
+            d[v, label] = d.get((v, label), 0.0) + w
+    graphs = [
+        Graph(sorted(region) + [label], [(u, v, w) for (u, v), w in d.items()])
+        for region, d in zip(regions, weights)
+    ]
+    return graphs, label
+
+
+def isolating_union(g: Graph, R, regions, params) -> tuple:
+    """The graph the isolating cuts' combined cut runs on, built region by region.
+
+    Each region's graph comes from ``contract_complements`` and is
+    relabelled in turn from 0: its vertices in vertex order, then its
+    contracted outside t. A penalty weight, computed from ``params`` as
+    ``private_isolating_cuts`` does, is added between each vertex of
+    region-intersect-U and t unless U is empty. Returns (graph, sources, sinks), the
+    terminals' and the outsides' new labels.
+    """
+    R = sorted(R)
+    graphs, t = contract_complements(g, regions)
+    penalty = 0.0
+    if params.U:
+        penalty = (
+            params.penalty_const
+            * (g.n + math.log2(1.0 / params.beta))
+            * math.log2(len(R)) ** 2
+            / (params.eps.value * len(params.U))
+        )
+    weights = {}
+    sources, sinks = [], []
+    next_label = 0
+    for r, region, h in zip(R, regions, graphs):
+        relabel = {v: next_label + i for i, v in enumerate(h.vertices)}
+        next_label += h.n
+        for u, v, w in h.edges():
+            weights[relabel[u], relabel[v]] = w
+        if penalty > 0.0:
+            for u in sorted(region & params.U):
+                key = (relabel[u], relabel[t])
+                weights[key] = weights.get(key, 0.0) + penalty
+        sources.append(relabel[r])
+        sinks.append(relabel[t])
+    union = Graph(range(next_label), [(u, v, w) for (u, v), w in weights.items()])
+    return union, sources, sinks
 
 
 def dinic_levels_full_bfs(adj, head, cap, s, t) -> list:

@@ -161,6 +161,14 @@ class TestBenchVerb:
         assert main(["bench", "--config", str(conf)]) == 0
         assert f"wrote {out}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", ["inf", "6.9"])
+    def test_non_integral_vertex_count_exits_1(self, tmp_path, capsys, n):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"generator = cycle\nn = {n}\neps = inf\nseeds = 0\n")
+        assert main(["bench", "--config", str(conf), "--out", str(tmp_path / "r.csv")]) == 1
+        assert "error: generator parameter n must be a whole number" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_no_output_path_exits_1(self, tmp_path, capsys):
         conf = tmp_path / "exp.conf"
         conf.write_text("generator = cycle\nn = 5\neps = 1\nseeds = 0\n")

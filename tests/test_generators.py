@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import oracles
@@ -33,6 +35,20 @@ class TestDispatch:
     def test_integer_parameters_coerce_from_floats(self):
         g = generate("cycle", {"n": 5.0}, 0)
         assert g.n == 5
+
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            ("cycle", {"n": 6.9}, "n"),
+            ("erdos-renyi-weighted", {"n": math.inf, "p": 0.5}, "n"),
+            ("path", {"n": math.nan}, "n"),
+            ("dumbbell", {"clique": 2.5}, "clique"),
+            ("grid", {"rows": 2, "cols": -math.inf}, "cols"),
+        ],
+    )
+    def test_integer_parameters_reject_fractions_and_nonfinite_values(self, kind, params, key):
+        with pytest.raises(ValueError, match=f"parameter {key} must be a whole number"):
+            generate(kind, params, 0)
 
     def test_unseeded_kinds_ignore_the_seed(self):
         assert generate("cycle", {"n": 6}, 0) == generate("cycle", {"n": 6}, 99)

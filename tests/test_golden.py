@@ -21,6 +21,7 @@ from ghtree import (
     IsoCutParams,
     PrivacyLedger,
     Rng,
+    cut_weight,
     final_gh_tree,
     generate,
     gomory_hu_exact,
@@ -37,6 +38,7 @@ INSTANCES = {
     "er40": ("erdos-renyi-weighted", {"n": 40, "p": 0.2}),
     "planted24": ("planted-community", {"n": 24}),
     "dumbbell6": ("dumbbell", {"clique": 6}),
+    "path50": ("path", {"n": 50}),
 }
 
 
@@ -69,6 +71,11 @@ def _cut_line(side, value) -> str:
     return " ".join(str(v) for v in sorted(side)) + f" | {value!r}\n"
 
 
+def _nested_tree(label, seed, tmp_path) -> bytes:
+    """A noiseless build whose recursion descends into carved sides holding several terminals."""
+    return _tree_bytes(final_gh_tree(_graph(label), INFINITE, Rng(seed)), tmp_path)
+
+
 def _st_cuts(tmp_path) -> bytes:
     """Exact and private S-T cuts for seeded random disjoint S, T on ER n=40."""
     g = _graph("er40")
@@ -82,7 +89,7 @@ def _st_cuts(tmp_path) -> bytes:
         out.append(_cut_line(exact.cut.side, exact.value))
         ledger = PrivacyLedger(Epsilon(1.0))
         cut = private_min_ST_cut(g, S, T, Epsilon(1.0), Rng(i), ledger)
-        out.append(_cut_line(cut.side, cut.value))
+        out.append(_cut_line(cut, cut_weight(g, cut)))
         out.append(_ledger_bytes(ledger).decode())
     return "".join(out).encode()
 
@@ -112,6 +119,8 @@ PRODUCERS = {
     "private_dumbbell6": lambda tmp: _private_tree("dumbbell6", tmp),
     "noiseless_er40": lambda tmp: _tree_bytes(final_gh_tree(_graph("er40"), INFINITE, Rng(0)), tmp),
     "exact_er40": lambda tmp: _tree_bytes(gomory_hu_exact(_graph("er40")), tmp),
+    "nested_path50": lambda tmp: _nested_tree("path50", 0, tmp),
+    "nested_planted24": lambda tmp: _nested_tree("planted24", 5, tmp),
     "st_cuts_er40": _st_cuts,
     "isolating_cuts_planted24": _isolating_cuts,
     "sweep_er12": _sweep_csv,
@@ -120,6 +129,8 @@ PRODUCERS = {
 GOLDEN = {
     "exact_er40": "d561266f03284d01072ebe2e8fe07773e1ee57ba4fcd4b72b0e1e97629a23720",
     "isolating_cuts_planted24": "2adbaa46c578db6967f2762c9ffed6f8b814699be6c2ad674f38d8eade49d9eb",
+    "nested_path50": "ee47580b1f5cdf60040c5197dfe9d3ae888e646f60cd7864c72bb705d42637d1",
+    "nested_planted24": "dec99e1f370da89abd1c7ed68ec6da6477ac30258f1db8f4336d595b3329086e",
     "noiseless_er40": "80731088f1e52f61c3fd2346ab903dd77e1549646ab6c5d623e4f19b55c0a89c",
     "private_dumbbell6": "72fd9d818c545cf7412f24c1c003f93c4e3ada8a07681632d9f3553256d9654a",
     "private_er40": "89ad77576ae84268a37e08d5c5359179870ee6a72575eb13e1c7d442ddde52e7",

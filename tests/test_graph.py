@@ -19,7 +19,6 @@ from ghtree import (
     min_st_cut_exact,
 )
 from ghtree._maxflow import _network
-from ghtree.graph import _contract_complements
 
 
 def triangle() -> Graph:
@@ -273,6 +272,18 @@ class TestContract:
             assert [(u, v, w.hex()) for u, v, w in h.edges()] == [(u, v, w.hex()) for u, v, w in ref.edges()]
             assert g._net is not None
 
+    @given(blocked_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_outside_contracted_equals_the_region_reference(self, case):
+        # The blocks serve as disjoint regions; each keeps its vertices and loses its outside.
+        g, regions = case
+        refs, ref_label = oracles.contract_complements(g, regions)
+        for region, ref in zip(regions, refs):
+            h, label = contract(g, g.vertex_set - set(region))
+            assert label == ref_label
+            assert h.vertices == ref.vertices
+            assert [(u, v, w.hex()) for u, v, w in h.edges()] == [(u, v, w.hex()) for u, v, w in ref.edges()]
+
     def test_no_block_and_overlapping_blocks_rejected(self):
         with pytest.raises(ValueError, match="at least one block"):
             contract(triangle())
@@ -288,32 +299,6 @@ class TestNetwork:
         ref_index, ref_adj, ref_head, ref_cap = oracles.loop_network(g)
         assert (index, adj, head) == (ref_index, ref_adj, ref_head)
         assert [c.hex() for c in cap] == [c.hex() for c in ref_cap]
-
-
-class TestContractComplements:
-    @given(strategies.graphs_with_disjoint_blocks())
-    @settings(max_examples=100, deadline=None)
-    def test_each_region_graph_is_its_outside_contracted(self, case):
-        g, regions = case
-        graphs, label = _contract_complements(g, regions)
-        assert len(graphs) == len(regions)
-        for region, h in zip(regions, graphs):
-            ref, ref_label = oracles.contract_one(g, g.vertex_set - set(region))
-            assert label == ref_label
-            assert h == ref
-            assert list(h.edges()) == list(ref.edges())
-            assert h.vertices == ref.vertices
-
-    def test_regions_must_be_disjoint_proper_and_nonempty(self):
-        g = triangle()
-        with pytest.raises(ValueError, match="disjoint"):
-            _contract_complements(g, [{0}, {0, 1}])
-        with pytest.raises(ValueError, match="proper nonempty"):
-            _contract_complements(g, [set()])
-        with pytest.raises(ValueError, match="proper nonempty"):
-            _contract_complements(g, [{0, 1, 2}])
-        with pytest.raises(ValueError, match="outside the graph"):
-            _contract_complements(g, [{0, 9}])
 
 
 class TestTrustedConstructor:

@@ -43,8 +43,8 @@ class TestPrivateStCut:
         # Quarter-integer weights sum exactly, so values compare by equality.
         g, s, t = gst
         got = private_min_st_cut(g, s, t, INFINITE, Rng(0))
-        assert got.value == oracles.brute_min_st_value(g, s, t)
-        assert got.side == oracles.brute_minimal_ST_side(g, [s], [t])
+        assert cut_weight(g, got) == oracles.brute_min_st_value(g, s, t)
+        assert got == oracles.brute_minimal_ST_side(g, [s], [t])
 
     def test_noiseless_consumes_no_randomness(self):
         rng = Rng(5)
@@ -55,11 +55,10 @@ class TestPrivateStCut:
     @settings(max_examples=60, deadline=None)
     def test_noisy_side_separates_and_value_is_true_weight(self, gst):
         g, s, t = gst
-        cut = private_min_st_cut(g, s, t, Epsilon(1.0), Rng(17))
-        assert s in cut.side and t not in cut.side
-        assert cut.value == cut_weight(g, cut.side)
+        side = private_min_st_cut(g, s, t, Epsilon(1.0), Rng(17))
+        assert s in side and t not in side
         # A true weight of any separating side is at least the min cut.
-        assert cut.value >= min_st_cut_exact(g, s, t).value - 1e-9
+        assert cut_weight(g, side) >= min_st_cut_exact(g, s, t).value - 1e-9
 
     def test_noisy_runs_reproduce(self):
         g = dumbbell6()
@@ -113,7 +112,7 @@ class TestNoisedInstance:
         g = dumbbell6()
         got = private_min_st_cut(g, 0, 5, Epsilon(1.0), ZeroRng())
         assert got == oracles.private_min_st_cut(g, 0, 5, Epsilon(1.0), ZeroRng())
-        assert got == min_st_cut_exact(g, 0, 5).cut
+        assert got == min_st_cut_exact(g, 0, 5).cut.side
 
 
 class TestPrivateSTCut:
@@ -127,8 +126,8 @@ class TestPrivateSTCut:
     def test_noiseless_equals_exact_on_groups(self):
         g = dumbbell6()
         got = private_min_ST_cut(g, [0, 1], [4, 5], INFINITE, Rng(0))
-        assert got.value == oracles.brute_min_ST_value(g, [0, 1], [4, 5]) == 1.0
-        assert got.side == oracles.brute_minimal_ST_side(g, [0, 1], [4, 5]) == {0, 1, 2}
+        assert cut_weight(g, got) == oracles.brute_min_ST_value(g, [0, 1], [4, 5]) == 1.0
+        assert got == oracles.brute_minimal_ST_side(g, [0, 1], [4, 5]) == {0, 1, 2}
 
     @given(strategies.graphs_with_terminals(min_n=4, min_r=4))
     @settings(max_examples=40, deadline=None)
@@ -136,10 +135,9 @@ class TestPrivateSTCut:
         g, terminals = gt
         S = list(terminals[:2])
         T = list(terminals[2:])
-        cut = private_min_ST_cut(g, S, T, Epsilon(1.0), Rng(23))
-        assert set(S) <= cut.side
-        assert not set(T) & cut.side
-        assert cut.value == cut_weight(g, cut.side)
+        side = private_min_ST_cut(g, S, T, Epsilon(1.0), Rng(23))
+        assert set(S) <= side <= g.vertex_set
+        assert not set(T) & side
 
     def test_validation(self):
         g = dumbbell6()
@@ -186,6 +184,49 @@ class RaisingRng(Rng):
         raise AssertionError("a draw was made")
 
 
+@st.composite
+def spread_terminal_graphs(draw, empty_universe: bool):
+    """A graph on spread-out labels 3v + 1, two or more terminals, and a penalty universe.
+
+    Weights are thirds or free floats, so sums depend on their order.
+    The universe is empty, or a random nonempty vertex subset.
+    """
+    weights = st.one_of(strategies.third_weights, strategies.float_weights)
+    g, terminals = draw(strategies.graphs_with_terminals(min_n=3, max_n=10, weights=weights))
+    label = {v: 3 * v + 1 for v in g.vertices}
+    h = Graph(label.values(), [(label[u], label[v], w) for u, v, w in g.edges()])
+    U = frozenset() if empty_universe else draw(st.sets(st.sampled_from(h.vertices), min_size=1))
+    return h, [label[r] for r in terminals], U
+
+
+class TestCombinedGraph:
+    """The union the combined cut runs on, against relabelled per-region contractions."""
+
+    @pytest.mark.parametrize("empty_universe", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    def test_equals_relabelled_region_graphs(self, empty_universe, data, seed):
+        g, R, U = data.draw(spread_terminal_graphs(empty_universe))
+        params = IsoCutParams(eps=Epsilon(1.0), beta=0.01, U=U)
+        calls = []
+        real = private_cuts.private_min_ST_cut
+
+        def spy(h, S, T, *rest):
+            side = real(h, S, T, *rest)
+            calls.append((h, list(S), list(T), side))
+            return side
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(private_cuts, "private_min_ST_cut", spy)
+            private_isolating_cuts(g, R, params, Rng(seed))
+        *rounds, (combined, sources, sinks, _) = calls
+        regions = oracles.bit_partition_regions(g, R, [side for _, _, _, side in rounds])
+        ref, ref_sources, ref_sinks = oracles.isolating_union(g, R, regions, params)
+        assert combined.vertices == ref.vertices
+        assert [(u, v, w.hex()) for u, v, w in combined.edges()] == [(u, v, w.hex()) for u, v, w in ref.edges()]
+        assert (sources, sinks) == (ref_sources, ref_sinks)
+
+
 class TestPrivateIsolatingCuts:
     @given(
         strategies.graphs_with_terminals(
@@ -198,7 +239,6 @@ class TestPrivateIsolatingCuts:
         want = oracles.isolating_cuts_per_region(g, terminals)
         got = private_isolating_cuts(g, terminals, iso_params(INFINITE, g), Rng(0))
         assert got.cuts == want
-        assert got.total_value == pytest.approx(sum(c.value for c in want.values()))
         assert isolating_cuts_exact(g, terminals) == want
 
     def test_exact_forms_draw_nothing(self, monkeypatch):
@@ -208,7 +248,7 @@ class TestPrivateIsolatingCuts:
             private_isolating_cuts(g, R, iso_params(Epsilon(1.0), g), RaisingRng(0))
         monkeypatch.setattr(private_cuts, "Rng", RaisingRng)
         assert isolating_cuts_exact(g, R) == oracles.isolating_cuts_per_region(g, R)
-        assert min_ST_cut_exact(g, [0, 1], [5, 6]).cut == private_min_ST_cut(g, [0, 1], [5, 6], INFINITE, Rng(0))
+        assert min_ST_cut_exact(g, [0, 1], [5, 6]).cut.side == private_min_ST_cut(g, [0, 1], [5, 6], INFINITE, Rng(0))
 
     def test_exact_call_count_and_budget(self):
         eps = Epsilon(1.0)
@@ -238,7 +278,7 @@ class TestPrivateIsolatingCuts:
         p = iso_params(Epsilon(0.5), g)
         a = private_isolating_cuts(g, [0, 3], p, Rng(9))
         b = private_isolating_cuts(g, [0, 3], p, Rng(9))
-        assert a.cuts == b.cuts and a.total_value == b.total_value
+        assert a.cuts == b.cuts
 
     def test_empty_universe_skips_penalty(self):
         g = dumbbell6()
