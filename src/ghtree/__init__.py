@@ -47,12 +47,11 @@ from .private_cuts import (
     IsoCutParams,
     IsoCutsResult,
     isolating_cuts_exact,
-    min_ST_cut_exact,
     private_isolating_cuts,
     private_min_ST_cut,
     private_min_st_cut,
 )
-from .steiner import SteinerTree, combine_steiner, component_nodes, min_edge_on_path, tree_path
+from .steiner import SteinerTree, combine_steiner, component_nodes, min_edge_on_path
 
 __all__ = [
     "AbortRecord",
@@ -90,7 +89,6 @@ __all__ = [
     "load_graph",
     "load_tree",
     "make_cut_side",
-    "min_ST_cut_exact",
     "min_edge_on_path",
     "min_k_cut",
     "min_st_cut_exact",
@@ -103,7 +101,6 @@ __all__ = [
     "sample_laplace",
     "save_graph",
     "save_tree",
-    "tree_path",
     "tree_query",
     "write_csv",
 ]

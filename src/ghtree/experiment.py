@@ -9,11 +9,11 @@ recorded and skipped, never retried. CSV output is byte-deterministic
 for a fixed config.
 
 The answers are the ones ``tree_query`` gives, without a query per
-pair: a tree has only n-1 distinct edge cuts, so each tree edge's side
-weight is computed once, and one DFS per source finds the minimum edge
-on the path to every other node (ties go to the edge nearest the
-source, as in ``min_edge_on_path``). The exact values come from the
-same DFS over the exact tree. Evaluation costs O(n*m + n^2) per cell.
+pair: a tree has only n-1 distinct edge cuts, so ``steiner`` weighs
+each tree edge's side once, and its path-minimum walk, the one
+``min_edge_on_path`` runs, goes once from each source to every other
+node. The exact values come from the same walk over the exact tree.
+Evaluation costs O(n*m + n^2) per cell.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from typing import Iterator, Mapping
 from .dp import Epsilon, Rng
 from .exact import gomory_hu_exact
 from .generators import generate
-from .graph import Graph, cut_weight
+from .graph import Graph
 from .io import _write_lines, load_graph
 from .pipeline import GHTreeAbort, final_gh_tree
 from .private_cuts import DEFAULT_C1, DEFAULT_C2, DEFAULT_C_DEPTH, DEFAULT_PENALTY_CONST
 from .private_cuts import _check_constants
-from .steiner import SteinerTree
+from .steiner import SteinerTree, _edge_cut_weights, _path_minima
 
 CSV_HEADER = "pair_s,pair_t,seed,eps,lambda_exact,tree_value,side_true_weight,side_error,value_error"
 
@@ -136,56 +136,6 @@ def _instance(config: ExperimentConfig, seed: int) -> Graph:
     if config.generator is not None:
         return generate(config.generator, config.params, seed)
     return load_graph(config.input_path)
-
-
-def _edge_cut_weights(tree: SteinerTree, g: Graph) -> dict[tuple[int, int], float]:
-    """True weight of the cut each tree edge induces, keyed by both orientations.
-
-    The tree is rooted at its first node and each edge's side is the
-    preimage of the subtree below it. Both sides of an edge have the
-    same boundary, which ``cut_weight`` sums in canonical edge order, so
-    one value serves both orientations bit for bit.
-    """
-    root = tree.nodes[0]
-    parent = {root: root}
-    order = []
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y, _ in tree.adjacency(x):
-            if y not in parent:
-                parent[y] = x
-                stack.append(y)
-    # ``order`` is a preorder, so each subtree is a contiguous slice.
-    size = dict.fromkeys(order, 1)
-    for x in reversed(order[1:]):
-        size[parent[x]] += size[x]
-    cuts: dict[tuple[int, int], float] = {}
-    for i in range(1, len(order)):
-        x = order[i]
-        value = cut_weight(g, tree.preimage(order[i : i + size[x]]))
-        cuts[(parent[x], x)] = cuts[(x, parent[x])] = value
-    return cuts
-
-
-def _path_minima(tree: SteinerTree, s: int) -> dict[int, tuple[int, int, float] | None]:
-    """Minimum edge (a, b, w) on the tree path from s to every node.
-
-    The rule is ``min_edge_on_path``'s: walking away from s, the edge
-    replaces the best so far only when strictly lighter, so ties go to
-    the edge nearest s, and a is the endpoint closer to s. s maps to None.
-    """
-    best: dict[int, tuple[int, int, float] | None] = {s: None}
-    stack = [s]
-    while stack:
-        x = stack.pop()
-        bx = best[x]
-        for y, w in tree.adjacency(x):
-            if y not in best:
-                best[y] = (x, y, w) if bx is None or w < bx[2] else bx
-                stack.append(y)
-    return best
 
 
 def _pair_answers(

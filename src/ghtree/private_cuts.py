@@ -6,10 +6,11 @@ releasing only the side it found. The S-T cut contracts each side and
 runs it. The isolating cuts refine disjoint regions with one S-T cut
 per bit of the terminals' indices, then cut all regions at once, with
 a penalty against regions that swallow most of U. At ``INFINITE`` they
-draw nothing and add no penalty, so ``min_ST_cut_exact`` and
-``isolating_cuts_exact`` are these mechanisms at ``INFINITE``. A side's
-weight is not private; callers take it from ``make_cut_side``. The
-pipeline's default constants live here, the lowest module that uses one.
+draw nothing and add no penalty: the exact S-T cut is
+``private_min_ST_cut`` at ``INFINITE`` and ``isolating_cuts_exact`` is
+the isolating cuts there. A side's weight is not private; callers take
+it from ``make_cut_side``. The pipeline's default constants live here,
+the lowest module that uses one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Iterable, Mapping
 
 from ._maxflow import min_cut_source_side
 from .dp import INFINITE, Epsilon, PrivacyLedger, Rng, sample_exponential
-from .exact import MaxFlowResult
 from .graph import CutSide, Graph, contract, make_cut_side
 
 # Default constants of the pipeline's error allowances (c1, c2), depth
@@ -77,9 +77,9 @@ def private_min_st_cut(
     Every vertex other than s and t gets a noise edge to s and one to
     t, each an independent exponential with mean 1/eps stacked onto any
     existing weight. The noised instance is cut exactly and the minimal
-    side containing s is returned. With an infinite budget the mean is
-    0.0, nothing is drawn and the noised instance equals g, so this is
-    min_st_cut_exact's side.
+    side containing s is returned. Only positive draws change a weight,
+    so when none is positive, as always with an infinite budget, g itself
+    is cut, on its kept network, and this is min_st_cut_exact's side.
     """
     if not g.has_vertex(s) or not g.has_vertex(t):
         raise ValueError("cut endpoints must be graph vertices")
@@ -88,16 +88,18 @@ def private_min_st_cut(
     mean = 1.0 / eps.value
     if ledger is not None:
         ledger.charge("private_st_cut", 1.0, mean)
-    weights = dict(g._weights)
+    noise = {}
     for v in g.vertices:
         if v == s or v == t:
             continue
         for end in (s, t):
             key = (v, end) if v < end else (end, v)
-            w = weights.get(key, 0.0) + sample_exponential(mean, rng)
-            if w > 0.0:  # a zero draw on a non-edge adds no edge
-                weights[key] = w
-    return min_cut_source_side(Graph._trusted(g.vertices, weights), s, t)
+            d = sample_exponential(mean, rng)
+            if d > 0.0:  # each key comes up once; a zero draw changes nothing
+                noise[key] = g._weights.get(key, 0.0) + d
+    if noise:
+        g = Graph._trusted(g.vertices, {**g._weights, **noise})
+    return min_cut_source_side(g, s, t)
 
 
 def private_min_ST_cut(
@@ -132,17 +134,6 @@ def private_min_ST_cut(
     t = label + len(blocks) - 1 if len(T) > 1 else T[0]
     side = private_min_st_cut(work, s, t, eps, rng, ledger)
     return (side & g.vertex_set) | frozenset(S)
-
-
-def min_ST_cut_exact(g: Graph, S: Iterable[int], T: Iterable[int]) -> MaxFlowResult:
-    """Minimum cut separating vertex set S from vertex set T.
-
-    The private S-T cut at an infinite budget, which draws nothing. The
-    returned side contains all of S and none of T, and singleton sides
-    make it exactly min_st_cut_exact(g, s, t).
-    """
-    cut = make_cut_side(g, private_min_ST_cut(g, S, T, INFINITE, Rng(0)))
-    return MaxFlowResult(cut=cut, value=cut.value)
 
 
 def private_isolating_cuts(

@@ -5,6 +5,10 @@ together with a total map f from V(G) onto U that is the identity on
 U. Splitting the tree at any edge induces the vertex cut f^-1 of one
 node side; the tree is approximately Gomory-Hu when the minimum edge
 on the tree path between two terminals matches their minimum cut.
+Every walk over a tree lives here: the reach walk behind the
+connectivity check and ``component_nodes``, the path-minimum walk
+behind ``min_edge_on_path`` and the sweep's answers, and the preorder
+that weighs every tree edge's cut.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import math
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+from .graph import Graph, cut_weight
 
 
 class SteinerTree:
@@ -57,15 +63,7 @@ class SteinerTree:
             adj[v].append((u, w))
         for v in ns:
             adj[v].sort()
-        stack = [ns[0]]
-        reached = {ns[0]}
-        while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
-                if v not in reached:
-                    reached.add(v)
-                    stack.append(v)
-        if len(reached) != len(ns):
+        if len(_reach(adj, ns[0])) != len(ns):
             raise ValueError("tree edges do not connect the node set")
         fmap = {int(v): int(t) for v, t in (f or {v: v for v in ns}).items()}
         for v in ns:
@@ -96,11 +94,6 @@ class SteinerTree:
     def f(self) -> Mapping[int, int]:
         return self._f
 
-    def adjacency(self, v: int) -> list[tuple[int, float]]:
-        if v not in self._nodeset:
-            raise ValueError(f"node {v} not in tree")
-        return self._adj[v]
-
     def preimage(self, terminals: Iterable[int]) -> frozenset[int]:
         """All mapped vertices whose terminal lies in ``terminals``."""
         ts = set(terminals)
@@ -122,27 +115,40 @@ class SteinerTree:
         return f"SteinerTree(nodes={len(self._nodes)}, mapped={len(self._f)})"
 
 
-def tree_path(tree: SteinerTree, u: int, v: int) -> list[int]:
-    """Node sequence of the unique tree path from u to v, inclusive."""
-    if u not in tree.node_set or v not in tree.node_set:
-        raise ValueError("path endpoints must be tree nodes")
-    if u == v:
-        return [u]
-    parent: dict[int, int] = {u: u}
-    stack = [u]
+def _reach(adj: Mapping[int, list[tuple[int, float]]], anchor: int, block: int | None = None) -> set[int]:
+    """Nodes connected to ``anchor`` over ``adj`` by paths that avoid node ``block``."""
+    reached = {anchor, block}
+    stack = [anchor]
+    while stack:
+        for y, _ in adj[stack.pop()]:
+            if y not in reached:
+                reached.add(y)
+                stack.append(y)
+    reached.discard(block)
+    return reached
+
+
+def _path_minima(tree: SteinerTree, s: int, stop: int | None = None) -> dict[int, tuple[int, int, float] | None]:
+    """Minimum edge (a, b, w) on the tree path from s to every node.
+
+    Walking away from s, an edge replaces the best so far only when
+    strictly lighter, so ties go to the edge nearest s, and a is the
+    endpoint closer to s. s maps to None. The walk ends once ``stop``,
+    if given, has its answer.
+    """
+    adj = tree._adj
+    best: dict[int, tuple[int, int, float] | None] = {s: None}
+    stack = [s]
     while stack:
         x = stack.pop()
-        if x == v:
-            break
-        for y, _ in tree.adjacency(x):
-            if y not in parent:
-                parent[y] = x
+        bx = best[x]
+        for y, w in adj[x]:
+            if y not in best:
+                best[y] = (x, y, w) if bx is None or w < bx[2] else bx
+                if y == stop:
+                    return best
                 stack.append(y)
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    return best
 
 
 def min_edge_on_path(tree: SteinerTree, u: int, v: int) -> tuple[int, int, float]:
@@ -150,31 +156,52 @@ def min_edge_on_path(tree: SteinerTree, u: int, v: int) -> tuple[int, int, float
 
     Returned as (a, b, w) with a the endpoint closer to u.
     """
-    path = tree_path(tree, u, v)
-    if len(path) < 2:
+    if u not in tree.node_set or v not in tree.node_set:
+        raise ValueError("path endpoints must be tree nodes")
+    if u == v:
         raise ValueError("path has no edges")
-    best = None
-    for a, b in zip(path, path[1:]):
-        w = next(w for y, w in tree.adjacency(a) if y == b)
-        if best is None or w < best[2]:
-            best = (a, b, w)
-    return best
+    return _path_minima(tree, u, v)[v]
 
 
 def component_nodes(tree: SteinerTree, drop: tuple[int, int], anchor: int) -> frozenset[int]:
-    """Tree nodes connected to ``anchor`` once edge ``drop`` is removed."""
+    """Tree nodes connected to ``anchor`` once tree edge ``drop`` is removed."""
+    if anchor not in tree.node_set:
+        raise ValueError(f"node {anchor} not in tree")
+    # In a tree, the paths from da that avoid db are those that avoid the edge.
     da, db = drop
-    reached = {anchor}
-    stack = [anchor]
+    side = _reach(tree._adj, da, db)
+    return frozenset(side if anchor in side else tree.node_set - side)
+
+
+def _edge_cut_weights(tree: SteinerTree, g: Graph) -> dict[tuple[int, int], float]:
+    """True weight of the cut each tree edge induces, keyed by both orientations.
+
+    The tree is rooted at its first node and each edge's side is the
+    preimage of the subtree below it. Both sides of an edge have the
+    same boundary, which ``cut_weight`` sums in canonical edge order, so
+    one value serves both orientations bit for bit.
+    """
+    root = tree.nodes[0]
+    parent = {root: root}
+    order = []
+    stack = [root]
     while stack:
         x = stack.pop()
-        for y, _ in tree.adjacency(x):
-            if (x == da and y == db) or (x == db and y == da):
-                continue
-            if y not in reached:
-                reached.add(y)
+        order.append(x)
+        for y, _ in tree._adj[x]:
+            if y not in parent:
+                parent[y] = x
                 stack.append(y)
-    return frozenset(reached)
+    # ``order`` is a preorder, so each subtree is a contiguous slice.
+    size = dict.fromkeys(order, 1)
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+    cuts: dict[tuple[int, int], float] = {}
+    for i in range(1, len(order)):
+        x = order[i]
+        value = cut_weight(g, tree.preimage(order[i : i + size[x]]))
+        cuts[(parent[x], x)] = cuts[(x, parent[x])] = value
+    return cuts
 
 
 def _single_node_tree(vertices: Iterable[int], terminal: int) -> SteinerTree:

@@ -13,14 +13,16 @@ from itertools import combinations
 import numpy as np
 
 from ghtree import (
+    INFINITE,
     CutSide,
     Graph,
     MaxFlowResult,
+    Rng,
     contract,
     cut_weight,
     make_cut_side,
-    min_ST_cut_exact,
     min_st_cut_exact,
+    private_min_ST_cut,
     sample_exponential,
 )
 
@@ -237,6 +239,65 @@ def tree_claims_all_pairs(tree, g) -> dict:
     return out
 
 
+def tree_neighbours(tree) -> dict:
+    """Each tree node's neighbours, read off ``tree.edges``."""
+    nbrs = {x: [] for x in tree.nodes}
+    for a, b, _ in tree.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return nbrs
+
+
+def tree_path(tree, u, v) -> list:
+    """Node sequence of the unique tree path from u to v, inclusive."""
+    if u not in tree.node_set or v not in tree.node_set:
+        raise ValueError("path endpoints must be tree nodes")
+    nbrs = tree_neighbours(tree)
+    parent = {u: u}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        for y in nbrs[x]:
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
+    path = [v]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def min_edge_on_path(tree, u, v) -> tuple:
+    """Minimum edge (a, b, w) on ``tree_path``, a nearer u; ties go to the edge nearest u."""
+    path = tree_path(tree, u, v)
+    if len(path) < 2:
+        raise ValueError("path has no edges")
+    weight = {}
+    for a, b, w in tree.edges:
+        weight[a, b] = weight[b, a] = w
+    best = None
+    for a, b in zip(path, path[1:]):
+        if best is None or weight[a, b] < best[2]:
+            best = (a, b, weight[a, b])
+    return best
+
+
+def component_nodes(tree, drop, anchor) -> frozenset:
+    """Tree nodes reached from ``anchor`` by a DFS that never crosses edge ``drop``."""
+    nbrs = tree_neighbours(tree)
+    reached = set()
+
+    def visit(x):
+        reached.add(x)
+        for y in nbrs[x]:
+            if y not in reached and {x, y} != set(drop):
+                visit(y)
+
+    visit(anchor)
+    return frozenset(reached)
+
+
 def contract_one(g: Graph, block) -> tuple:
     """One block contracted into max(V) + 1 through the public constructor.
 
@@ -354,7 +415,7 @@ def isolating_cuts_per_region(g: Graph, R) -> dict:
     for i in range((len(R) - 1).bit_length()):
         A = [r for idx, r in enumerate(R) if not (idx >> i) & 1]
         B = [r for idx, r in enumerate(R) if (idx >> i) & 1]
-        round_sides.append(min_ST_cut_exact(g, A, B).cut.side)
+        round_sides.append(private_min_ST_cut(g, A, B, INFINITE, Rng(0)))
     cuts = {}
     for r, region in zip(R, bit_partition_regions(g, R, round_sides)):
         h, t = contract(g, g.vertex_set - region)

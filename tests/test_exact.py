@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from ghtree import (
+    INFINITE,
     Epsilon,
     Graph,
     Rng,
@@ -20,10 +21,10 @@ from ghtree import (
     generate,
     gomory_hu_exact,
     isolating_cuts_exact,
-    min_ST_cut_exact,
     min_edge_on_path,
     min_st_cut_exact,
     private_cuts,
+    private_min_ST_cut,
     private_min_st_cut,
 )
 from ghtree._maxflow import _dinic_levels, _network
@@ -286,26 +287,27 @@ class TestDinicDeepLevels:
 
 
 class TestMinSTCut:
+    """The exact S-T cut: the private S-T cut at an infinite budget."""
+
     def test_singleton_sets_delegate_exactly(self):
         g = dumbbell6()
-        a = min_ST_cut_exact(g, [0], [5])
-        b = min_st_cut_exact(g, 0, 5)
-        assert a == b
+        side = private_min_ST_cut(g, [0], [5], INFINITE, Rng(0))
+        assert side == min_st_cut_exact(g, 0, 5).cut.side
 
     def test_grouped_terminals(self):
         g = dumbbell6()
-        res = min_ST_cut_exact(g, [0, 1], [4, 5])
-        assert res.value == 1.0
-        assert res.cut.side == {0, 1, 2}
+        side = private_min_ST_cut(g, [0, 1], [4, 5], INFINITE, Rng(0))
+        assert cut_weight(g, side) == 1.0
+        assert side == {0, 1, 2}
 
     def test_validation(self):
         g = dumbbell6()
         with pytest.raises(ValueError):
-            min_ST_cut_exact(g, [], [1])
+            private_min_ST_cut(g, [], [1], INFINITE, Rng(0))
         with pytest.raises(ValueError):
-            min_ST_cut_exact(g, [0, 1], [1, 2])
+            private_min_ST_cut(g, [0, 1], [1, 2], INFINITE, Rng(0))
         with pytest.raises(ValueError):
-            min_ST_cut_exact(g, [0], [99])
+            private_min_ST_cut(g, [0], [99], INFINITE, Rng(0))
 
     @given(strategies.graphs_with_terminals(min_n=4, min_r=4))
     @settings(max_examples=60, deadline=None)
@@ -313,11 +315,10 @@ class TestMinSTCut:
         g, terminals = gt
         S = list(terminals[: len(terminals) // 2])
         T = list(terminals[len(terminals) // 2 :])
-        res = min_ST_cut_exact(g, S, T)
-        assert res.value == pytest.approx(oracles.brute_min_ST_value(g, S, T), abs=1e-9)
-        assert set(S) <= res.cut.side
-        assert not set(T) & res.cut.side
-        assert cut_weight(g, res.cut.side) == pytest.approx(res.value, abs=1e-12)
+        side = private_min_ST_cut(g, S, T, INFINITE, Rng(0))
+        assert cut_weight(g, side) == pytest.approx(oracles.brute_min_ST_value(g, S, T), abs=1e-9)
+        assert set(S) <= side
+        assert not set(T) & side
 
 
 class TestIsolatingCuts:

@@ -21,7 +21,7 @@ from ghtree import (
 )
 from ghtree.experiment import CSV_HEADER, _instance, _pair_answers
 from ghtree.exact import gomory_hu_exact
-from ghtree.steiner import min_edge_on_path
+from oracles import min_edge_on_path
 from strategies import connected_graphs
 
 
@@ -147,7 +147,11 @@ def graphs_with_trees(draw):
 
 
 def per_pair_answers(g, exact_tree, tree):
-    """The harness's answers recomputed with one tree_query per pair."""
+    """The harness's answers recomputed with one tree_query per pair.
+
+    The exact values are the reference walk's path minima, independent
+    of the walk ``_pair_answers`` and ``tree_query`` share.
+    """
     out = []
     for i, s in enumerate(g.vertices):
         for t in g.vertices[i + 1 :]:

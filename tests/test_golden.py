@@ -26,7 +26,6 @@ from ghtree import (
     generate,
     gomory_hu_exact,
     isolating_cuts_exact,
-    min_ST_cut_exact,
     private_isolating_cuts,
     private_min_ST_cut,
     run_experiment,
@@ -85,8 +84,8 @@ def _st_cuts(tmp_path) -> bytes:
         order = [g.vertices[j] for j in pick.permutation(g.n)]
         a, b = 1 + pick.integer(4), 1 + pick.integer(4)
         S, T = order[:a], order[a : a + b]
-        exact = min_ST_cut_exact(g, S, T)
-        out.append(_cut_line(exact.cut.side, exact.value))
+        exact = private_min_ST_cut(g, S, T, INFINITE, Rng(0))
+        out.append(_cut_line(exact, cut_weight(g, exact)))
         ledger = PrivacyLedger(Epsilon(1.0))
         cut = private_min_ST_cut(g, S, T, Epsilon(1.0), Rng(i), ledger)
         out.append(_cut_line(cut, cut_weight(g, cut)))

@@ -21,7 +21,6 @@ from ghtree import (
     cut_weight,
     generate,
     isolating_cuts_exact,
-    min_ST_cut_exact,
     min_st_cut_exact,
     private_cuts,
     private_isolating_cuts,
@@ -50,6 +49,18 @@ class TestPrivateStCut:
         rng = Rng(5)
         private_min_st_cut(dumbbell6(), 0, 5, INFINITE, rng)
         assert rng.uniform() == Rng(5).uniform()
+
+    def test_no_positive_draw_builds_no_graph(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a noised graph was built")
+
+        g = generate("erdos-renyi-weighted", {"n": 12, "p": 0.5}, 3)
+        pair = Graph(range(2), [(0, 1, 1.5)])
+        want = min_st_cut_exact(g, 0, 9).cut.side
+        monkeypatch.setattr(Graph, "_trusted", refuse)
+        assert private_min_st_cut(g, 0, 9, INFINITE, Rng(0)) == want
+        # No vertex besides s and t: nothing is drawn at any budget.
+        assert private_min_st_cut(pair, 0, 1, Epsilon(1.0), Rng(0)) == {0}
 
     @given(strategies.graphs_with_pair())
     @settings(max_examples=60, deadline=None)
@@ -248,7 +259,8 @@ class TestPrivateIsolatingCuts:
             private_isolating_cuts(g, R, iso_params(Epsilon(1.0), g), RaisingRng(0))
         monkeypatch.setattr(private_cuts, "Rng", RaisingRng)
         assert isolating_cuts_exact(g, R) == oracles.isolating_cuts_per_region(g, R)
-        assert min_ST_cut_exact(g, [0, 1], [5, 6]).cut.side == private_min_ST_cut(g, [0, 1], [5, 6], INFINITE, Rng(0))
+        side = private_min_ST_cut(g, [0, 1], [5, 6], INFINITE, RaisingRng(0))
+        assert cut_weight(g, side) == pytest.approx(oracles.brute_min_ST_value(g, [0, 1], [5, 6]), abs=1e-9)
 
     def test_exact_call_count_and_budget(self):
         eps = Epsilon(1.0)

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ghtree import (
     SteinerTree,
     combine_steiner,
     component_nodes,
     min_edge_on_path,
-    tree_path,
 )
 
 
@@ -74,15 +76,22 @@ class TestConstruction:
             SteinerTree([0, 1], [(0, 2, 1.0)])
 
 
-class TestPaths:
-    def test_path_endpoints_and_order(self):
-        assert tree_path(path_tree(), 0, 3) == [0, 1, 2, 3]
-        assert tree_path(path_tree(), 3, 1) == [3, 2, 1]
-        assert tree_path(path_tree(), 2, 2) == [2]
+@st.composite
+def tied_trees(draw):
+    """A random tree on two to nine spread-out labels whose weights take two or three values."""
+    labels = draw(st.lists(st.integers(0, 40), min_size=2, max_size=9, unique=True))
+    values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=2, max_size=3, unique=True))
+    edges = [
+        (labels[i], labels[draw(st.integers(0, i - 1))], draw(st.sampled_from(values)))
+        for i in range(1, len(labels))
+    ]
+    return SteinerTree(labels, edges)
 
+
+class TestPaths:
     def test_path_needs_tree_nodes(self):
-        with pytest.raises(ValueError):
-            tree_path(path_tree(), 0, 9)
+        with pytest.raises(ValueError, match="tree nodes"):
+            min_edge_on_path(path_tree(), 0, 9)
 
     def test_min_edge_value_and_orientation(self):
         a, b, w = min_edge_on_path(path_tree(), 0, 3)
@@ -104,6 +113,18 @@ class TestPaths:
         assert component_nodes(t, (1, 2), 0) == {0, 1}
         assert component_nodes(t, (1, 2), 3) == {2, 3}
         assert component_nodes(t, (2, 1), 3) == {2, 3}
+
+    @given(tied_trees())
+    @settings(max_examples=200, deadline=None)
+    def test_walks_match_reference_on_ties(self, tree):
+        for u in tree.nodes:
+            for v in tree.nodes:
+                if u == v:
+                    continue
+                a, b, w = min_edge_on_path(tree, u, v)
+                assert (a, b, w) == oracles.min_edge_on_path(tree, u, v)
+                for anchor in (u, v):
+                    assert component_nodes(tree, (a, b), anchor) == oracles.component_nodes(tree, (a, b), anchor)
 
 
 class TestCombine:
