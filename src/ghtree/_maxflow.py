@@ -20,7 +20,9 @@ does the same float arithmetic. The last phase costs a BFS from t that
 never labels s, then one forward BFS from s whose levels give the
 reachable set. Everything s reaches is among the vertices the BFS from
 t left unlabelled, so the forward BFS stops once it has labelled as
-many vertices as that.
+many vertices as that. When a phase ends with no residual capacity on
+any arc out of s, as when the min cut is s's own edges, the next phase
+would be that last one and label only s, so the kernel returns at once.
 
 A graph's network is built on first use, in one pass over preallocated
 arrays, and kept on the graph, so every flow, cut weight and
@@ -30,6 +32,14 @@ goes stale. A cut weight walks the arc lists of the smaller of the side
 and its complement, and adds the crossing arcs' capacities in arc
 order, which is canonical edge order. A contraction reads only the
 edges at its blocks, whose ids it takes from the blocks' arc lists.
+
+The isolating cuts' rounds share one network per call instead of
+contracting g once per round: g's arcs among the vertices outside the
+terminal set R, a super-vertex for each of a round's two blocks of
+terminals, an arc pair from every outside vertex to each and one pair
+between them. A round only fills the super-vertices' capacities, as the
+contracted and noised graph would weigh those edges, and runs the
+kernel on them (``bit_round_codes``).
 """
 
 from __future__ import annotations
@@ -106,6 +116,11 @@ def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: in
                 path.pop()
                 u = head[path[-1]] if path else s
                 it[u] += 1
+        if not any(cap[a] > 0.0 for a in adj[s]):
+            # s reaches nothing, so the next phase would be the last and label only s.
+            level = [-1] * n
+            level[s] = 0
+            return level
 
 
 def _network(g: Graph) -> _Network:
@@ -162,3 +177,82 @@ def min_cut_source_side(g: Graph, s: int, t: int) -> frozenset[int]:
     index, adj, head, cap = _network(g)
     level = _dinic_levels(adj, head, cap[:], index[s], index[t])
     return frozenset(v for v, lv in zip(g.vertices, level) if lv >= 0)
+
+
+def bit_round_codes(g: Graph, R: list[int], noise: list[list[tuple[float, float]]]) -> list[int]:
+    """Each vertex's code after the isolating cuts' rounds, in vertex order.
+
+    ``R`` holds sorted terminals of g. Round i cuts block A, the
+    terminals whose index has bit i clear, from block B, the rest, and
+    bit i of a vertex's code is set when the round's side misses it, so
+    a terminal's code is its index. ``noise[i]`` holds the round's draws
+    on each vertex outside R, in vertex order: on its edge to A, then to
+    B. A round's side is ``private_min_ST_cut``'s on the same draws.
+
+    All rounds share one network. It keeps g's vertices and arcs, with
+    R's vertices left out of every arc list, and adds a super-vertex for
+    each block, an arc pair from every outside vertex to each, and one
+    pair between them. A round fills the super-vertices' capacities as
+    the contracted, noised graph weighs those edges: each outside
+    vertex's edges into a block summed in terminal order, then its draw
+    added; the A-B weight summed over B's terminals in order, each one's
+    edges into A. A zero capacity acts as an absent edge, and each arc
+    list is in increasing order of its head, where a block's super-vertex
+    sits at its terminal when it has one, else after every vertex of g,
+    A before B. So every round pushes the contracted graph's augmenting
+    paths with the same arithmetic. A round with no vertex outside R
+    runs no flow: its side is A.
+    """
+    index, adj, head, cap = _network(g)
+    n = g.n
+    term = [-1] * n
+    for k, r in enumerate(R):
+        term[index[r]] = k
+    code = [max(k, 0) for k in term]
+    outside = [x for x in range(n) if term[x] < 0]
+    if not outside:
+        return code
+    # Each vertex's (terminal index, weight) pairs, in terminal order.
+    into = [[(term[head[a]], cap[a]) for a in arcs if term[head[a]] >= 0] for arcs in adj]
+    # Outside vertex j's arcs to A and back are base + 4j and + 1, to B and back + 2 and + 3.
+    base = len(head)
+    ab = base + 4 * len(outside)
+    layouts: dict[tuple[int, int], tuple[list[list[int]], list[int]]] = {}
+    for i, draws in enumerate(noise):
+        A = [k for k in range(len(R)) if not k >> i & 1]
+        B = [k for k in range(len(R)) if k >> i & 1]
+        sa = index[R[A[0]]] if len(A) == 1 else n
+        sb = index[R[B[0]]] if len(B) == 1 else n + 1
+        if (sa, sb) not in layouts:
+            hd = head + [h for x in outside for h in (sa, x, sb, x)] + [sb, sa]
+            rows: list[list[int]] = [[] for _ in range(n + 2)]
+            for j, x in enumerate(outside):
+                inner = [a for a in adj[x] if term[head[a]] < 0]
+                rows[x] = sorted(inner + [base + 4 * j, base + 4 * j + 2], key=hd.__getitem__)
+            rows[sa] = sorted([*range(base + 1, ab, 4), ab], key=hd.__getitem__)
+            rows[sb] = sorted([*range(base + 3, ab, 4), ab + 1], key=hd.__getitem__)
+            layouts[sa, sb] = rows, hd
+        rows, hd = layouts[sa, sb]
+        supers: list[float] = []
+        for x, (da, db) in zip(outside, draws):
+            wa = wb = 0.0
+            for k, w in into[x]:
+                if k >> i & 1:
+                    wb += w
+                else:
+                    wa += w
+            wa += da
+            wb += db
+            supers += (wa, wa, wb, wb)
+        wab = 0.0
+        for k in B:
+            b_into_a = 0.0
+            for k2, w in into[index[R[k]]]:
+                if not k2 >> i & 1:
+                    b_into_a += w
+            wab += b_into_a
+        level = _dinic_levels(rows, hd, cap + supers + [wab, wab], sa, sb)
+        for x in outside:
+            if level[x] < 0:
+                code[x] |= 1 << i
+    return code

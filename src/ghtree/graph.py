@@ -140,11 +140,11 @@ def cut_weight(g: Graph, side: Iterable[int]) -> float:
 
 
 def make_cut_side(g: Graph, side: Iterable[int]) -> CutSide:
-    """Build a CutSide, validating properness and recomputing its value."""
+    """Build a CutSide, validating properness and recomputing its value as ``cut_weight`` does."""
     s = frozenset(int(v) for v in side)
     if not s or not s < g.vertex_set:
         raise ValueError("cut side must be a proper nonempty subset of the vertex set")
-    return CutSide(side=s, value=cut_weight(g, s))
+    return CutSide(side=s, value=boundary_weight(g, s))
 
 
 def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:

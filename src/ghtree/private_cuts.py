@@ -5,12 +5,14 @@ every vertex to both endpoints and solves the noised instance exactly,
 releasing only the side it found. The S-T cut contracts each side and
 runs it. The isolating cuts refine disjoint regions with one S-T cut
 per bit of the terminals' indices, then cut all regions at once, with
-a penalty against regions that swallow most of U. At ``INFINITE`` they
-draw nothing and add no penalty: the exact S-T cut is
-``private_min_ST_cut`` at ``INFINITE`` and ``isolating_cuts_exact`` is
-the isolating cuts there. A side's weight is not private; callers take
-it from ``make_cut_side``. The pipeline's default constants live here,
-the lowest module that uses one.
+a penalty against regions that swallow most of U. Their per-bit rounds
+draw noise from the s-t mechanism's draw loop and are solved on one
+network that ``_maxflow`` builds per call, each round bit for bit the
+S-T cut it stands for. At ``INFINITE`` they draw nothing and add no
+penalty: the exact S-T cut is ``private_min_ST_cut`` at ``INFINITE``
+and ``isolating_cuts_exact`` is the isolating cuts there. A side's
+weight is not private; callers take it from ``make_cut_side``. The
+pipeline's default constants live here, the lowest module that uses one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from ._maxflow import min_cut_source_side
+from ._maxflow import bit_round_codes, min_cut_source_side
 from .dp import INFINITE, Epsilon, PrivacyLedger, Rng, sample_exponential
 from .graph import CutSide, Graph, contract, make_cut_side
 
@@ -64,6 +66,11 @@ class IsoCutsResult:
     cuts: Mapping[int, CutSide]
 
 
+def _draw_noise(count: int, mean: float, rng: Rng) -> list[tuple[float, float]]:
+    """Exponential draws on each of ``count`` vertices' edges to s and to t, vertex by vertex, s first."""
+    return [(sample_exponential(mean, rng), sample_exponential(mean, rng)) for _ in range(count)]
+
+
 def private_min_st_cut(
     g: Graph,
     s: int,
@@ -88,14 +95,12 @@ def private_min_st_cut(
     mean = 1.0 / eps.value
     if ledger is not None:
         ledger.charge("private_st_cut", 1.0, mean)
+    others = [v for v in g.vertices if v != s and v != t]
     noise = {}
-    for v in g.vertices:
-        if v == s or v == t:
-            continue
-        for end in (s, t):
-            key = (v, end) if v < end else (end, v)
-            d = sample_exponential(mean, rng)
+    for v, draws in zip(others, _draw_noise(len(others), mean, rng)):
+        for end, d in zip((s, t), draws):
             if d > 0.0:  # each key comes up once; a zero draw changes nothing
+                key = (v, end) if v < end else (end, v)
                 noise[key] = g._weights.get(key, 0.0) + d
     if noise:
         g = Graph._trusted(g.vertices, {**g._weights, **noise})
@@ -147,11 +152,15 @@ def private_isolating_cuts(
 
     Terminals are identified with 0..|R|-1 in vertex order. Round i
     takes a private S-T cut separating the terminals whose bit i is 0
-    from the rest and shrinks every terminal's region to its side of
-    that cut. A single private cut on the disjoint union of the
-    regions, each with its outside contracted, then produces every
+    from the rest: ``private_min_ST_cut`` on the round's own stream
+    ``rng.child(f"round.{i}")``, solved on a network all rounds share
+    (``bit_round_codes``). Each vertex gets a code with bit i set when
+    round i's side misses it, and joins the region of terminal index c
+    when its code is c < |R|. A single private cut on the disjoint union
+    of the regions, each with its outside contracted, then produces every
     output simultaneously. Each of the floor(lg(|R|-1)) + 2 private
-    calls runs at eps / (lg|R| + 2).
+    calls runs at eps / (lg|R| + 2) and is charged as one
+    ``private_st_cut``, a round with no vertex outside R included.
 
     The union takes one edge scan of g. Each region's vertices take
     consecutive labels in vertex order, followed by the region's sink,
@@ -173,16 +182,16 @@ def private_isolating_cuts(
     if not params.U <= g.vertex_set:
         raise ValueError("penalty universe must be a subset of the vertex set")
     eps_call = params.eps.split(math.log2(len(R)) + 2.0)
-    regions = [set(g.vertices) for _ in R]
+    mean = 1.0 / eps_call.value
+    noise = []
     for i in range((len(R) - 1).bit_length()):
-        A = [r for idx, r in enumerate(R) if not (idx >> i) & 1]
-        B = [r for idx, r in enumerate(R) if (idx >> i) & 1]
-        side = private_min_ST_cut(g, A, B, eps_call, rng.child(f"round.{i}"), ledger)
-        for idx, region in enumerate(regions):
-            if (idx >> i) & 1:
-                region -= side
-            else:
-                region &= side
+        if ledger is not None:
+            ledger.charge("private_st_cut", 1.0, mean)
+        noise.append(_draw_noise(g.n - len(R), mean, rng.child(f"round.{i}")))
+    regions: list[list[int]] = [[] for _ in R]
+    for v, code in zip(g.vertices, bit_round_codes(g, R, noise)):
+        if code < len(R):
+            regions[code].append(v)
     penalty = 0.0
     if params.U:
         penalty = (
@@ -199,7 +208,7 @@ def private_isolating_cuts(
     sinks: list[int] = []
     for region in regions:
         first = len(label) + len(sinks)
-        label.update((v, first + i) for i, v in enumerate(sorted(region)))
+        label.update((v, first + i) for i, v in enumerate(region))
         sink.update(dict.fromkeys(region, first + len(region)))
         sinks.append(first + len(region))
     weights: dict[tuple[int, int], float] = {}

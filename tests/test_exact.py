@@ -205,13 +205,15 @@ class TestDinicKernel:
         assert {i for i, lv in enumerate(got) if lv >= 0} == {i for i, lv in enumerate(ref) if lv >= 0}
 
 
-def assert_kernel_matches_full_bfs(g: Graph, s: int, t: int) -> None:
+def assert_kernel_matches_full_bfs(g: Graph, s: int, t: int) -> frozenset[int]:
+    """Check the kernel against the full-BFS reference on g's network; return the side found."""
     index, adj, head, cap = _network(g)
     got_cap, ref_cap = cap[:], cap[:]
     got = _dinic_levels(adj, head, got_cap, index[s], index[t])
     ref = oracles.dinic_levels_full_bfs(adj, head, ref_cap, index[s], index[t])
     assert [c.hex() for c in got_cap] == [c.hex() for c in ref_cap]
     assert {i for i, lv in enumerate(got) if lv >= 0} == {i for i, lv in enumerate(ref) if lv >= 0}
+    return frozenset(v for v, lv in zip(g.vertices, got) if lv >= 0)
 
 
 @st.composite
@@ -264,6 +266,18 @@ class TestDinicDeepLevels:
         g = generate(kind, params, 0)
         for t in g.vertices[1:]:
             assert_kernel_matches_full_bfs(g, 0, t)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("erdos-renyi-weighted", {"n": 60, "p": 0.1}), ("planted-community", {"n": 40})],
+    )
+    def test_flows_cut_at_the_source(self, kind, params):
+        # Into the heaviest vertex, many flows' min cut is the source's own edges, where the kernel stops early.
+        g = generate(kind, params, 0)
+        t = max(g.vertices, key=lambda v: cut_weight(g, {v}))
+        sources = [s for s in g.vertices if s != t]
+        sides = [assert_kernel_matches_full_bfs(g, s, t) for s in sources]
+        assert sum(side == {s} for s, side in zip(sources, sides)) >= g.n // 3
 
     def test_noised_instance(self, monkeypatch):
         # The instance private_min_st_cut hands to the kernel, captured on its way in.

@@ -27,6 +27,7 @@ from ghtree import (
     private_min_ST_cut,
     private_min_st_cut,
 )
+from ghtree import _maxflow
 
 
 def dumbbell6() -> Graph:
@@ -210,6 +211,116 @@ def spread_terminal_graphs(draw, empty_universe: bool):
     return h, [label[r] for r in terminals], U
 
 
+def spy_isolating_cuts(g, R, params, rng, ledger=None):
+    """Run the isolating cuts; return the rounds' vertex codes and every S-T cut call as (graph, S, T, side)."""
+    codes, calls = [], []
+    real_codes, real_cut = private_cuts.bit_round_codes, private_cuts.private_min_ST_cut
+
+    def codes_spy(*args):
+        codes.append(real_codes(*args))
+        return codes[-1]
+
+    def cut_spy(h, S, T, *rest):
+        side = real_cut(h, S, T, *rest)
+        calls.append((h, list(S), list(T), side))
+        return side
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(private_cuts, "bit_round_codes", codes_spy)
+        mp.setattr(private_cuts, "private_min_ST_cut", cut_spy)
+        private_isolating_cuts(g, R, params, rng, ledger)
+    (got,) = codes
+    return got, calls
+
+
+def round_sides(g, R, codes) -> list[frozenset]:
+    """Round i's side: the vertices whose code has bit i clear."""
+    return [
+        frozenset(v for v, code in zip(g.vertices, codes) if not code >> i & 1)
+        for i in range((len(R) - 1).bit_length())
+    ]
+
+
+@st.composite
+def spread_graphs_with_r(draw, size):
+    """A graph on spread-out labels 3v + 1 with thirds or free weights, and ``size`` terminals, or all vertices at None."""
+    weights = st.one_of(strategies.third_weights, strategies.float_weights)
+    g = draw(strategies.connected_graphs(min_n=max(size or 3, 3), max_n=max(size or 0, 10), weights=weights))
+    label = {v: 3 * v + 1 for v in g.vertices}
+    h = Graph(label.values(), [(label[u], label[v], w) for u, v, w in g.edges()])
+    R = draw(st.permutations(h.vertices).map(lambda p: sorted(p[: size or h.n])))
+    return h, R
+
+
+def record_flows(mp: pytest.MonkeyPatch, graphs: list) -> list:
+    """Record every kernel run as (arc lists, heads, start and final capacities, s, t); append each s-t cut's graph to ``graphs``."""
+    flows = []
+    real_kernel, real_cut = _maxflow._dinic_levels, private_cuts.min_cut_source_side
+
+    def kernel_spy(adj, head, cap, s, t):
+        start = cap[:]
+        level = real_kernel(adj, head, cap, s, t)
+        flows.append((adj, head, start, cap, s, t))
+        return level
+
+    mp.setattr(_maxflow, "_dinic_levels", kernel_spy)
+    mp.setattr(private_cuts, "min_cut_source_side", lambda h, s, t: graphs.append(h) or real_cut(h, s, t))
+    return flows
+
+
+def flow_rows(flow, label) -> tuple:
+    """Each vertex's arcs of positive capacity, in list order, as (head, start, final capacity), by vertex label; and s, t."""
+    adj, head, start, cap, s, t = flow
+    rows = {}
+    for u, arcs in enumerate(adj):
+        row = [(label(head[a]), start[a].hex(), cap[a].hex()) for a in arcs if start[a] > 0.0]
+        if row:
+            rows[label(u)] = row
+    return rows, label(s), label(t)
+
+
+class TestBitRounds:
+    """Each isolating-cut round, on the shared round network, against the private S-T cut it stands for."""
+
+    @pytest.mark.parametrize("eps", [Epsilon(1.0), INFINITE], ids=["eps1", "infinite"])
+    @pytest.mark.parametrize("size", [2, 3, 5, 9, None], ids=["r2", "r3", "r5", "r9", "rn"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    def test_each_round_is_the_private_ST_cut(self, eps, size, data, seed):
+        g, R = data.draw(spread_graphs_with_r(size))
+        params = IsoCutParams(eps=eps, beta=0.01, U=frozenset(g.vertices))
+        ledger = PrivacyLedger(eps)
+        with pytest.MonkeyPatch.context() as mp:
+            flows = record_flows(mp, [])
+            codes, calls = spy_isolating_cuts(g, R, params, Rng(seed), ledger)
+        assert len(calls) == 1  # only the combined cut
+        sides = round_sides(g, R, codes)
+        round_flows = flows[:-1]  # none when no vertex is outside R
+        assert len(round_flows) == (len(sides) if g.n > len(R) else 0)
+        fresh = g.vertices[-1] + 1
+
+        def round_label(u):
+            # The round network keeps g's vertex ids; multi-terminal blocks sit after them, as contraction labels them.
+            return g.vertices[u] if u < g.n else fresh + u - g.n
+
+        eps_call = eps.split(math.log2(len(R)) + 2.0)
+        ref_ledger = PrivacyLedger(eps)
+        for i, side in enumerate(sides):
+            A = [r for idx, r in enumerate(R) if not idx >> i & 1]
+            B = [r for idx, r in enumerate(R) if idx >> i & 1]
+            graphs = []
+            with pytest.MonkeyPatch.context() as mp:
+                ref_flows = record_flows(mp, graphs)
+                want = private_min_ST_cut(g, A, B, eps_call, Rng(seed).child(f"round.{i}"), ref_ledger)
+            assert side == want
+            if round_flows:
+                # Same arcs in the same order with the same capacities, before and after the flow.
+                (h,), (ref_flow,) = graphs, ref_flows
+                assert flow_rows(round_flows[i], round_label) == flow_rows(ref_flow, h.vertices.__getitem__)
+        assert ledger.entries[:-1] == ref_ledger.entries
+        assert ledger.entries[-1].name == "private_st_cut"
+
+
 class TestCombinedGraph:
     """The union the combined cut runs on, against relabelled per-region contractions."""
 
@@ -219,19 +330,9 @@ class TestCombinedGraph:
     def test_equals_relabelled_region_graphs(self, empty_universe, data, seed):
         g, R, U = data.draw(spread_terminal_graphs(empty_universe))
         params = IsoCutParams(eps=Epsilon(1.0), beta=0.01, U=U)
-        calls = []
-        real = private_cuts.private_min_ST_cut
-
-        def spy(h, S, T, *rest):
-            side = real(h, S, T, *rest)
-            calls.append((h, list(S), list(T), side))
-            return side
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(private_cuts, "private_min_ST_cut", spy)
-            private_isolating_cuts(g, R, params, Rng(seed))
-        *rounds, (combined, sources, sinks, _) = calls
-        regions = oracles.bit_partition_regions(g, R, [side for _, _, _, side in rounds])
+        codes, calls = spy_isolating_cuts(g, R, params, Rng(seed))
+        ((combined, sources, sinks, _),) = calls
+        regions = oracles.bit_partition_regions(g, R, round_sides(g, R, codes))
         ref, ref_sources, ref_sinks = oracles.isolating_union(g, R, regions, params)
         assert combined.vertices == ref.vertices
         assert [(u, v, w.hex()) for u, v, w in combined.edges()] == [(u, v, w.hex()) for u, v, w in ref.edges()]
