@@ -40,6 +40,48 @@ terminals, an arc pair from every outside vertex to each and one pair
 between them. A round only fills the super-vertices' capacities, as the
 contracted and noised graph would weigh those edges, and runs the
 kernel on them (``bit_round_codes``).
+
+Both callers go through ``_min_cut_levels``, which skips Dinic when the
+arcs to s and t decide every vertex's side, as heavy noise edges to
+both ends do. Let c_s(x) and c_t(x) be the capacities of x's arcs to s
+and to t, and r(x) the total of its other arcs, on the symmetric start
+capacities. If every vertex x other than s and t with a positive arc
+has |c_s - c_t| > r, then s plus the vertices with c_s > c_t is the
+source side Dinic finds:
+
+- It is the only minimum cut, up to vertices with no positive arc.
+  Moving a vertex with c_s > c_t to s's side changes a cut by at most
+  c_t + r - c_s < 0, and the other way round likewise.
+- Flow from s into a vertex with c_s > c_t leaves it to t or over its
+  other arcs, so it is at most c_t + r < c_s and the arc from s keeps
+  residual capacity. Likewise at most c_s + r < c_t flows into a vertex
+  with c_t > c_s, so its arc to t keeps residual capacity.
+- So when Dinic stops, s reaches each s-leaning vertex over its own
+  arc, and each t-leaning vertex reaches t over its own. Every arc from
+  s or an s-leaning vertex into a t-leaning vertex or t is saturated,
+  or an augmenting path would remain, so s reaches exactly the
+  s-leaning vertices. The final BFS labels s with 0, them with 1 and
+  nothing else: the list returned here without a flow.
+
+The kernel works in floats, so the check asks for a margin, relative to
+a vertex's total capacity W = c_s + c_t + r: |c_s - c_t| - r must
+exceed 16 u V^3 W, where u = 2^-53 and V counts s, t and the vertices
+with a positive arc. Dinic makes K < V^3 pushes: each saturates an arc
+of its phase's level graph, which stays saturated for the phase, one
+arc pair joins two vertices, and there are fewer than V phases. A push
+rounds cap[a] - d and cap[a ^ 1] + d, each within u of its nonnegative
+result. So while K u < 1/16, as a passing check implies, an arc pair's
+sum, 2w at the start, stays within 2.2 K u w of it, and a vertex's
+total capacity, W at the start, within 4.4 K u W, as each push through
+the vertex rounds two of its arcs. Capacities stay nonnegative, so in
+exact arithmetic cap[s -> x] = 2 c_s - cap[x -> s] >= 2 c_s - W =
+c_s - c_t - r, and cap[x -> t] >= W - 2 c_s - 2 r = c_t - c_s - r. In
+floats these bounds lose at most 6.6 K u W, and the check's own sums
+round by at most 2 V u W; 16 V^3 u W covers both. A vertex with no
+positive arc is never reached and carries no flow. The check reads
+each vertex's arcs once and stops at the first vertex with
+|c_s - c_t| <= r, which on a flow without noise edges, such as a pivot
+flow or an exact tree's flow, is usually the first vertex it reads.
 """
 
 from __future__ import annotations
@@ -51,6 +93,9 @@ if TYPE_CHECKING:
 
 # Read by bench/run.py for its "backend" field; the kernel is never jitted.
 USING_NUMBA = False
+
+# A decided vertex's margin must exceed this times V^3 times its total capacity (module docstring).
+_SLACK = 16 * 2.0**-53
 
 # Vertex index, per-vertex arc ids, arc heads and initial capacities.
 _Network = tuple[dict[int, int], list[list[int]], list[int], list[float]]
@@ -123,6 +168,48 @@ def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: in
             return level
 
 
+def _min_cut_levels(adj: list[list[int]], head: list[int], cap: list[float], s: int, t: int) -> list[int]:
+    """``_dinic_levels``' result, found without a flow when the arcs to s and t decide every vertex.
+
+    The capacities must be symmetric, ``cap[a] == cap[a ^ 1]``, with at
+    most one arc pair between two vertices. When the rule in the module
+    docstring holds, ``cap`` is left as it is and the levels are those
+    of Dinic's final BFS: 0 at s, 1 on every vertex that leans to s, -1
+    elsewhere. Otherwise Dinic runs on ``cap`` as it would have.
+    """
+    side = []
+    worst = 1.0
+    active = 2  # s, t and every other vertex with a positive arc
+    for x, arcs in enumerate(adj):
+        if x == s or x == t:
+            continue
+        cs = ct = r = 0.0
+        for a in arcs:
+            h = head[a]
+            if h == s:
+                cs += cap[a]
+            elif h == t:
+                ct += cap[a]
+            else:
+                r += cap[a]
+        margin = abs(cs - ct) - r
+        if margin <= 0.0:
+            if cs or ct or r:
+                return _dinic_levels(adj, head, cap, s, t)
+            continue  # no positive arc: no flow reaches x
+        active += 1
+        worst = min(worst, margin / (cs + ct + r))
+        if cs > ct:
+            side.append(x)
+    if worst <= _SLACK * active**3:
+        return _dinic_levels(adj, head, cap, s, t)
+    level = [-1] * len(adj)
+    level[s] = 0
+    for x in side:
+        level[x] = 1
+    return level
+
+
 def _network(g: Graph) -> _Network:
     """The flow network of g, built on first use and kept in the graph's ``_net`` slot."""
     net = g._net
@@ -170,12 +257,13 @@ def boundary_weight(g: Graph, side: set[int] | frozenset[int]) -> float:
 def min_cut_source_side(g: Graph, s: int, t: int) -> frozenset[int]:
     """Minimal side of a minimum s-t cut that contains s.
 
-    Runs Dinic to completion and returns the vertices reachable from s
-    in the final residual network. Deterministic for a given graph: the
+    Returns the vertices reachable from s in Dinic's final residual
+    network, found without a flow when the arcs to s and t decide every
+    vertex (``_min_cut_levels``). Deterministic for a given graph: the
     arc order is derived from the canonical edge order.
     """
     index, adj, head, cap = _network(g)
-    level = _dinic_levels(adj, head, cap[:], index[s], index[t])
+    level = _min_cut_levels(adj, head, cap[:], index[s], index[t])
     return frozenset(v for v, lv in zip(g.vertices, level) if lv >= 0)
 
 
@@ -251,7 +339,7 @@ def bit_round_codes(g: Graph, R: list[int], noise: list[list[tuple[float, float]
                 if not k2 >> i & 1:
                     b_into_a += w
             wab += b_into_a
-        level = _dinic_levels(rows, hd, cap + supers + [wab, wab], sa, sb)
+        level = _min_cut_levels(rows, hd, cap + supers + [wab, wab], sa, sb)
         for x in outside:
             if level[x] < 0:
                 code[x] |= 1 << i

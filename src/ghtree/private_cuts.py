@@ -8,11 +8,15 @@ per bit of the terminals' indices, then cut all regions at once, with
 a penalty against regions that swallow most of U. Their per-bit rounds
 draw noise from the s-t mechanism's draw loop and are solved on one
 network that ``_maxflow`` builds per call, each round bit for bit the
-S-T cut it stands for. At ``INFINITE`` they draw nothing and add no
-penalty: the exact S-T cut is ``private_min_ST_cut`` at ``INFINITE``
-and ``isolating_cuts_exact`` is the isolating cuts there. A side's
-weight is not private; callers take it from ``make_cut_side``. The
-pipeline's default constants live here, the lowest module that uses one.
+S-T cut it stands for. Where the noise on each vertex's edges to the
+two sides outweighs its other edges, as at moderate budgets it mostly
+does, a round or the combined cut takes its side from those edges
+alone and runs no max flow; the side is the one Dinic would find. At
+``INFINITE`` they draw nothing and add no penalty: the exact S-T cut
+is ``private_min_ST_cut`` at ``INFINITE`` and ``isolating_cuts_exact``
+is the isolating cuts there. A side's weight is not private; callers
+take it from ``make_cut_side``. The pipeline's default constants live
+here, the lowest module that uses one.
 """
 
 from __future__ import annotations

@@ -27,7 +27,8 @@ from ghtree import (
     private_min_ST_cut,
     private_min_st_cut,
 )
-from ghtree._maxflow import _dinic_levels, _network
+from ghtree import _maxflow
+from ghtree._maxflow import _dinic_levels, _min_cut_levels, _network
 
 
 def dumbbell6() -> Graph:
@@ -177,10 +178,10 @@ def disconnected_pairs(draw):
 
 
 @st.composite
-def noised_pairs(draw):
+def noised_pairs(draw, max_noise: float = 10.0):
     """A graph whose every other vertex has an edge to both s and t, as a noised s-t cut builds it."""
     g, s, t = draw(strategies.graphs_with_pair(min_n=3, max_n=12, weights=strategies.kernel_weights))
-    noise = [(v, end, draw(st.floats(1e-6, 10.0))) for v in g.vertices if v not in (s, t) for end in (s, t)]
+    noise = [(v, end, draw(st.floats(1e-6, max_noise))) for v in g.vertices if v not in (s, t) for end in (s, t)]
     return Graph(g.vertices, list(g.edges()) + noise), s, t
 
 
@@ -298,6 +299,96 @@ class TestDinicDeepLevels:
     @settings(max_examples=100, deadline=None)
     def test_vertices_beside_both_ends(self, case):
         assert_kernel_matches_full_bfs(*case)
+
+
+@st.composite
+def decided_pairs(draw):
+    """A noised graph whose every other vertex leans to s or to t by more than all its other edges weigh.
+
+    A vertex has at most 11 edges of weight at most 1e3 besides its
+    noise, so a noise edge of 2e4 or more on the leaning side decides it.
+    """
+    g, s, t = draw(strategies.graphs_with_pair(min_n=3, max_n=12, weights=strategies.kernel_weights))
+    noise = []
+    for v in g.vertices:
+        if v not in (s, t):
+            heavy, light = (s, t) if draw(st.booleans()) else (t, s)
+            noise += [(v, heavy, draw(st.floats(2e4, 1e6))), (v, light, draw(st.floats(1e-6, 10.0)))]
+    return Graph(g.vertices, list(g.edges()) + noise), s, t
+
+
+@st.composite
+def with_loose_vertices(draw, pairs):
+    """A ``pairs`` case plus isolated vertices and vertices whose one edge goes to s or to t."""
+    g, s, t = draw(pairs)
+    loose = draw(st.lists(st.sampled_from([None, s, t]), min_size=1, max_size=4))
+    edges = [(g.n + i, end, draw(strategies.kernel_weights)) for i, end in enumerate(loose) if end is not None]
+    return Graph(range(g.n + len(loose)), list(g.edges()) + edges), s, t
+
+
+def rule_and_kernel(g: Graph, s: int, t: int) -> tuple[list[int], list[int], bool]:
+    """Levels from ``_min_cut_levels`` and from ``_dinic_levels`` on g's network, and whether the rule fell back.
+
+    The capacities the rule leaves must be Dinic's when it falls back and the start ones when it decides.
+    """
+    index, adj, head, cap = _network(g)
+    got_cap, ref_cap = cap[:], cap[:]
+    fell_back = []
+
+    def kernel_spy(*args):
+        fell_back.append(True)
+        return _dinic_levels(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_maxflow, "_dinic_levels", kernel_spy)
+        got = _min_cut_levels(adj, head, got_cap, index[s], index[t])
+    ref = _dinic_levels(adj, head, ref_cap, index[s], index[t])
+    want_cap = ref_cap if fell_back else cap
+    assert [c.hex() for c in got_cap] == [c.hex() for c in want_cap]
+    return got, ref, bool(fell_back)
+
+
+# s = 0, t = 1, and x = 2 with edges to s, to t and to 3 and 4, which hang on t.
+# Exact: x's weight to s less its weight to t, 1, equals its other weight.
+# Rounded: 1.0 - 0.1 rounds to more than 0.2 + 0.7, but the weights' exact
+# sum 0.1 + 0.2 + 0.7 exceeds 1.0, so Dinic saturates the arc from s to x.
+TIES = {
+    "exact": [(0, 2, 2.0), (1, 2, 1.0), (2, 3, 0.5), (2, 4, 0.5), (1, 3, 100.0), (1, 4, 100.0)],
+    "rounded": [(0, 2, 1.0), (1, 2, 0.1), (2, 3, 0.2), (2, 4, 0.7), (1, 3, 1e3), (1, 4, 1e3)],
+}
+
+
+class TestDecidedCuts:
+    """The rule that skips Dinic when every vertex's arcs to s and t decide its side, against Dinic."""
+
+    @given(
+        st.one_of(
+            noised_pairs(),
+            noised_pairs(max_noise=1e6),
+            decided_pairs(),
+            with_loose_vertices(decided_pairs()),
+            with_loose_vertices(noised_pairs(max_noise=1e6)),
+            strategies.graphs_with_pair(max_n=12, weights=strategies.kernel_weights),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_levels_as_dinic(self, case):
+        got, ref, _ = rule_and_kernel(*case)
+        assert got == ref
+
+    @given(st.one_of(decided_pairs(), with_loose_vertices(decided_pairs())))
+    @settings(max_examples=100, deadline=None)
+    def test_decided_graphs_run_no_flow(self, case):
+        got, ref, fell_back = rule_and_kernel(*case)
+        assert not fell_back
+        assert got == ref
+
+    @pytest.mark.parametrize("edges", TIES.values(), ids=TIES.keys())
+    def test_ties_fall_back_to_dinic(self, edges):
+        got, ref, fell_back = rule_and_kernel(Graph(range(5), edges), 0, 1)
+        assert fell_back
+        assert got == ref
+        assert [lv >= 0 for lv in got] == [True, False, False, False, False]
 
 
 class TestMinSTCut:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from ghtree import (
     PrivacyLedger,
     Rng,
     cut_weight,
+    final_gh_tree,
     generate,
     isolating_cuts_exact,
     min_st_cut_exact,
@@ -26,8 +28,9 @@ from ghtree import (
     private_isolating_cuts,
     private_min_ST_cut,
     private_min_st_cut,
+    save_tree,
 )
-from ghtree import _maxflow
+from ghtree import _maxflow, exact
 
 
 def dumbbell6() -> Graph:
@@ -255,7 +258,7 @@ def spread_graphs_with_r(draw, size):
 def record_flows(mp: pytest.MonkeyPatch, graphs: list) -> list:
     """Record every kernel run as (arc lists, heads, start and final capacities, s, t); append each s-t cut's graph to ``graphs``."""
     flows = []
-    real_kernel, real_cut = _maxflow._dinic_levels, private_cuts.min_cut_source_side
+    real_kernel, real_cut = _maxflow._min_cut_levels, private_cuts.min_cut_source_side
 
     def kernel_spy(adj, head, cap, s, t):
         start = cap[:]
@@ -263,7 +266,7 @@ def record_flows(mp: pytest.MonkeyPatch, graphs: list) -> list:
         flows.append((adj, head, start, cap, s, t))
         return level
 
-    mp.setattr(_maxflow, "_dinic_levels", kernel_spy)
+    mp.setattr(_maxflow, "_min_cut_levels", kernel_spy)
     mp.setattr(private_cuts, "min_cut_source_side", lambda h, s, t: graphs.append(h) or real_cut(h, s, t))
     return flows
 
@@ -415,3 +418,91 @@ class TestPrivateIsolatingCuts:
         params = IsoCutParams(eps=Epsilon(1e-307), beta=0.01, U=frozenset({0}))
         with pytest.raises(ValueError, match="penalty weight overflows"):
             private_isolating_cuts(g, [0, 5], params, Rng(0))
+
+
+def count_decided_flows(mp: pytest.MonkeyPatch) -> Counter:
+    """Count every flow as (kind, decided): kind "pivot", "combined" or "round", decided when Dinic did not run.
+
+    Pivot flows come through ``exact``, the combined cut through
+    ``private_cuts``, and the rounds from ``bit_round_codes`` directly.
+    """
+    counts: Counter = Counter()
+    kinds: list[str] = []
+    dinic_runs = [0]
+    real_rule, real_kernel = _maxflow._min_cut_levels, _maxflow._dinic_levels
+
+    def kernel_spy(*args):
+        dinic_runs[0] += 1
+        return real_kernel(*args)
+
+    def rule_spy(*args):
+        before = dinic_runs[0]
+        level = real_rule(*args)
+        counts[kinds[-1] if kinds else "round", dinic_runs[0] == before] += 1
+        return level
+
+    def labelled(kind, real_cut):
+        def cut_spy(h, s, t):
+            kinds.append(kind)
+            try:
+                return real_cut(h, s, t)
+            finally:
+                kinds.pop()
+
+        return cut_spy
+
+    mp.setattr(_maxflow, "_dinic_levels", kernel_spy)
+    mp.setattr(_maxflow, "_min_cut_levels", rule_spy)
+    mp.setattr(exact, "min_cut_source_side", labelled("pivot", exact.min_cut_source_side))
+    mp.setattr(private_cuts, "min_cut_source_side", labelled("combined", private_cuts.min_cut_source_side))
+    return counts
+
+
+INSTANCES = {
+    "er40": ("erdos-renyi-weighted", {"n": 40, "p": 0.2}),
+    "planted24": ("planted-community", {"n": 24}),
+    "dumbbell6": ("dumbbell", {"clique": 6}),
+}
+
+
+def build_bytes(g: Graph, eps: Epsilon, seed: int, tmp_path) -> bytes:
+    """A private tree's file, its ledger and isolating cuts on two terminal sets, as bytes."""
+    ledger = PrivacyLedger(eps)
+    save_tree(final_gh_tree(g, eps, Rng(seed), ledger), str(tmp_path / "tree.txt"))
+    out = [(tmp_path / "tree.txt").read_text()]
+    out += [f"{e.name} {e.sensitivity!r} {e.scale!r} {e.count}\n" for e in ledger.entries]
+    for R in (g.vertices[::3], g.vertices):
+        ledger = PrivacyLedger(eps)
+        res = private_isolating_cuts(g, R, iso_params(eps, g), Rng(seed), ledger)
+        out += [f"{r} {sorted(c.side)} {c.value!r}\n" for r, c in sorted(res.cuts.items())]
+        out += [f"{e.name} {e.sensitivity!r} {e.scale!r} {e.count}\n" for e in ledger.entries]
+    return "".join(out).encode()
+
+
+class TestDecidedFlows:
+    """The rule in ``_maxflow._min_cut_levels`` that skips Dinic when the noise decides every vertex's side."""
+
+    def test_rule_takes_the_noised_flows_and_no_pivot_flow(self):
+        g = generate("erdos-renyi-weighted", {"n": 30, "p": 0.2}, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            counts = count_decided_flows(mp)
+            for seed in range(3):
+                final_gh_tree(g, Epsilon(1.0), Rng(seed))
+        noised = sum(n for (kind, _), n in counts.items() if kind != "pivot")
+        decided = counts["round", True] + counts["combined", True]
+        assert counts["round", True] > 0 and counts["combined", True] > 0
+        assert decided >= 0.9 * noised
+        assert counts["pivot", False] > 0 and counts["pivot", True] == 0
+
+    @pytest.mark.parametrize("eps", [Epsilon(1.0), Epsilon(1e3), INFINITE], ids=["eps1", "eps1e3", "infinite"])
+    @pytest.mark.parametrize("label", sorted(INSTANCES))
+    def test_outputs_equal_with_the_rule_off(self, label, eps, tmp_path):
+        g = generate(*INSTANCES[label], 0)
+        for seed in range(3):
+            with pytest.MonkeyPatch.context() as mp:
+                counts = count_decided_flows(mp)
+                default = build_bytes(g, eps, seed, tmp_path)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_maxflow, "_min_cut_levels", _maxflow._dinic_levels)
+                assert build_bytes(g, eps, seed, tmp_path) == default
+            assert sum(n for (_, decided), n in counts.items() if decided) > 0
