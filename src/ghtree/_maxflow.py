@@ -39,7 +39,7 @@ terminal set R, a super-vertex for each of a round's two blocks of
 terminals, an arc pair from every outside vertex to each and one pair
 between them. A round only fills the super-vertices' capacities, as the
 contracted and noised graph would weigh those edges, and runs the
-kernel on them (``bit_round_codes``).
+kernel on them (``bit_round_codes``); the s-t mechanism is one round.
 
 Both callers go through ``_min_cut_levels``, which skips Dinic when the
 arcs to s and t decide every vertex's side, as heavy noise edges to
@@ -270,12 +270,14 @@ def min_cut_source_side(g: Graph, s: int, t: int) -> frozenset[int]:
 def bit_round_codes(g: Graph, R: list[int], noise: list[list[tuple[float, float]]]) -> list[int]:
     """Each vertex's code after the isolating cuts' rounds, in vertex order.
 
-    ``R`` holds sorted terminals of g. Round i cuts block A, the
-    terminals whose index has bit i clear, from block B, the rest, and
-    bit i of a vertex's code is set when the round's side misses it, so
-    a terminal's code is its index. ``noise[i]`` holds the round's draws
-    on each vertex outside R, in vertex order: on its edge to A, then to
-    B. A round's side is ``private_min_ST_cut``'s on the same draws.
+    ``R`` holds terminals of g in caller order, such as [s, t] for the
+    s-t mechanism; a block of several must list them in vertex order,
+    as a sorted R does. Round i cuts block A, the terminals whose index
+    has bit i clear, from block B, the rest, and bit i of a vertex's
+    code is set when the round's side misses it, so a terminal's code is
+    its index. ``noise[i]`` holds the round's draws on each vertex
+    outside R, in vertex order: on its edge to A, then to B. A round's
+    side is ``private_min_ST_cut``'s on the same draws.
 
     All rounds share one network. It keeps g's vertices and arcs, with
     R's vertices left out of every arc list, and adds a super-vertex for

@@ -1,16 +1,15 @@
 """Exact min s-t cuts and Gomory-Hu trees.
 
-The min s-t cut is the flow primitive every cut mechanism solves: the
-private s-t mechanism calls it on a graph that already carries noise
-edges. The exact S-T and isolating cuts are the private mechanisms of
-``private_cuts`` at an infinite budget. All cut values returned here
-are recomputed boundary weights, never solver bookkeeping.
+The exact min s-t cut runs the flow kernel on the network a graph
+keeps. The private mechanisms run it on ``_maxflow``'s round network,
+which carries their noise; the exact S-T and isolating cuts are those
+mechanisms at an infinite budget. All cut values returned here are
+recomputed boundary weights, never solver bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from ._maxflow import min_cut_source_side
 from .graph import CutSide, Graph, contract, cut_weight
@@ -42,21 +41,19 @@ def min_st_cut_exact(g: Graph, s: int, t: int) -> MaxFlowResult:
     return MaxFlowResult(cut=CutSide(side=side, value=value), value=value)
 
 
-def gomory_hu_exact(g: Graph, terminals: Iterable[int] | None = None) -> SteinerTree:
+def gomory_hu_exact(g: Graph) -> SteinerTree:
     """Exact Gomory-Hu tree via the classic contraction scheme.
 
-    For any two terminals the minimum edge on their tree path equals
-    their minimum cut in g, and splitting the tree there induces an
-    optimal cut through the vertex map. Defaults to all vertices as
-    terminals; a single-vertex graph yields a single-node tree.
+    Every vertex is a node. For any two vertices the minimum edge on
+    their tree path equals their minimum cut in g, and splitting the
+    tree there induces an optimal cut. A single-vertex graph yields a
+    single-node tree; an empty graph is rejected.
     """
-    U = sorted({int(v) for v in terminals} if terminals is not None else g.vertices)
+    U = list(g.vertices)
     if not U:
-        raise ValueError("terminal set must be nonempty")
-    if not set(U) <= g.vertex_set:
-        raise ValueError("terminals must be graph vertices")
+        raise ValueError("graph must have at least one vertex")
     if len(U) == 1:
-        return _single_node_tree(g.vertices, U[0])
+        return _single_node_tree(U, U[0])
     # Work runs in the plain recursion's order: a split's side half, then
     # its rest half, then the join of their trees. The stack holds the
     # pending halves' graphs, which share no vertex but contraction

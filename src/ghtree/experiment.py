@@ -80,6 +80,9 @@ class ExperimentConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for seed in self.seeds:
+            if not 0 <= seed < 2**64:
+                raise ValueError(f"seeds must lie in [0, 2**64), got {seed!r}")
         if not self.eps:
             raise ValueError("need at least one eps value")
         for e in self.eps:

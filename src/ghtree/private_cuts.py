@@ -2,21 +2,22 @@
 
 The s-t mechanism attaches exponentially distributed noise edges from
 every vertex to both endpoints and solves the noised instance exactly,
+as one round of ``_maxflow.bit_round_codes`` on the network g keeps,
 releasing only the side it found. The S-T cut contracts each side and
 runs it. The isolating cuts refine disjoint regions with one S-T cut
 per bit of the terminals' indices, then cut all regions at once, with
 a penalty against regions that swallow most of U. Their per-bit rounds
-draw noise from the s-t mechanism's draw loop and are solved on one
-network that ``_maxflow`` builds per call, each round bit for bit the
-S-T cut it stands for. Where the noise on each vertex's edges to the
-two sides outweighs its other edges, as at moderate budgets it mostly
-does, a round or the combined cut takes its side from those edges
-alone and runs no max flow; the side is the one Dinic would find. At
-``INFINITE`` they draw nothing and add no penalty: the exact S-T cut
-is ``private_min_ST_cut`` at ``INFINITE`` and ``isolating_cuts_exact``
-is the isolating cuts there. A side's weight is not private; callers
-take it from ``make_cut_side``. The pipeline's default constants live
-here, the lowest module that uses one.
+draw noise from the s-t mechanism's draw loop and are solved in one
+``bit_round_codes`` call, each round bit for bit the S-T cut it stands
+for. Where the noise on each vertex's edges to the two sides outweighs
+its other edges, as at moderate budgets it mostly does, a round or the
+combined cut takes its side from those edges alone and runs no max
+flow; the side is the one Dinic would find. At ``INFINITE`` they draw
+nothing and add no penalty: the exact S-T cut is
+``private_min_ST_cut`` at ``INFINITE`` and ``isolating_cuts_exact`` is
+the isolating cuts there. A side's weight is not private; callers take
+it from ``make_cut_side``. The pipeline's default constants live here,
+the lowest module that uses one.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from ._maxflow import bit_round_codes, min_cut_source_side
+from ._maxflow import bit_round_codes
 from .dp import INFINITE, Epsilon, PrivacyLedger, Rng, sample_exponential
 from .graph import CutSide, Graph, contract, make_cut_side
 
@@ -87,10 +88,10 @@ def private_min_st_cut(
 
     Every vertex other than s and t gets a noise edge to s and one to
     t, each an independent exponential with mean 1/eps stacked onto any
-    existing weight. The noised instance is cut exactly and the minimal
-    side containing s is returned. Only positive draws change a weight,
-    so when none is positive, as always with an infinite budget, g itself
-    is cut, on its kept network, and this is min_st_cut_exact's side.
+    existing weight. The noised instance is cut exactly, as one round
+    of ``bit_round_codes`` on the network g keeps, and the minimal side
+    containing s is returned. With an infinite budget every draw is
+    zero and this is min_st_cut_exact's side.
     """
     if not g.has_vertex(s) or not g.has_vertex(t):
         raise ValueError("cut endpoints must be graph vertices")
@@ -99,16 +100,8 @@ def private_min_st_cut(
     mean = 1.0 / eps.value
     if ledger is not None:
         ledger.charge("private_st_cut", 1.0, mean)
-    others = [v for v in g.vertices if v != s and v != t]
-    noise = {}
-    for v, draws in zip(others, _draw_noise(len(others), mean, rng)):
-        for end, d in zip((s, t), draws):
-            if d > 0.0:  # each key comes up once; a zero draw changes nothing
-                key = (v, end) if v < end else (end, v)
-                noise[key] = g._weights.get(key, 0.0) + d
-    if noise:
-        g = Graph._trusted(g.vertices, {**g._weights, **noise})
-    return min_cut_source_side(g, s, t)
+    codes = bit_round_codes(g, [s, t], [_draw_noise(g.n - 2, mean, rng)])
+    return frozenset(v for v, code in zip(g.vertices, codes) if code == 0)
 
 
 def private_min_ST_cut(

@@ -60,7 +60,8 @@ class TestTreeQuery:
 
     def test_steiner_tree_query_side_may_span_nonterminals(self):
         g = dumbbell6()
-        tree = gomory_hu_exact(g, [0, 5])
+        # The Gomory-Hu Steiner tree over {0, 5}: each clique maps to its terminal.
+        tree = SteinerTree([0, 5], [(0, 5, 1.0)], {0: 0, 1: 0, 2: 0, 3: 5, 4: 5, 5: 5})
         value, cut = tree_query(tree, g, 0, 5)
         assert value == 1.0
         assert cut.side in ({0, 1, 2}, {3, 4, 5})

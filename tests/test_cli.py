@@ -169,6 +169,14 @@ class TestBenchVerb:
         assert "error: generator parameter n must be a whole number" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["private", "exact-baseline"])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, mode):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"generator = cycle\nn = 5\neps = 1\nseeds = -3\nmode = {mode}\n")
+        assert main(["bench", "--config", str(conf), "--out", str(tmp_path / "r.csv")]) == 1
+        assert "error: seeds must lie in [0, 2**64), got -3" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_no_output_path_exits_1(self, tmp_path, capsys):
         conf = tmp_path / "exp.conf"
         conf.write_text("generator = cycle\nn = 5\neps = 1\nseeds = 0\n")

@@ -58,6 +58,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(eps=(math.nan,))
 
+    @pytest.mark.parametrize("seed", [-3, -1, 2**64])
+    @pytest.mark.parametrize("mode", ["private", "exact-baseline"])
+    def test_seeds_must_fit_rng(self, mode, seed):
+        # Rng takes seeds in [0, 2**64); the exact baseline draws nothing, so only the config can catch them.
+        with pytest.raises(ValueError, match=r"seeds must lie in \[0, 2\*\*64\)"):
+            small_config(seeds=(0, seed), mode=mode)
+        small_config(seeds=(0, 2**64 - 1), mode=mode)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
     @pytest.mark.parametrize("name", ["c1", "c2", "c_depth", "penalty_const"])
     def test_constants_must_be_positive_and_finite(self, name, value):

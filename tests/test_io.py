@@ -125,7 +125,8 @@ class TestGraphFiles:
 
 class TestTreeFiles:
     def test_round_trip_with_nontrivial_map(self, tmp_path):
-        tree = gomory_hu_exact(dumbbell6(), [0, 3, 5])
+        # A Steiner tree of dumbbell6 over {0, 3, 5}: vertices 1 and 2 map to 0, vertex 4 to 5.
+        tree = SteinerTree([0, 3, 5], [(0, 3, 1.0), (3, 5, 4.0)], {0: 0, 1: 0, 2: 0, 3: 3, 4: 5, 5: 5})
         p = str(tmp_path / "t.txt")
         save_tree(tree, p)
         assert load_tree(p) == tree

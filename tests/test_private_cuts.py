@@ -66,6 +66,25 @@ class TestPrivateStCut:
         # No vertex besides s and t: nothing is drawn at any budget.
         assert private_min_st_cut(pair, 0, 1, Epsilon(1.0), Rng(0)) == {0}
 
+    def test_noised_cut_builds_no_graph_and_no_other_network(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a noised graph was built")
+
+        g = generate("erdos-renyi-weighted", {"n": 12, "p": 0.5}, 3)
+        calls = [(0, 9, 0), (4, 1, 1), (11, 6, 2)]
+        want = [oracles.private_min_st_cut(g, s, t, Epsilon(1.0), Rng(seed)) for s, t, seed in calls]
+        net = _maxflow._network(g)
+        real_network = _maxflow._network
+        asked = []
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        monkeypatch.setattr(Graph, "_trusted", refuse)
+        monkeypatch.setattr(_maxflow, "_network", lambda h: asked.append(h) or real_network(h))
+        got = [private_min_st_cut(g, s, t, Epsilon(1.0), Rng(seed)) for s, t, seed in calls]
+        assert got == want
+        # Every call reads the network g keeps, and no other graph's.
+        assert len(asked) == 3 and all(h is g for h in asked)
+        assert g._net is net
+
     @given(strategies.graphs_with_pair())
     @settings(max_examples=60, deadline=None)
     def test_noisy_side_separates_and_value_is_true_weight(self, gst):
@@ -215,7 +234,11 @@ def spread_terminal_graphs(draw, empty_universe: bool):
 
 
 def spy_isolating_cuts(g, R, params, rng, ledger=None):
-    """Run the isolating cuts; return the rounds' vertex codes and every S-T cut call as (graph, S, T, side)."""
+    """Run the isolating cuts; return the rounds' vertex codes and every S-T cut call as (graph, S, T, side).
+
+    The rounds' codes come from the first ``bit_round_codes`` call; the
+    combined cut's s-t mechanism makes the second.
+    """
     codes, calls = [], []
     real_codes, real_cut = private_cuts.bit_round_codes, private_cuts.private_min_ST_cut
 
@@ -232,8 +255,8 @@ def spy_isolating_cuts(g, R, params, rng, ledger=None):
         mp.setattr(private_cuts, "bit_round_codes", codes_spy)
         mp.setattr(private_cuts, "private_min_ST_cut", cut_spy)
         private_isolating_cuts(g, R, params, rng, ledger)
-    (got,) = codes
-    return got, calls
+    assert len(codes) == 2
+    return codes[0], calls
 
 
 def round_sides(g, R, codes) -> list[frozenset]:
@@ -256,9 +279,13 @@ def spread_graphs_with_r(draw, size):
 
 
 def record_flows(mp: pytest.MonkeyPatch, graphs: list) -> list:
-    """Record every kernel run as (arc lists, heads, start and final capacities, s, t); append each s-t cut's graph to ``graphs``."""
+    """Record every kernel run as (arc lists, heads, start and final capacities, s, t).
+
+    Each call of the s-t mechanism appends (its graph, the number of
+    flows recorded before it) to ``graphs``.
+    """
     flows = []
-    real_kernel, real_cut = _maxflow._min_cut_levels, private_cuts.min_cut_source_side
+    real_kernel, real_cut = _maxflow._min_cut_levels, private_cuts.private_min_st_cut
 
     def kernel_spy(adj, head, cap, s, t):
         start = cap[:]
@@ -267,7 +294,7 @@ def record_flows(mp: pytest.MonkeyPatch, graphs: list) -> list:
         return level
 
     mp.setattr(_maxflow, "_min_cut_levels", kernel_spy)
-    mp.setattr(private_cuts, "min_cut_source_side", lambda h, s, t: graphs.append(h) or real_cut(h, s, t))
+    mp.setattr(private_cuts, "private_min_st_cut", lambda h, *args: graphs.append((h, len(flows))) or real_cut(h, *args))
     return flows
 
 
@@ -293,12 +320,14 @@ class TestBitRounds:
         g, R = data.draw(spread_graphs_with_r(size))
         params = IsoCutParams(eps=eps, beta=0.01, U=frozenset(g.vertices))
         ledger = PrivacyLedger(eps)
+        combined = []
         with pytest.MonkeyPatch.context() as mp:
-            flows = record_flows(mp, [])
+            flows = record_flows(mp, combined)
             codes, calls = spy_isolating_cuts(g, R, params, Rng(seed), ledger)
         assert len(calls) == 1  # only the combined cut
+        ((_, rounds_run),) = combined  # the combined cut's flow, if it runs one, comes after the rounds'
         sides = round_sides(g, R, codes)
-        round_flows = flows[:-1]  # none when no vertex is outside R
+        round_flows = flows[:rounds_run]  # none when no vertex is outside R
         assert len(round_flows) == (len(sides) if g.n > len(R) else 0)
         fresh = g.vertices[-1] + 1
 
@@ -318,7 +347,8 @@ class TestBitRounds:
             assert side == want
             if round_flows:
                 # Same arcs in the same order with the same capacities, before and after the flow.
-                (h,), (ref_flow,) = graphs, ref_flows
+                ((h, before),), (ref_flow,) = graphs, ref_flows
+                assert before == 0
                 assert flow_rows(round_flows[i], round_label) == flow_rows(ref_flow, h.vertices.__getitem__)
         assert ledger.entries[:-1] == ref_ledger.entries
         assert ledger.entries[-1].name == "private_st_cut"
@@ -423,8 +453,9 @@ class TestPrivateIsolatingCuts:
 def count_decided_flows(mp: pytest.MonkeyPatch) -> Counter:
     """Count every flow as (kind, decided): kind "pivot", "combined" or "round", decided when Dinic did not run.
 
-    Pivot flows come through ``exact``, the combined cut through
-    ``private_cuts``, and the rounds from ``bit_round_codes`` directly.
+    Pivot flows come through ``exact``, the combined cut through the s-t
+    mechanism, ``private_cuts.private_min_st_cut``, and the rounds from
+    ``bit_round_codes`` directly.
     """
     counts: Counter = Counter()
     kinds: list[str] = []
@@ -442,10 +473,10 @@ def count_decided_flows(mp: pytest.MonkeyPatch) -> Counter:
         return level
 
     def labelled(kind, real_cut):
-        def cut_spy(h, s, t):
+        def cut_spy(*args):
             kinds.append(kind)
             try:
-                return real_cut(h, s, t)
+                return real_cut(*args)
             finally:
                 kinds.pop()
 
@@ -454,7 +485,15 @@ def count_decided_flows(mp: pytest.MonkeyPatch) -> Counter:
     mp.setattr(_maxflow, "_dinic_levels", kernel_spy)
     mp.setattr(_maxflow, "_min_cut_levels", rule_spy)
     mp.setattr(exact, "min_cut_source_side", labelled("pivot", exact.min_cut_source_side))
-    mp.setattr(private_cuts, "min_cut_source_side", labelled("combined", private_cuts.min_cut_source_side))
+    combined = labelled("combined", private_cuts.private_min_st_cut)
+
+    def st_spy(h, *args):
+        if h.n == 2:
+            # Only s and t: the side is {s}, found without a kernel call, so Dinic does not run.
+            counts["combined", True] += 1
+        return combined(h, *args)
+
+    mp.setattr(private_cuts, "private_min_st_cut", st_spy)
     return counts
 
 
