@@ -33,21 +33,18 @@ and its complement, and adds the crossing arcs' capacities in arc
 order, which is canonical edge order. A contraction reads only the
 edges at its blocks, whose ids it takes from the blocks' arc lists.
 
-The isolating cuts' rounds share one network per call instead of
-contracting g once per round: g's arcs among the vertices outside the
-terminal set R, a super-vertex for each of a round's two blocks of
-terminals, an arc pair from every outside vertex to each and one pair
-between them. A round only fills the super-vertices' capacities, as the
-contracted and noised graph would weigh those edges, and runs the
-kernel on them (``bit_round_codes``); the s-t mechanism is one round.
-
-Both callers go through ``_min_cut_levels``, which skips Dinic when the
-arcs to s and t decide every vertex's side, as heavy noise edges to
-both ends do. Let c_s(x) and c_t(x) be the capacities of x's arcs to s
-and to t, and r(x) the total of its other arcs, on the symmetric start
-capacities. If every vertex x other than s and t with a positive arc
-has |c_s - c_t| > r, then s plus the vertices with c_s > c_t is the
-source side Dinic finds:
+Every flow is first offered to ``_decided_side``, which skips Dinic
+when the arcs to s and t decide every vertex's side, as heavy noise
+edges to both ends do. ``_min_cut_levels`` reads its sums from a
+network's arcs. The isolating cuts' rounds, and the s-t mechanism as
+one round, read the same floats in the same order from one scan of g's
+edges, and build a round network only for a round they leave
+undecided (``bit_round_codes``); so every output is byte-identical to
+deciding on that network. Let c_s(x) and c_t(x) be the capacities of
+x's arcs to s and to t, and r(x) the total of its other arcs, on the
+symmetric start capacities. If every vertex x other than s and t with
+a positive arc has |c_s - c_t| > r, then s plus the vertices with
+c_s > c_t is the source side Dinic finds:
 
 - It is the only minimum cut, up to vertices with no positive arc.
   Moving a vertex with c_s > c_t to s's side changes a cut by at most
@@ -86,7 +83,7 @@ flow or an exact tree's flow, is usually the first vertex it reads.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -168,40 +165,45 @@ def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: in
             return level
 
 
-def _min_cut_levels(adj: list[list[int]], head: list[int], cap: list[float], s: int, t: int) -> list[int]:
-    """``_dinic_levels``' result, found without a flow when the arcs to s and t decide every vertex.
+def _decided_side(sums: Iterable[tuple[int, float, float, float]]) -> list[int] | None:
+    """The vertices that lean to s when the arcs to s and t decide every side (module docstring), else None.
 
-    The capacities must be symmetric, ``cap[a] == cap[a ^ 1]``, with at
-    most one arc pair between two vertices. When the rule in the module
-    docstring holds, ``cap`` is left as it is and the levels are those
-    of Dinic's final BFS: 0 at s, 1 on every vertex that leans to s, -1
-    elsewhere. Otherwise Dinic runs on ``cap`` as it would have.
+    ``sums`` gives (x, c_s, c_t, r) for every vertex x other than s and t.
     """
     side = []
     worst = 1.0
     active = 2  # s, t and every other vertex with a positive arc
-    for x, arcs in enumerate(adj):
-        if x == s or x == t:
-            continue
-        cs = ct = r = 0.0
-        for a in arcs:
-            h = head[a]
-            if h == s:
-                cs += cap[a]
-            elif h == t:
-                ct += cap[a]
-            else:
-                r += cap[a]
+    for x, cs, ct, r in sums:
         margin = abs(cs - ct) - r
         if margin <= 0.0:
             if cs or ct or r:
-                return _dinic_levels(adj, head, cap, s, t)
+                return None
             continue  # no positive arc: no flow reaches x
         active += 1
         worst = min(worst, margin / (cs + ct + r))
         if cs > ct:
             side.append(x)
-    if worst <= _SLACK * active**3:
+    return side if worst > _SLACK * active**3 else None
+
+
+def _arc_sums(adj: list[list[int]], head: list[int], cap: list[float], s: int, t: int) -> Iterator[tuple[int, float, float, float]]:
+    """(x, c_s, c_t, r) for each vertex x other than s and t, each summed over x's arcs in list order."""
+    for x, arcs in enumerate(adj):
+        if x != s and x != t:
+            sums = [0.0, 0.0, 0.0]  # c_s, c_t, r
+            for a in arcs:
+                sums[0 if head[a] == s else 1 if head[a] == t else 2] += cap[a]
+            yield x, *sums
+
+
+def _min_cut_levels(adj: list[list[int]], head: list[int], cap: list[float], s: int, t: int) -> list[int]:
+    """``_dinic_levels``' result, found without a flow when the arcs to s and t decide every vertex.
+
+    The capacities must be symmetric, with at most one arc pair between
+    two vertices. A decided flow leaves ``cap`` as it is.
+    """
+    side = _decided_side(_arc_sums(adj, head, cap, s, t))
+    if side is None:
         return _dinic_levels(adj, head, cap, s, t)
     level = [-1] * len(adj)
     level[s] = 0
@@ -279,51 +281,38 @@ def bit_round_codes(g: Graph, R: list[int], noise: list[list[tuple[float, float]
     outside R, in vertex order: on its edge to A, then to B. A round's
     side is ``private_min_ST_cut``'s on the same draws.
 
-    All rounds share one network. It keeps g's vertices and arcs, with
-    R's vertices left out of every arc list, and adds a super-vertex for
-    each block, an arc pair from every outside vertex to each, and one
-    pair between them. A round fills the super-vertices' capacities as
-    the contracted, noised graph weighs those edges: each outside
-    vertex's edges into a block summed in terminal order, then its draw
-    added; the A-B weight summed over B's terminals in order, each one's
-    edges into A. A zero capacity acts as an absent edge, and each arc
-    list is in increasing order of its head, where a block's super-vertex
-    sits at its terminal when it has one, else after every vertex of g,
-    A before B. So every round pushes the contracted graph's augmenting
-    paths with the same arithmetic. A round with no vertex outside R
-    runs no flow: its side is A.
+    One scan of g's edges gives each outside vertex its c_s, c_t and r
+    (module docstring): its edges into A and into B, summed in canonical
+    order as contraction sums them, plus the draws, and its other edges.
+    A round these decide, such as one with no vertex outside R, builds
+    nothing. Any other runs Dinic on a round network: g's arcs, with R
+    left out of every arc list, a super-vertex per block, an arc pair
+    from every outside vertex to each, of capacity c_s and c_t, and one
+    pair between them, weighing B's terminals' edges into A summed in
+    order. A zero capacity acts as an absent edge, and each arc list is
+    in increasing order of its head, where a block's super-vertex sits
+    at its terminal when it has one, else after every vertex of g, A
+    before B. So Dinic pushes the contracted, noised graph's augmenting
+    paths with the same arithmetic. A call builds one arc layout per
+    pair of super-vertex positions, and g's network if g has none.
     """
-    index, adj, head, cap = _network(g)
-    n = g.n
-    term = [-1] * n
-    for k, r in enumerate(R):
-        term[index[r]] = k
-    code = [max(k, 0) for k in term]
-    outside = [x for x in range(n) if term[x] < 0]
-    if not outside:
-        return code
-    # Each vertex's (terminal index, weight) pairs, in terminal order.
-    into = [[(term[head[a]], cap[a]) for a in arcs if term[head[a]] >= 0] for arcs in adj]
-    # Outside vertex j's arcs to A and back are base + 4j and + 1, to B and back + 2 and + 3.
-    base = len(head)
-    ab = base + 4 * len(outside)
+    term = dict(zip(R, range(len(R))))
+    code = {v: term.get(v, 0) for v in g.vertices}
+    outside = [v for v in g.vertices if v not in term]
+    inner = dict.fromkeys(outside, 0.0)
+    into: dict[int, list[tuple[int, float]]] = {v: [] for v in outside}  # (terminal index, weight) pairs
+    for (u, v), w in g._weights.items():
+        if u in inner:
+            if v in inner:
+                inner[u] += w
+                inner[v] += w
+            else:
+                into[u].append((term[v], w))
+        elif v in inner:
+            into[v].append((term[u], w))
     layouts: dict[tuple[int, int], tuple[list[list[int]], list[int]]] = {}
     for i, draws in enumerate(noise):
-        A = [k for k in range(len(R)) if not k >> i & 1]
-        B = [k for k in range(len(R)) if k >> i & 1]
-        sa = index[R[A[0]]] if len(A) == 1 else n
-        sb = index[R[B[0]]] if len(B) == 1 else n + 1
-        if (sa, sb) not in layouts:
-            hd = head + [h for x in outside for h in (sa, x, sb, x)] + [sb, sa]
-            rows: list[list[int]] = [[] for _ in range(n + 2)]
-            for j, x in enumerate(outside):
-                inner = [a for a in adj[x] if term[head[a]] < 0]
-                rows[x] = sorted(inner + [base + 4 * j, base + 4 * j + 2], key=hd.__getitem__)
-            rows[sa] = sorted([*range(base + 1, ab, 4), ab], key=hd.__getitem__)
-            rows[sb] = sorted([*range(base + 3, ab, 4), ab + 1], key=hd.__getitem__)
-            layouts[sa, sb] = rows, hd
-        rows, hd = layouts[sa, sb]
-        supers: list[float] = []
+        sums = []
         for x, (da, db) in zip(outside, draws):
             wa = wb = 0.0
             for k, w in into[x]:
@@ -331,18 +320,39 @@ def bit_round_codes(g: Graph, R: list[int], noise: list[list[tuple[float, float]
                     wb += w
                 else:
                     wa += w
-            wa += da
-            wb += db
-            supers += (wa, wa, wb, wb)
-        wab = 0.0
-        for k in B:
-            b_into_a = 0.0
-            for k2, w in into[index[R[k]]]:
-                if not k2 >> i & 1:
-                    b_into_a += w
-            wab += b_into_a
-        level = _min_cut_levels(rows, hd, cap + supers + [wab, wab], sa, sb)
-        for x in outside:
-            if level[x] < 0:
-                code[x] |= 1 << i
-    return code
+            sums.append((x, wa + da, wb + db, inner[x]))
+        side = _decided_side(sums)
+        if side is None:
+            index, adj, head, cap = _network(g)
+            A = [index[r] for k, r in enumerate(R) if not k >> i & 1]
+            B = [index[r] for k, r in enumerate(R) if k >> i & 1]
+            sa = A[0] if len(A) == 1 else g.n
+            sb = B[0] if len(B) == 1 else g.n + 1
+            if (sa, sb) not in layouts:
+                # After g's arcs: outside vertex j's arcs to sa, back, to sb and back, then the A-B pair.
+                inside = {index[r] for r in R}
+                out_ids = [x for x in range(g.n) if x not in inside]
+                base, ab = len(head), len(head) + 4 * len(out_ids)
+                hd = head + [h for x in out_ids for h in (sa, x, sb, x)] + [sb, sa]
+                rows: list[list[int]] = [[] for _ in range(g.n + 2)]
+                for j, x in enumerate(out_ids):
+                    own = [a for a in adj[x] if head[a] not in inside]
+                    rows[x] = sorted(own + [base + 4 * j, base + 4 * j + 2], key=hd.__getitem__)
+                rows[sa] = sorted([*range(base + 1, ab, 4), ab], key=hd.__getitem__)
+                rows[sb] = sorted([*range(base + 3, ab, 4), ab + 1], key=hd.__getitem__)
+                layouts[sa, sb] = rows, hd
+            rows, hd = layouts[sa, sb]
+            in_a = set(A)
+            wab = 0.0
+            for b in B:
+                b_into_a = 0.0
+                for a in adj[b]:
+                    if head[a] in in_a:
+                        b_into_a += cap[a]
+                wab += b_into_a
+            supers = [c for _, cs, ct, _ in sums for c in (cs, cs, ct, ct)]
+            level = _dinic_levels(rows, hd, cap + supers + [wab, wab], sa, sb)
+            side = [v for v, lv in zip(g.vertices, level) if lv >= 0]
+        for x in set(outside).difference(side):
+            code[x] |= 1 << i
+    return list(code.values())

@@ -12,8 +12,8 @@ The answers are the ones ``tree_query`` gives, without a query per
 pair: a tree has only n-1 distinct edge cuts, so ``steiner`` weighs
 each tree edge's side once, and its path-minimum walk, the one
 ``min_edge_on_path`` runs, goes once from each source to every other
-node. The exact values come from the same walk over the exact tree.
-Evaluation costs O(n*m + n^2) per cell.
+node. The exact values come from the same walk over the exact tree,
+once per seed. Evaluation costs O(n*m + n^2) per cell.
 """
 
 from __future__ import annotations
@@ -142,18 +142,18 @@ def _instance(config: ExperimentConfig, seed: int) -> Graph:
 
 
 def _pair_answers(
-    g: Graph, exact_tree: SteinerTree, tree: SteinerTree
+    g: Graph, exact_minima: list[dict], tree: SteinerTree
 ) -> Iterator[tuple[int, int, float, float, float]]:
     """(s, t, lambda_exact, tree_value, side_true_weight) for every pair.
 
     Pairs come in sweep order: s ascending, then every later t. The
     tree's answers equal ``tree_query(tree, g, s, t)``'s value and side
-    weight, and lambda_exact is the exact tree's path minimum.
+    weight, and lambda_exact is the exact tree's path minimum, read from
+    ``exact_minima``, its ``_path_minima`` from each vertex in turn.
     """
     cuts = _edge_cut_weights(tree, g)
     vertices = g.vertices
-    for i, s in enumerate(vertices):
-        exact_min = _path_minima(exact_tree, s)
+    for i, (s, exact_min) in enumerate(zip(vertices, exact_minima)):
         tree_min = _path_minima(tree, s)
         for t in vertices[i + 1 :]:
             a, b, value = tree_min[t]
@@ -191,8 +191,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     aborts.append(AbortRecord(seed=seed, eps=label, depth=abort.depth))
                     continue
                 cells.append((label, tree))
+        exact_minima = [_path_minima(exact_tree, s) for s in g.vertices]
         for label, tree in cells:
-            for s, t, exact_value, tree_value, side_value in _pair_answers(g, exact_tree, tree):
+            for s, t, exact_value, tree_value, side_value in _pair_answers(g, exact_minima, tree):
                 rows.append(
                     ExperimentRow(
                         pair_s=s,

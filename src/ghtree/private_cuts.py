@@ -2,22 +2,22 @@
 
 The s-t mechanism attaches exponentially distributed noise edges from
 every vertex to both endpoints and solves the noised instance exactly,
-as one round of ``_maxflow.bit_round_codes`` on the network g keeps,
-releasing only the side it found. The S-T cut contracts each side and
-runs it. The isolating cuts refine disjoint regions with one S-T cut
-per bit of the terminals' indices, then cut all regions at once, with
-a penalty against regions that swallow most of U. Their per-bit rounds
-draw noise from the s-t mechanism's draw loop and are solved in one
+as one round of ``_maxflow.bit_round_codes``, releasing only the side
+it found. The S-T cut contracts each side and runs it. The isolating
+cuts refine disjoint regions with one S-T cut per bit of the
+terminals' indices, then cut all regions at once, with a penalty
+against regions that swallow most of U. Their per-bit rounds draw
+noise from the s-t mechanism's draw loop and are solved in one
 ``bit_round_codes`` call, each round bit for bit the S-T cut it stands
 for. Where the noise on each vertex's edges to the two sides outweighs
 its other edges, as at moderate budgets it mostly does, a round or the
-combined cut takes its side from those edges alone and runs no max
-flow; the side is the one Dinic would find. At ``INFINITE`` they draw
-nothing and add no penalty: the exact S-T cut is
-``private_min_ST_cut`` at ``INFINITE`` and ``isolating_cuts_exact`` is
-the isolating cuts there. A side's weight is not private; callers take
-it from ``make_cut_side``. The pipeline's default constants live here,
-the lowest module that uses one.
+combined cut takes its side from sums read in one scan of the graph's
+edges, and builds no flow network; the side is the one Dinic would
+find. At ``INFINITE`` they draw nothing and add no penalty: the exact
+S-T cut is ``private_min_ST_cut`` at ``INFINITE`` and
+``isolating_cuts_exact`` is the isolating cuts there. A side's weight
+is not private; callers take it from ``make_cut_side``. The pipeline's
+default constants live here, the lowest module that uses one.
 """
 
 from __future__ import annotations
@@ -89,9 +89,9 @@ def private_min_st_cut(
     Every vertex other than s and t gets a noise edge to s and one to
     t, each an independent exponential with mean 1/eps stacked onto any
     existing weight. The noised instance is cut exactly, as one round
-    of ``bit_round_codes`` on the network g keeps, and the minimal side
-    containing s is returned. With an infinite budget every draw is
-    zero and this is min_st_cut_exact's side.
+    of ``bit_round_codes``, and the minimal side containing s is
+    returned. With an infinite budget every draw is zero and this is
+    min_st_cut_exact's side.
     """
     if not g.has_vertex(s) or not g.has_vertex(t):
         raise ValueError("cut endpoints must be graph vertices")
@@ -150,8 +150,8 @@ def private_isolating_cuts(
     Terminals are identified with 0..|R|-1 in vertex order. Round i
     takes a private S-T cut separating the terminals whose bit i is 0
     from the rest: ``private_min_ST_cut`` on the round's own stream
-    ``rng.child(f"round.{i}")``, solved on a network all rounds share
-    (``bit_round_codes``). Each vertex gets a code with bit i set when
+    ``rng.child(f"round.{i}")``, solved from one edge scan all rounds
+    share (``bit_round_codes``). Each vertex gets a code with bit i set when
     round i's side misses it, and joins the region of terminal index c
     when its code is c < |R|. A single private cut on the disjoint union
     of the regions, each with its outside contracted, then produces every

@@ -363,25 +363,28 @@ def loop_network(g: Graph) -> tuple:
     return index, adj, heads, caps
 
 
-def private_min_st_cut(g: Graph, s, t, eps, rng) -> frozenset:
-    """The noise-edge s-t mechanism, its noised graph built by ``Graph``.
+def noised_graph(g: Graph, s, t, eps, rng) -> Graph:
+    """The noise-edge s-t mechanism's noised graph, built by ``Graph``; g itself at an infinite budget.
 
     Draws in the mechanism's order: for each vertex other than s and t,
     in vertex order, the noise on its edge to s, then to t. The
     validating constructor stacks each draw onto any existing weight
-    after it and drops pairs that sum to 0.0. The side found in the
-    noised graph is returned.
+    after it and drops pairs that sum to 0.0.
     """
     if eps.is_noiseless:
-        return min_st_cut_exact(g, s, t).cut.side
+        return g
     mean = 1.0 / eps.value
     additions = []
     for v in g.vertices:
         if v != s and v != t:
             additions.append((v, s, sample_exponential(mean, rng)))
             additions.append((v, t, sample_exponential(mean, rng)))
-    noised = Graph(g.vertices, list(g.edges()) + additions)
-    return min_st_cut_exact(noised, s, t).cut.side
+    return Graph(g.vertices, list(g.edges()) + additions)
+
+
+def private_min_st_cut(g: Graph, s, t, eps, rng) -> frozenset:
+    """The noise-edge s-t mechanism: the side found in ``noised_graph``."""
+    return min_st_cut_exact(noised_graph(g, s, t, eps, rng), s, t).cut.side
 
 
 def bit_partition_regions(g: Graph, R, round_sides) -> list:

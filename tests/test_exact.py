@@ -286,22 +286,24 @@ class TestDinicDeepLevels:
         assert sum(side == {s} for s, side in zip(sources, sides)) >= g.n // 3
 
     def test_noised_instance(self, monkeypatch):
-        # The round network private_min_st_cut hands to the kernel, captured on its way in.
+        # The round network private_min_st_cut hands to the kernel with the rule off, captured on its way in.
         seen = []
-        real = _maxflow._min_cut_levels
+        real = _maxflow._dinic_levels
 
         def capture(adj, head, cap, s, t):
             seen.append((adj, head, cap[:], s, t))
             return real(adj, head, cap, s, t)
 
-        monkeypatch.setattr(_maxflow, "_min_cut_levels", capture)
         g = generate("erdos-renyi-weighted", {"n": 60, "p": 0.1}, 0)
+        want = private_min_st_cut(g, 0, 59, Epsilon(1.0), Rng(0))
+        monkeypatch.setattr(_maxflow, "_decided_side", lambda sums: None)
+        monkeypatch.setattr(_maxflow, "_dinic_levels", capture)
         side = private_min_st_cut(g, 0, 59, Epsilon(1.0), Rng(0))
         (adj, head, cap, s, t), = seen
         assert sum(c > 0.0 for c in cap) > 2 * g.m  # the noise arcs
         got = assert_levels_match_full_bfs(adj, head, cap, s, t)
         # The round network keeps g's vertex ids, so its levels read as a side of g.
-        assert frozenset(v for v, lv in zip(g.vertices, got) if lv >= 0) == side
+        assert frozenset(v for v, lv in zip(g.vertices, got) if lv >= 0) == side == want
         assert side == oracles.private_min_st_cut(g, 0, 59, Epsilon(1.0), Rng(0))
 
     @given(deep_pairs())

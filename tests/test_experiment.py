@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,10 @@ from ghtree import (
     tree_query,
     write_csv,
 )
+from ghtree import experiment
 from ghtree.experiment import CSV_HEADER, _instance, _pair_answers
 from ghtree.exact import gomory_hu_exact
+from ghtree.steiner import _path_minima
 from oracles import min_edge_on_path
 from strategies import connected_graphs
 
@@ -173,7 +176,8 @@ class TestPairAnswers:
     @given(graphs_with_trees())
     def test_matches_tree_query_per_pair(self, case):
         g, exact_tree, tree = case
-        assert list(_pair_answers(g, exact_tree, tree)) == per_pair_answers(g, exact_tree, tree)
+        exact_minima = [_path_minima(exact_tree, s) for s in g.vertices]
+        assert list(_pair_answers(g, exact_minima, tree)) == per_pair_answers(g, exact_tree, tree)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -197,6 +201,26 @@ class TestPairAnswers:
         for r in report.rows:
             assert r.side_error == r.side_true_weight - r.lambda_exact
             assert r.value_error == r.tree_value - r.lambda_exact
+
+    def test_exact_tree_walked_once_per_source(self, monkeypatch):
+        # The eps cells of a seed share one path-minimum walk of the exact tree from each vertex.
+        trees, walks = [], Counter()
+        real_exact, real_walk = experiment.gomory_hu_exact, experiment._path_minima
+
+        def exact_spy(g):
+            trees.append(real_exact(g))
+            return trees[-1]
+
+        def walk_spy(tree, s):
+            walks[id(tree), s] += 1
+            return real_walk(tree, s)
+
+        monkeypatch.setattr(experiment, "gomory_hu_exact", exact_spy)
+        monkeypatch.setattr(experiment, "_path_minima", walk_spy)
+        run_experiment(small_config(eps=(0.5, 1.0, 2.0)))
+        assert len(trees) == 2
+        for tree in trees:
+            assert [walks[id(tree), s] for s in tree.nodes] == [1] * len(tree.nodes)
 
 
 class TestCsv:

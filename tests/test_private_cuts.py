@@ -278,14 +278,23 @@ def spread_graphs_with_r(draw, size):
     return h, R
 
 
-def record_flows(mp: pytest.MonkeyPatch, graphs: list) -> list:
-    """Record every kernel run as (arc lists, heads, start and final capacities, s, t).
+def record_flows(mp: pytest.MonkeyPatch, graphs: list, rule: bool = True) -> tuple[list, list]:
+    """Record every decision of the rule and every kernel run; with ``rule`` False the rule decides nothing.
 
-    Each call of the s-t mechanism appends (its graph, the number of
-    flows recorded before it) to ``graphs``.
+    Returns the decisions, each as (the sums it read, as (x, c_s, c_t,
+    r) tuples, and whether it decided), and the kernel runs, each as
+    (arc lists, heads, start and final capacities, s, t). Each call of
+    the s-t mechanism appends (its graph, the number of decisions
+    recorded before it) to ``graphs``.
     """
-    flows = []
-    real_kernel, real_cut = _maxflow._min_cut_levels, private_cuts.private_min_st_cut
+    decisions, flows = [], []
+    real_rule, real_kernel, real_cut = _maxflow._decided_side, _maxflow._dinic_levels, private_cuts.private_min_st_cut
+
+    def rule_spy(sums):
+        sums = list(sums)
+        side = real_rule(sums) if rule else None
+        decisions.append((sums, side is not None))
+        return side
 
     def kernel_spy(adj, head, cap, s, t):
         start = cap[:]
@@ -293,9 +302,10 @@ def record_flows(mp: pytest.MonkeyPatch, graphs: list) -> list:
         flows.append((adj, head, start, cap, s, t))
         return level
 
-    mp.setattr(_maxflow, "_min_cut_levels", kernel_spy)
-    mp.setattr(private_cuts, "private_min_st_cut", lambda h, *args: graphs.append((h, len(flows))) or real_cut(h, *args))
-    return flows
+    mp.setattr(_maxflow, "_decided_side", rule_spy)
+    mp.setattr(_maxflow, "_dinic_levels", kernel_spy)
+    mp.setattr(private_cuts, "private_min_st_cut", lambda h, *args: graphs.append((h, len(decisions))) or real_cut(h, *args))
+    return decisions, flows
 
 
 def flow_rows(flow, label) -> tuple:
@@ -309,26 +319,43 @@ def flow_rows(flow, label) -> tuple:
     return rows, label(s), label(t)
 
 
+def hex_sums(sums, label) -> dict:
+    """Each vertex's (c_s, c_t, r) as hex strings, by vertex label."""
+    return {label(x): (cs.hex(), ct.hex(), r.hex()) for x, cs, ct, r in sums}
+
+
 class TestBitRounds:
-    """Each isolating-cut round, on the shared round network, against the private S-T cut it stands for."""
+    """Each isolating-cut round, from the shared edge scan and round network, against the private S-T cut it stands for."""
 
     @pytest.mark.parametrize("eps", [Epsilon(1.0), INFINITE], ids=["eps1", "infinite"])
     @pytest.mark.parametrize("size", [2, 3, 5, 9, None], ids=["r2", "r3", "r5", "r9", "rn"])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**16))
     def test_each_round_is_the_private_ST_cut(self, eps, size, data, seed):
+        self.check_rounds(True, eps, size, data, seed)
+
+    @pytest.mark.parametrize("eps", [Epsilon(1.0), INFINITE], ids=["eps1", "infinite"])
+    @pytest.mark.parametrize("size", [2, 3, 5, 9, None], ids=["r2", "r3", "r5", "r9", "rn"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    def test_each_round_is_the_private_ST_cut_with_the_rule_off(self, eps, size, data, seed):
+        # Every round runs Dinic, so every round's flow is checked.
+        self.check_rounds(False, eps, size, data, seed)
+
+    @staticmethod
+    def check_rounds(rule, eps, size, data, seed):
         g, R = data.draw(spread_graphs_with_r(size))
         params = IsoCutParams(eps=eps, beta=0.01, U=frozenset(g.vertices))
         ledger = PrivacyLedger(eps)
         combined = []
         with pytest.MonkeyPatch.context() as mp:
-            flows = record_flows(mp, combined)
+            decisions, flows = record_flows(mp, combined, rule)
             codes, calls = spy_isolating_cuts(g, R, params, Rng(seed), ledger)
         assert len(calls) == 1  # only the combined cut
-        ((_, rounds_run),) = combined  # the combined cut's flow, if it runs one, comes after the rounds'
+        ((_, rounds_decided),) = combined
         sides = round_sides(g, R, codes)
-        round_flows = flows[:rounds_run]  # none when no vertex is outside R
-        assert len(round_flows) == (len(sides) if g.n > len(R) else 0)
+        assert rounds_decided == len(sides)  # one decision per round, then the combined cut's
+        round_flows = iter(flows)  # the undecided rounds' flows come first, in round order
         fresh = g.vertices[-1] + 1
 
         def round_label(u):
@@ -342,14 +369,25 @@ class TestBitRounds:
             B = [r for idx, r in enumerate(R) if idx >> i & 1]
             graphs = []
             with pytest.MonkeyPatch.context() as mp:
-                ref_flows = record_flows(mp, graphs)
+                ref_decisions, ref_flows = record_flows(mp, graphs, rule)
                 want = private_min_ST_cut(g, A, B, eps_call, Rng(seed).child(f"round.{i}"), ref_ledger)
             assert side == want
-            if round_flows:
+            ((h, before),) = graphs
+            assert before == 0
+            s = A[0] if len(A) == 1 else fresh
+            t = B[0] if len(B) == 1 else fresh + (len(A) > 1)
+            # Every outside vertex's c_s, c_t and r, bitwise those of the noised, contracted graph's network.
+            noised = oracles.noised_graph(h, s, t, eps_call, Rng(seed).child(f"round.{i}"))
+            index, adj, head, cap = _maxflow._network(noised)
+            ref_sums = _maxflow._arc_sums(adj, head, cap, index[s], index[t])
+            sums, decided = decisions[i]
+            assert hex_sums(sums, lambda x: x) == hex_sums(ref_sums, noised.vertices.__getitem__)
+            ((_, ref_decided),) = ref_decisions
+            assert decided == ref_decided
+            if not decided:
                 # Same arcs in the same order with the same capacities, before and after the flow.
-                ((h, before),), (ref_flow,) = graphs, ref_flows
-                assert before == 0
-                assert flow_rows(round_flows[i], round_label) == flow_rows(ref_flow, h.vertices.__getitem__)
+                (ref_flow,) = ref_flows
+                assert flow_rows(next(round_flows), round_label) == flow_rows(ref_flow, h.vertices.__getitem__)
         assert ledger.entries[:-1] == ref_ledger.entries
         assert ledger.entries[-1].name == "private_st_cut"
 
@@ -450,50 +488,42 @@ class TestPrivateIsolatingCuts:
             private_isolating_cuts(g, [0, 5], params, Rng(0))
 
 
-def count_decided_flows(mp: pytest.MonkeyPatch) -> Counter:
-    """Count every flow as (kind, decided): kind "pivot", "combined" or "round", decided when Dinic did not run.
+def labelled(kinds: list, kind: str, real):
+    """``real``, with ``kind`` pushed onto ``kinds`` for the length of each call."""
 
-    Pivot flows come through ``exact``, the combined cut through the s-t
-    mechanism, ``private_cuts.private_min_st_cut``, and the rounds from
-    ``bit_round_codes`` directly.
+    def spy(*args):
+        kinds.append(kind)
+        try:
+            return real(*args)
+        finally:
+            kinds.pop()
+
+    return spy
+
+
+def count_decided_flows(mp: pytest.MonkeyPatch) -> Counter:
+    """Count every flow with something to decide as (kind, decided): kind "pivot", "combined" or "round".
+
+    A flow has something to decide when a vertex besides s and t has a
+    positive arc; the combined cut of an R = V isolating cut, contracted
+    to s and t, has not. Pivot flows come through ``exact``, the combined
+    cut through the s-t mechanism, ``private_cuts.private_min_st_cut``,
+    and the rounds from ``bit_round_codes`` directly.
     """
     counts: Counter = Counter()
     kinds: list[str] = []
-    dinic_runs = [0]
-    real_rule, real_kernel = _maxflow._min_cut_levels, _maxflow._dinic_levels
+    real_rule = _maxflow._decided_side
 
-    def kernel_spy(*args):
-        dinic_runs[0] += 1
-        return real_kernel(*args)
+    def rule_spy(sums):
+        sums = list(sums)
+        side = real_rule(sums)
+        if any(cs or ct or r for _, cs, ct, r in sums):
+            counts[kinds[-1] if kinds else "round", side is not None] += 1
+        return side
 
-    def rule_spy(*args):
-        before = dinic_runs[0]
-        level = real_rule(*args)
-        counts[kinds[-1] if kinds else "round", dinic_runs[0] == before] += 1
-        return level
-
-    def labelled(kind, real_cut):
-        def cut_spy(*args):
-            kinds.append(kind)
-            try:
-                return real_cut(*args)
-            finally:
-                kinds.pop()
-
-        return cut_spy
-
-    mp.setattr(_maxflow, "_dinic_levels", kernel_spy)
-    mp.setattr(_maxflow, "_min_cut_levels", rule_spy)
-    mp.setattr(exact, "min_cut_source_side", labelled("pivot", exact.min_cut_source_side))
-    combined = labelled("combined", private_cuts.private_min_st_cut)
-
-    def st_spy(h, *args):
-        if h.n == 2:
-            # Only s and t: the side is {s}, found without a kernel call, so Dinic does not run.
-            counts["combined", True] += 1
-        return combined(h, *args)
-
-    mp.setattr(private_cuts, "private_min_st_cut", st_spy)
+    mp.setattr(_maxflow, "_decided_side", rule_spy)
+    mp.setattr(exact, "min_cut_source_side", labelled(kinds, "pivot", exact.min_cut_source_side))
+    mp.setattr(private_cuts, "private_min_st_cut", labelled(kinds, "combined", private_cuts.private_min_st_cut))
     return counts
 
 
@@ -518,8 +548,13 @@ def build_bytes(g: Graph, eps: Epsilon, seed: int, tmp_path) -> bytes:
     return "".join(out).encode()
 
 
+# The (instance, budget, seed) builds in which the rule decides no flow with something to decide:
+# on er40 without noise, every round and combined cut there needs Dinic.
+NOTHING_DECIDED = {("er40", "infinite", 1), ("er40", "infinite", 2)}
+
+
 class TestDecidedFlows:
-    """The rule in ``_maxflow._min_cut_levels`` that skips Dinic when the noise decides every vertex's side."""
+    """The rule in ``_maxflow._decided_side`` that skips Dinic when the noise decides every vertex's side."""
 
     def test_rule_takes_the_noised_flows_and_no_pivot_flow(self):
         g = generate("erdos-renyi-weighted", {"n": 30, "p": 0.2}, 0)
@@ -537,11 +572,96 @@ class TestDecidedFlows:
     @pytest.mark.parametrize("label", sorted(INSTANCES))
     def test_outputs_equal_with_the_rule_off(self, label, eps, tmp_path):
         g = generate(*INSTANCES[label], 0)
+        budget = "infinite" if eps.is_noiseless else repr(eps.value)
         for seed in range(3):
             with pytest.MonkeyPatch.context() as mp:
                 counts = count_decided_flows(mp)
                 default = build_bytes(g, eps, seed, tmp_path)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(_maxflow, "_min_cut_levels", _maxflow._dinic_levels)
+                # Every flow, pivot, round or combined, falls back to Dinic.
+                mp.setattr(_maxflow, "_decided_side", lambda sums: None)
                 assert build_bytes(g, eps, seed, tmp_path) == default
-            assert sum(n for (_, decided), n in counts.items() if decided) > 0
+            decided = sum(n for (_, taken), n in counts.items() if taken)
+            assert (decided == 0) == ((label, budget, seed) in NOTHING_DECIDED)
+
+
+def network_work(mp: pytest.MonkeyPatch) -> Counter:
+    """Count, as rounds run, the decisions taken and missed, networks built, Dinic runs and the arc layouts they ran on."""
+    work: Counter = Counter()
+    layouts = set()
+    real_rule, real_network, real_kernel = _maxflow._decided_side, _maxflow._network, _maxflow._dinic_levels
+
+    def rule_spy(sums):
+        side = real_rule(sums)
+        work["decided" if side is not None else "undecided"] += 1
+        return side
+
+    def network_spy(h):
+        work["networks"] += h._net is None
+        return real_network(h)
+
+    def kernel_spy(adj, *args):
+        # A call keeps its layouts until it returns, so distinct arc lists are distinct layouts.
+        layouts.add(id(adj))
+        work["flows"] += 1
+        work["layouts"] = len(layouts)
+        return real_kernel(adj, *args)
+
+    mp.setattr(_maxflow, "_decided_side", rule_spy)
+    mp.setattr(_maxflow, "_network", network_spy)
+    mp.setattr(_maxflow, "_dinic_levels", kernel_spy)
+    return work
+
+
+def replay_rounds(g: Graph, eps: Epsilon, seed: int) -> list:
+    """Every ``bit_round_codes`` call of a private build, as (kind, graph, R, noise, codes); kind "st" or "rounds"."""
+    calls, kinds = [], []
+    real_codes = private_cuts.bit_round_codes
+
+    def codes_spy(h, R, noise):
+        codes = real_codes(h, R, noise)
+        calls.append((kinds[-1] if kinds else "rounds", h, list(R), noise, codes))
+        return codes
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(private_cuts, "bit_round_codes", codes_spy)
+        mp.setattr(private_cuts, "private_min_st_cut", labelled(kinds, "st", private_cuts.private_min_st_cut))
+        final_gh_tree(g, eps, Rng(seed))
+    return calls
+
+
+class TestDecidedRoundsBuildNothing:
+    """A round the sums decide builds no network and runs no flow; an undecided one builds its layout once per call."""
+
+    @pytest.mark.parametrize("label", sorted(INSTANCES))
+    def test_decided_calls_build_no_network(self, label):
+        g = generate(*INSTANCES[label], 0)
+        decided = Counter()
+        for kind, h, R, noise, codes in replay_rounds(g, Epsilon(1.0), 0):
+            fresh = Graph(h.vertices, h.edges())
+            with pytest.MonkeyPatch.context() as mp:
+                work = network_work(mp)
+                assert _maxflow.bit_round_codes(fresh, R, noise) == codes
+            assert work["decided"] + work["undecided"] == len(noise)
+            if not work["undecided"]:
+                decided[kind] += 1
+                assert work["networks"] == work["layouts"] == work["flows"] == 0
+                assert fresh._net is None
+        # Both the s-t mechanism and the isolating cuts' rounds have calls whose every round is decided.
+        assert decided["st"] > 0 and decided["rounds"] > 0
+
+    # Rounds, distinct (A-side, B-side) super-vertex positions: one-terminal blocks sit at their terminal.
+    @pytest.mark.parametrize("size, rounds, layouts", [(2, 1, 1), (3, 2, 2), (5, 3, 2), (9, 4, 2)])
+    def test_undecided_rounds_build_one_layout_per_super_vertex_pair(self, size, rounds, layouts):
+        g = generate("erdos-renyi-weighted", {"n": 30, "p": 0.2}, 0)
+        R = list(g.vertices[::3][:size])
+        noise = [private_cuts._draw_noise(g.n - size, 1.0, Rng(i)) for i in range(rounds)]
+        want = _maxflow.bit_round_codes(g, R, noise)
+        fresh = Graph(g.vertices, g.edges())
+        with pytest.MonkeyPatch.context() as mp:
+            work = network_work(mp)
+            mp.setattr(_maxflow, "_decided_side", lambda sums: None)
+            assert _maxflow.bit_round_codes(fresh, R, noise) == want
+        assert work["flows"] == rounds
+        assert work["layouts"] == layouts
+        assert work["networks"] == 1
