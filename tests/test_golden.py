@@ -38,7 +38,13 @@ INSTANCES = {
     "planted24": ("planted-community", {"n": 24}),
     "dumbbell6": ("dumbbell", {"clique": 6}),
     "path50": ("path", {"n": 50}),
+    "dumbbell10": ("dumbbell", {"clique": 10}),
 }
+
+# Smaller constants than the defaults, at which a finite-eps build on
+# dumbbell10 at eps=1e3 carves regions and descends: seed 0 to depth 2,
+# seed 2 to depth 1.
+DESCENDING = {"c_depth": 0.25, "c1": 0.05, "c2": 0.05}
 
 
 def _graph(label):
@@ -63,6 +69,12 @@ def _ledger_bytes(ledger) -> bytes:
 def _private_tree(label, tmp_path) -> bytes:
     ledger = PrivacyLedger(Epsilon(1.0))
     tree = final_gh_tree(_graph(label), Epsilon(1.0), Rng(0), ledger)
+    return _tree_bytes(tree, tmp_path) + b"--\n" + _ledger_bytes(ledger)
+
+
+def _descending_tree(seed, tmp_path) -> bytes:
+    ledger = PrivacyLedger(Epsilon(1e3))
+    tree = final_gh_tree(_graph("dumbbell10"), Epsilon(1e3), Rng(seed), ledger, **DESCENDING)
     return _tree_bytes(tree, tmp_path) + b"--\n" + _ledger_bytes(ledger)
 
 
@@ -103,10 +115,19 @@ def _isolating_cuts(tmp_path) -> bytes:
     return "".join(out).encode()
 
 
-def _sweep_csv(tmp_path) -> bytes:
-    config = ExperimentConfig(
+SWEEPS = {
+    "sweep_er12": ExperimentConfig(
         generator="erdos-renyi-weighted", params={"n": 12, "p": 0.3}, eps=(1.0, 4.0), seeds=(0, 1)
-    )
+    ),
+    # Every eps cell of a seed shares its depth-0 pivot values; deeper frames run on contracted graphs.
+    "sweep_descending_dumbbell10": ExperimentConfig(
+        generator="dumbbell", params={"clique": 10}, eps=(1e3, 1e4), seeds=(0, 2), **DESCENDING
+    ),
+}
+
+
+def _sweep_csv(name, tmp_path) -> bytes:
+    config = SWEEPS[name]
     path = tmp_path / "sweep.csv"
     write_csv(run_experiment(config), str(path))
     return path.read_bytes()
@@ -122,10 +143,15 @@ PRODUCERS = {
     "nested_planted24": lambda tmp: _nested_tree("planted24", 5, tmp),
     "st_cuts_er40": _st_cuts,
     "isolating_cuts_planted24": _isolating_cuts,
-    "sweep_er12": _sweep_csv,
+    "sweep_er12": lambda tmp: _sweep_csv("sweep_er12", tmp),
+    "descending_dumbbell10_seed0": lambda tmp: _descending_tree(0, tmp),
+    "descending_dumbbell10_seed2": lambda tmp: _descending_tree(2, tmp),
+    "sweep_descending_dumbbell10": lambda tmp: _sweep_csv("sweep_descending_dumbbell10", tmp),
 }
 
 GOLDEN = {
+    "descending_dumbbell10_seed0": "88def3fec85073ab4e1e581383150450a15fe6338bf046082c455b0ed452337e",
+    "descending_dumbbell10_seed2": "edafef35a0c9ef57bae086f697533dbe6e25d2b19c79a8c406f8ce2c5ca286cc",
     "exact_er40": "d561266f03284d01072ebe2e8fe07773e1ee57ba4fcd4b72b0e1e97629a23720",
     "isolating_cuts_planted24": "2adbaa46c578db6967f2762c9ffed6f8b814699be6c2ad674f38d8eade49d9eb",
     "nested_path50": "ee47580b1f5cdf60040c5197dfe9d3ae888e646f60cd7864c72bb705d42637d1",
@@ -135,6 +161,7 @@ GOLDEN = {
     "private_er40": "89ad77576ae84268a37e08d5c5359179870ee6a72575eb13e1c7d442ddde52e7",
     "private_planted24": "c7f0608c1cf3fe0c7edccf5fed970f4c986f67a479998fddd8f6fb70a37c2efb",
     "st_cuts_er40": "742e736eca275b3e56e19eed57967f84b444f72d3438968fb4839c0c42595385",
+    "sweep_descending_dumbbell10": "0a1214274b338399d0d4c85f2b18ef58c8b5d1fc60f3f6e3bc363449063db77e",
     "sweep_er12": "8ec09376f7aae3a50e1bb89bee5969535087bf2774a0f59e54b000f915cea609",
 }
 
