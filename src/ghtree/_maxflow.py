@@ -33,15 +33,16 @@ and its complement, and adds the crossing arcs' capacities in arc
 order, which is canonical edge order. A contraction reads only the
 edges at its blocks, whose ids it takes from the blocks' arc lists.
 
-Every flow is first offered to ``_decided_side``, which skips Dinic
-when the arcs to s and t decide every vertex's side, as heavy noise
-edges to both ends do. ``_min_cut_levels`` reads its sums from a
-network's arcs. The isolating cuts' rounds, and the s-t mechanism as
-one round, read the same floats in the same order from one scan of g's
-edges, and build a round network only for a round they leave
-undecided (``bit_round_codes``); so every output is byte-identical to
-deciding on that network. Let c_s(x) and c_t(x) be the capacities of
-x's arcs to s and to t, and r(x) the total of its other arcs, on the
+The exact flows (``min_cut_source_side``) always run Dinic. Each round
+of the isolating cuts, and the s-t mechanism as one round, is first
+offered to ``_decided_side``, which skips Dinic when the arcs to s and
+t decide every vertex's side, as heavy noise edges to both ends do.
+``bit_round_codes`` reads each vertex's sums from one scan of g's
+edges: the floats the round network's arcs would carry, added in the
+order of the vertex's arc list. It builds that network only for a
+round the sums leave undecided, so every side is the one Dinic finds
+on it. Let c_s(x) and c_t(x) be the round network's capacities of x's
+arcs to s and to t, and r(x) the total of its other arcs, on the
 symmetric start capacities. If every vertex x other than s and t with
 a positive arc has |c_s - c_t| > r, then s plus the vertices with
 c_s > c_t is the source side Dinic finds:
@@ -58,7 +59,7 @@ c_s > c_t is the source side Dinic finds:
   s or an s-leaning vertex into a t-leaning vertex or t is saturated,
   or an augmenting path would remain, so s reaches exactly the
   s-leaning vertices. The final BFS labels s with 0, them with 1 and
-  nothing else: the list returned here without a flow.
+  nothing else, so the side is read off without a flow.
 
 The kernel works in floats, so the check asks for a margin, relative to
 a vertex's total capacity W = c_s + c_t + r: |c_s - c_t| - r must
@@ -75,15 +76,13 @@ exact arithmetic cap[s -> x] = 2 c_s - cap[x -> s] >= 2 c_s - W =
 c_s - c_t - r, and cap[x -> t] >= W - 2 c_s - 2 r = c_t - c_s - r. In
 floats these bounds lose at most 6.6 K u W, and the check's own sums
 round by at most 2 V u W; 16 V^3 u W covers both. A vertex with no
-positive arc is never reached and carries no flow. The check reads
-each vertex's arcs once and stops at the first vertex with
-|c_s - c_t| <= r, which on a flow without noise edges, such as a pivot
-flow or an exact tree's flow, is usually the first vertex it reads.
+positive arc is never reached and carries no flow. The check stops at
+the first vertex with |c_s - c_t| <= r.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -186,32 +185,6 @@ def _decided_side(sums: Iterable[tuple[int, float, float, float]]) -> list[int] 
     return side if worst > _SLACK * active**3 else None
 
 
-def _arc_sums(adj: list[list[int]], head: list[int], cap: list[float], s: int, t: int) -> Iterator[tuple[int, float, float, float]]:
-    """(x, c_s, c_t, r) for each vertex x other than s and t, each summed over x's arcs in list order."""
-    for x, arcs in enumerate(adj):
-        if x != s and x != t:
-            sums = [0.0, 0.0, 0.0]  # c_s, c_t, r
-            for a in arcs:
-                sums[0 if head[a] == s else 1 if head[a] == t else 2] += cap[a]
-            yield x, *sums
-
-
-def _min_cut_levels(adj: list[list[int]], head: list[int], cap: list[float], s: int, t: int) -> list[int]:
-    """``_dinic_levels``' result, found without a flow when the arcs to s and t decide every vertex.
-
-    The capacities must be symmetric, with at most one arc pair between
-    two vertices. A decided flow leaves ``cap`` as it is.
-    """
-    side = _decided_side(_arc_sums(adj, head, cap, s, t))
-    if side is None:
-        return _dinic_levels(adj, head, cap, s, t)
-    level = [-1] * len(adj)
-    level[s] = 0
-    for x in side:
-        level[x] = 1
-    return level
-
-
 def _network(g: Graph) -> _Network:
     """The flow network of g, built on first use and kept in the graph's ``_net`` slot."""
     net = g._net
@@ -260,12 +233,11 @@ def min_cut_source_side(g: Graph, s: int, t: int) -> frozenset[int]:
     """Minimal side of a minimum s-t cut that contains s.
 
     Returns the vertices reachable from s in Dinic's final residual
-    network, found without a flow when the arcs to s and t decide every
-    vertex (``_min_cut_levels``). Deterministic for a given graph: the
-    arc order is derived from the canonical edge order.
+    network. Deterministic for a given graph: the arc order is derived
+    from the canonical edge order.
     """
     index, adj, head, cap = _network(g)
-    level = _min_cut_levels(adj, head, cap[:], index[s], index[t])
+    level = _dinic_levels(adj, head, cap[:], index[s], index[t])
     return frozenset(v for v, lv in zip(g.vertices, level) if lv >= 0)
 
 

@@ -13,7 +13,10 @@ pair: a tree has only n-1 distinct edge cuts, so ``steiner`` weighs
 each tree edge's side once, and its path-minimum walk, the one
 ``min_edge_on_path`` runs, goes once from each source to every other
 node. The exact values come from the same walk over the exact tree,
-once per seed. Evaluation costs O(n*m + n^2) per cell.
+once per seed. Evaluation costs O(n*m + n^2) per cell. Every cell of a
+seed draws the same depth-0 pivot on the same graph, so the seed's
+graph keeps its exact pivot values (``Graph._pivot_values``) and the
+depth-0 step's n-1 max-flows run once per seed, not once per cell.
 """
 
 from __future__ import annotations
@@ -172,6 +175,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         if config.mode == "exact-baseline":
             cells.append(("exact", exact_tree))
         else:
+            g._pivot_values = {}
             for value in config.eps:
                 label = _eps_label(value)
                 # Same stream family for every eps cell: paired (common random

@@ -27,11 +27,14 @@ class Graph:
     Isolated vertices are allowed; the vertex set is fixed at
     construction. Zero-weight edges supplied to the constructor are
     dropped, negative or non-finite weights are rejected. The flow
-    network that ``_maxflow`` builds for the graph is kept in ``_net``;
-    equality and hashing ignore it.
+    network that ``_maxflow`` builds for the graph is kept in ``_net``.
+    ``_pivot_values`` is None, or a dict that ``gh_tree_step`` reads and
+    fills with exact pivot cut values λ(s, v) under the key (s, v); only
+    ``run_experiment`` gives a graph one, so that a seed's eps cells
+    share them. Equality and hashing ignore both slots.
     """
 
-    __slots__ = ("_vertices", "_vset", "_weights", "_net")
+    __slots__ = ("_vertices", "_vset", "_weights", "_net", "_pivot_values")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int, float]] = ()):
         vs = sorted({int(v) for v in vertices})
@@ -51,6 +54,7 @@ class Graph:
         self._vset = vset
         self._weights = {k: w for k, w in sorted(weights.items()) if w > 0.0}
         self._net = None
+        self._pivot_values: dict[tuple[int, int], float] | None = None
 
     @classmethod
     def _trusted(cls, vertices: tuple[int, ...], weights: dict[tuple[int, int], float]) -> Graph:
@@ -66,6 +70,7 @@ class Graph:
         g._vset = frozenset(vertices)
         g._weights = dict(sorted(weights.items(), key=itemgetter(0)))
         g._net = None
+        g._pivot_values = None
         return g
 
     @property

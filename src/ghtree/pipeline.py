@@ -93,7 +93,8 @@ def gh_tree_step(
     cuts are computed and a terminal is accepted when its noised cut
     weight is within the error allowance of its noised pivot value and
     its side stays under 90% of U. The round covering the most
-    terminals wins, earliest round on ties.
+    terminals wins, earliest round on ties. Exact pivot values are read
+    from, and stored in, g's ``_pivot_values`` when it holds a dict.
 
     A full run at budget e charges the ledger e/4 + e/2 + e/4 = e, with
     every scheduled slot charged whether or not its round degenerated.
@@ -116,10 +117,17 @@ def gh_tree_step(
     lam_scale = 4.0 * (k - 1) * inv_eps
     lam_rng = rng.child("lambda")
     lam_hat: dict[int, float] = {}
+    known = g._pivot_values
     for v in U_sorted:
         if v == s:
             continue
-        lam_hat[v] = min_st_cut_exact(g, s, v).value + sample_laplace(lam_scale, lam_rng)
+        if known is None:
+            lam = min_st_cut_exact(g, s, v).value
+        elif (s, v) in known:
+            lam = known[s, v]
+        else:
+            lam = known[s, v] = min_st_cut_exact(g, s, v).value
+        lam_hat[v] = lam + sample_laplace(lam_scale, lam_rng)
     if ledger is not None:
         ledger.charge("step.pivot_values", 1.0, lam_scale, k - 1)
 

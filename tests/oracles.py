@@ -495,6 +495,30 @@ def isolating_union(g: Graph, R, regions, params) -> tuple:
     return union, sources, sinks
 
 
+def arc_sums(adj, head, cap, s, t) -> list:
+    """(x, c_s, c_t, r) for each vertex x of a flow network other than s and t.
+
+    c_s and c_t are the capacities of x's arcs to s and to t, and r the
+    total of its other arcs, each added in the order of x's arc list:
+    the sums ``ghtree._maxflow.bit_round_codes`` reads from an edge scan
+    instead of a round network.
+    """
+    out = []
+    for x, arcs in enumerate(adj):
+        if x in (s, t):
+            continue
+        cs = ct = r = 0.0
+        for a in arcs:
+            if head[a] == s:
+                cs += cap[a]
+            elif head[a] == t:
+                ct += cap[a]
+            else:
+                r += cap[a]
+        out.append((x, cs, ct, r))
+    return out
+
+
 def dinic_levels_full_bfs(adj, head, cap, s, t) -> list:
     """The Dinic kernel with a full BFS per phase, the reference for the package's.
 

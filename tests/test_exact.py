@@ -27,7 +27,7 @@ from ghtree import (
     private_min_st_cut,
 )
 from ghtree import _maxflow
-from ghtree._maxflow import _dinic_levels, _min_cut_levels, _network
+from ghtree._maxflow import _decided_side, _dinic_levels, _network
 
 
 def dumbbell6() -> Graph:
@@ -342,26 +342,22 @@ def with_loose_vertices(draw, pairs):
     return Graph(range(g.n + len(loose)), list(g.edges()) + edges), s, t
 
 
-def rule_and_kernel(g: Graph, s: int, t: int) -> tuple[list[int], list[int], bool]:
-    """Levels from ``_min_cut_levels`` and from ``_dinic_levels`` on g's network, and whether the rule fell back.
+def rule_and_kernel(g: Graph, s: int, t: int) -> tuple[list[int] | None, list[int]]:
+    """Levels the rule reads off g's network, None when it falls back, and ``_dinic_levels``' levels.
 
-    The capacities the rule leaves must be Dinic's when it falls back and the start ones when it decides.
+    The rule gets each vertex's c_s, c_t and r summed over its arcs in
+    list order, as ``bit_round_codes`` sums them for a round network.
     """
     index, adj, head, cap = _network(g)
-    got_cap, ref_cap = cap[:], cap[:]
-    fell_back = []
-
-    def kernel_spy(*args):
-        fell_back.append(True)
-        return _dinic_levels(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_maxflow, "_dinic_levels", kernel_spy)
-        got = _min_cut_levels(adj, head, got_cap, index[s], index[t])
-    ref = _dinic_levels(adj, head, ref_cap, index[s], index[t])
-    want_cap = ref_cap if fell_back else cap
-    assert [c.hex() for c in got_cap] == [c.hex() for c in want_cap]
-    return got, ref, bool(fell_back)
+    side = _decided_side(oracles.arc_sums(adj, head, cap, index[s], index[t]))
+    ref = _dinic_levels(adj, head, cap[:], index[s], index[t])
+    if side is None:
+        return None, ref
+    level = [-1] * len(adj)
+    level[index[s]] = 0
+    for x in side:
+        level[x] = 1
+    return level, ref
 
 
 # s = 0, t = 1, and x = 2 with edges to s, to t and to 3 and 4, which hang on t.
@@ -389,22 +385,20 @@ class TestDecidedCuts:
     )
     @settings(max_examples=300, deadline=None)
     def test_same_levels_as_dinic(self, case):
-        got, ref, _ = rule_and_kernel(*case)
-        assert got == ref
+        got, ref = rule_and_kernel(*case)
+        assert got is None or got == ref
 
     @given(st.one_of(decided_pairs(), with_loose_vertices(decided_pairs())))
     @settings(max_examples=100, deadline=None)
     def test_decided_graphs_run_no_flow(self, case):
-        got, ref, fell_back = rule_and_kernel(*case)
-        assert not fell_back
+        got, ref = rule_and_kernel(*case)
         assert got == ref
 
     @pytest.mark.parametrize("edges", TIES.values(), ids=TIES.keys())
     def test_ties_fall_back_to_dinic(self, edges):
-        got, ref, fell_back = rule_and_kernel(Graph(range(5), edges), 0, 1)
-        assert fell_back
-        assert got == ref
-        assert [lv >= 0 for lv in got] == [True, False, False, False, False]
+        got, ref = rule_and_kernel(Graph(range(5), edges), 0, 1)
+        assert got is None
+        assert [lv >= 0 for lv in ref] == [True, False, False, False, False]
 
 
 class TestMinSTCut:

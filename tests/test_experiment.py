@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,16 +12,25 @@ from hypothesis import strategies as st
 
 from ghtree import (
     INFINITE,
+    Epsilon,
     ExperimentConfig,
+    Graph,
     Rng,
     SteinerTree,
+    StepParams,
+    contract,
     final_gh_tree,
+    generate,
+    gh_tree_step,
+    load_graph,
+    min_st_cut_exact,
     parse_config,
     run_experiment,
+    save_graph,
     tree_query,
     write_csv,
 )
-from ghtree import experiment
+from ghtree import exact, experiment
 from ghtree.experiment import CSV_HEADER, _instance, _pair_answers
 from ghtree.exact import gomory_hu_exact
 from ghtree.steiner import _path_minima
@@ -109,8 +119,6 @@ class TestRun:
         assert set(by_cell) == {(s, e) for s in (0, 1) for e in ("0.5", "2.0")}
 
     def test_file_instance_source(self, tmp_path):
-        from ghtree import Graph, save_graph
-
         g = Graph(range(4), [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 0, 2.0)])
         path = str(tmp_path / "g.txt")
         save_graph(g, path)
@@ -135,6 +143,71 @@ class TestRun:
         assert report.aborts[0].eps == "0.5"
         assert report.rows == []
         assert report.max_side_error is None
+
+
+def count_flows(monkeypatch) -> list:
+    """Record every exact max-flow, as its (s, t), in a list that the caller reads."""
+    calls = []
+    real = exact.min_cut_source_side
+
+    def spy(g, s, t):
+        calls.append((s, t))
+        return real(g, s, t)
+
+    monkeypatch.setattr(exact, "min_cut_source_side", spy)
+    return calls
+
+
+class TestSharedPivotValues:
+    """A seed's eps cells share its graph's exact pivot values; no other graph keeps them."""
+
+    EPS = (0.5, 1.0, 2.0, 4.0)
+
+    def test_eps_cells_run_the_flows_of_one_cell(self, monkeypatch):
+        # Default constants give a depth-0 star in every cell, so every pivot flow runs on the seed's own graph.
+        calls = count_flows(monkeypatch)
+        config = small_config(params={"n": 16, "p": 0.3}, seeds=(0, 1))
+        report = run_experiment(replace(config, eps=self.EPS))
+        sweep_flows = len(calls)
+        del calls[:]
+        run_experiment(config)
+        assert sweep_flows == len(calls)
+        for value in self.EPS:
+            single = run_experiment(replace(config, eps=(value,)))
+            assert [r for r in report.rows if r.eps == repr(value)] == single.rows
+
+    def test_consecutive_builds_each_run_every_pivot_flow(self, monkeypatch):
+        calls = count_flows(monkeypatch)
+        g = generate("erdos-renyi-weighted", {"n": 16, "p": 0.3}, 0)
+        counts = []
+        for _ in range(2):
+            del calls[:]
+            final_gh_tree(g, Epsilon(1.0), Rng(0))
+            counts.append(len(calls))
+        assert counts == [g.n - 1, g.n - 1]
+        assert g._pivot_values is None
+
+    def test_step_fills_the_memo_with_exact_values(self):
+        g = generate("erdos-renyi-weighted", {"n": 12, "p": 0.4}, 0)
+        params = StepParams(eps=Epsilon(1.0), beta=0.01)
+        plain = gh_tree_step(g, 3, g.vertices, params, Rng(0))
+        g._pivot_values = {}
+        assert gh_tree_step(g, 3, g.vertices, params, Rng(0)) == plain
+        assert g._pivot_values == {(3, v): min_st_cut_exact(g, 3, v).value for v in g.vertices if v != 3}
+        assert gh_tree_step(g, 3, g.vertices, params, Rng(0)) == plain
+
+    def test_memo_is_ignored_by_equality_and_hashing(self):
+        g = generate("erdos-renyi-weighted", {"n": 8, "p": 0.5}, 0)
+        h = generate("erdos-renyi-weighted", {"n": 8, "p": 0.5}, 0)
+        g._pivot_values = {(0, 1): 1.0}
+        assert g == h and hash(g) == hash(h)
+
+    def test_no_other_graph_carries_a_memo(self, tmp_path):
+        g = generate("erdos-renyi-weighted", {"n": 8, "p": 0.5}, 0)
+        path = str(tmp_path / "g.txt")
+        save_graph(g, path)
+        graphs = [g, load_graph(path), contract(g, [0, 1])[0], Graph(range(3), [(0, 1, 1.0)])]
+        assert [h._pivot_values for h in graphs] == [None] * 4
 
 
 @st.composite

@@ -379,7 +379,7 @@ class TestBitRounds:
             # Every outside vertex's c_s, c_t and r, bitwise those of the noised, contracted graph's network.
             noised = oracles.noised_graph(h, s, t, eps_call, Rng(seed).child(f"round.{i}"))
             index, adj, head, cap = _maxflow._network(noised)
-            ref_sums = _maxflow._arc_sums(adj, head, cap, index[s], index[t])
+            ref_sums = oracles.arc_sums(adj, head, cap, index[s], index[t])
             sums, decided = decisions[i]
             assert hex_sums(sums, lambda x: x) == hex_sums(ref_sums, noised.vertices.__getitem__)
             ((_, ref_decided),) = ref_decisions
@@ -506,8 +506,9 @@ def count_decided_flows(mp: pytest.MonkeyPatch) -> Counter:
 
     A flow has something to decide when a vertex besides s and t has a
     positive arc; the combined cut of an R = V isolating cut, contracted
-    to s and t, has not. Pivot flows come through ``exact``, the combined
-    cut through the s-t mechanism, ``private_cuts.private_min_st_cut``,
+    to s and t, has not. Pivot flows come through ``exact``, which runs
+    Dinic without the rule, so none should be counted; the combined cut
+    comes through the s-t mechanism, ``private_cuts.private_min_st_cut``,
     and the rounds from ``bit_round_codes`` directly.
     """
     counts: Counter = Counter()
@@ -566,7 +567,7 @@ class TestDecidedFlows:
         decided = counts["round", True] + counts["combined", True]
         assert counts["round", True] > 0 and counts["combined", True] > 0
         assert decided >= 0.9 * noised
-        assert counts["pivot", False] > 0 and counts["pivot", True] == 0
+        assert counts["pivot", False] == counts["pivot", True] == 0
 
     @pytest.mark.parametrize("eps", [Epsilon(1.0), Epsilon(1e3), INFINITE], ids=["eps1", "eps1e3", "infinite"])
     @pytest.mark.parametrize("label", sorted(INSTANCES))
