@@ -265,15 +265,22 @@ def sample_laplace(b: float, rng: Rng) -> float:
     return -b * math.copysign(1.0, p) * math.log(1.0 - 2.0 * abs(p))
 
 
-def sample_exponential(mean: float, rng: Rng) -> float:
+def sample_exponential(mean: float, rng: Rng, size: int | None = None) -> float | list[float]:
     """One exponential draw with the given mean, always nonnegative.
 
-    Zero mean is the noiseless collapse: exact 0.0, nothing consumed.
+    With ``size``, a list of that many draws, the same floats from the
+    same uniforms in the same order as ``size`` single draws. Zero mean
+    is the noiseless collapse: exact zeros, nothing consumed.
     """
     mean = _check_scale(mean, "exponential mean")
-    if mean == 0.0:
-        return 0.0
-    return -mean * math.log(1.0 - rng.uniform())
+    if size is None:
+        return -mean * math.log(1.0 - rng.uniform()) if mean else 0.0
+    if size < 0:
+        raise ValueError(f"size must be nonnegative, got {size!r}")
+    if not mean:
+        return [0.0] * size
+    uniform, log = rng.uniform, math.log
+    return [-mean * log(1.0 - uniform()) for _ in range(size)]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ pair: a tree has only n-1 distinct edge cuts, so ``steiner`` weighs
 each tree edge's side once, and its path-minimum walk, the one
 ``min_edge_on_path`` runs, goes once from each source to every other
 node. The exact values come from the same walk over the exact tree,
-once per seed. Evaluation costs O(n*m + n^2) per cell. Every cell of a
+once per seed. Evaluation costs O(n*m + n^2) per cell; past the walks,
+each pair costs one positional row tuple and one CSV line, whose three
+per-edge values are formatted once per distinct value. Every cell of a
 seed draws the same depth-0 pivot on the same graph, so the seed's
 graph keeps its exact pivot values (``Graph._pivot_values``) and the
 depth-0 step's n-1 max-flows run once per seed, not once per cell.
@@ -26,7 +28,7 @@ import os
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .dp import Epsilon, Rng
 from .exact import gomory_hu_exact
@@ -96,8 +98,7 @@ class ExperimentConfig:
         )
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
     pair_s: int
     pair_t: int
     seed: int
@@ -200,15 +201,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             for s, t, exact_value, tree_value, side_value in _pair_answers(g, exact_minima, tree):
                 rows.append(
                     ExperimentRow(
-                        pair_s=s,
-                        pair_t=t,
-                        seed=seed,
-                        eps=label,
-                        lambda_exact=exact_value,
-                        tree_value=tree_value,
-                        side_true_weight=side_value,
-                        side_error=side_value - exact_value,
-                        value_error=tree_value - exact_value,
+                        s,
+                        t,
+                        seed,
+                        label,
+                        exact_value,
+                        tree_value,
+                        side_value,
+                        side_value - exact_value,
+                        tree_value - exact_value,
                     )
                 )
     wall = time.perf_counter() - start
@@ -222,24 +223,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
+class _ReprMemo(dict):
+    """``repr`` of each float looked up, kept for every nonzero value.
+
+    Zeros are never kept: 0.0 and -0.0 are equal keys with different text.
+    """
+
+    def __missing__(self, x: float) -> str:
+        text = repr(x)
+        if x:
+            self[x] = text
+        return text
+
+
 def write_csv(report: ExperimentReport, path: str) -> None:
-    """Rows only, in sweep order; identical configs give identical bytes."""
+    """Rows only, in sweep order; identical configs give identical bytes.
+
+    Every value is written as its ``repr``. The three per-edge values
+    repeat across a cell's pairs, at most n-1 distinct values each, so
+    their text is formatted once per value.
+    """
+    memo = _ReprMemo()
     lines = [CSV_HEADER]
-    for r in report.rows:
+    for s, t, seed, eps, exact, value, side, side_error, value_error in report.rows:
         lines.append(
-            ",".join(
-                (
-                    str(r.pair_s),
-                    str(r.pair_t),
-                    str(r.seed),
-                    r.eps,
-                    repr(r.lambda_exact),
-                    repr(r.tree_value),
-                    repr(r.side_true_weight),
-                    repr(r.side_error),
-                    repr(r.value_error),
-                )
-            )
+            f"{s},{t},{seed},{eps},{memo[exact]},{memo[value]},{memo[side]},{side_error!r},{value_error!r}"
         )
     _write_lines(path, lines)
 

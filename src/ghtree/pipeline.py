@@ -5,8 +5,8 @@ terminal groups whose private isolating cuts look minimal, and keeps
 the largest batch. The recursion contracts each carved region (masking
 its boundary with noisy edges before descending), recurses on the
 rest, and stitches the child trees back together. ``final_gh_tree``,
-the only way into the recursion, runs it on half the budget and spends
-the other half noising the tree's edge weights.
+the only way into the recursion, runs it on ``RECURSION_SHARE`` of the
+budget, one half, and spends the rest noising the tree's edge weights.
 
 Budget accounting mirrors the mechanism structure: one step at budget
 e charges e/4 for pivot cut values, e/2 across isolating-cut rounds,
@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 from .dp import Epsilon, PrivacyLedger, Rng, sample_laplace
 from .exact import min_st_cut_exact
 from .graph import CutSide, Graph, contract
-from .private_cuts import DEFAULT_C1, DEFAULT_C2, DEFAULT_C_DEPTH, DEFAULT_PENALTY_CONST
+from .private_cuts import DEFAULT_C1, DEFAULT_C2, DEFAULT_C_DEPTH, DEFAULT_PENALTY_CONST, RECURSION_SHARE
 from .private_cuts import IsoCutParams, _check_constants, private_isolating_cuts
 from .steiner import SteinerTree, _single_node_tree, combine_steiner
 
@@ -255,21 +255,22 @@ def final_gh_tree(
 ) -> SteinerTree:
     """End-to-end private Gomory-Hu tree over all vertices.
 
-    The recursion, whose tree carries exact cut weights, runs at half
-    the budget, e = eps/2, with depth cap t_max = ceil(c_depth * lg(n)^2)
-    for the input's n vertices. Every frame's step runs at e/(4 t_max)
-    with beta = 1/n^3, and every carved region's boundary is masked at
-    scale 8 t_max/e. The ledger is charged e/(2 t_max) per executed
-    depth level, once per level rather than per branch, because sibling
-    subgraphs split any single edge difference between at most two of
-    them. The other half of the budget replaces every tree edge weight
-    with a Laplace-noised copy clamped at zero. At ``INFINITE`` every
-    scale is 0.0 and nothing is drawn. Aborts propagate to the caller
+    The recursion, whose tree carries exact cut weights, runs at
+    ``RECURSION_SHARE`` of the budget, e = eps/2, with depth cap
+    t_max = ceil(c_depth * lg(n)^2) for the input's n vertices. Every
+    frame's step runs at e/(4 t_max) with beta = 1/n^3, and every
+    carved region's boundary is masked at scale 8 t_max/e. The ledger
+    is charged e/(2 t_max) per executed depth level, once per level
+    rather than per branch, because sibling subgraphs split any single
+    edge difference between at most two of them. The rest of the
+    budget, eps - e, replaces every tree edge weight with a
+    Laplace-noised copy clamped at zero. At ``INFINITE`` every scale is
+    0.0 and nothing is drawn. Aborts propagate to the caller
     with the consumed seed; nothing is retried automatically.
     """
     if g.n < 2:
         raise ValueError("need at least two vertices to build a tree")
-    eps_rec = eps.split(2.0)
+    eps_rec = eps.split(1.0 / RECURSION_SHARE)
     _check_constants(c_depth=c_depth)
     t_max = math.ceil(c_depth * math.log2(g.n) ** 2)
     step_params = StepParams(
@@ -286,7 +287,7 @@ def final_gh_tree(
         level_scale = 2.0 * t_max / eps_rec.value
         for d in sorted(depths):
             ledger.charge(f"gh_tree.level.{d}", 1.0, level_scale)
-    weight_scale = 2.0 * (g.n - 1) / eps.value
+    weight_scale = (g.n - 1) / (eps.value * (1.0 - RECURSION_SHARE))
     weight_rng = rng.child("edge_weights")
     noised = [
         (u, v, max(0.0, w + sample_laplace(weight_scale, weight_rng)))

@@ -17,7 +17,8 @@ find. At ``INFINITE`` they draw nothing and add no penalty: the exact
 S-T cut is ``private_min_ST_cut`` at ``INFINITE`` and
 ``isolating_cuts_exact`` is the isolating cuts there. A side's weight
 is not private; callers take it from ``make_cut_side``. The pipeline's
-default constants live here, the lowest module that uses one.
+default constants and the recursion's budget share live here, the
+lowest module that uses a constant.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ DEFAULT_C1 = 4.0
 DEFAULT_C2 = 4.0
 DEFAULT_C_DEPTH = 4.0
 DEFAULT_PENALTY_CONST = 4.0
+# Share of a tree build's budget that the recursion spends on the tree's
+# shape; the release of the tree's edge weights spends the rest.
+RECURSION_SHARE = 0.5
 
 
 def _check_constants(**constants: float) -> None:
@@ -73,7 +77,10 @@ class IsoCutsResult:
 
 def _draw_noise(count: int, mean: float, rng: Rng) -> list[tuple[float, float]]:
     """Exponential draws on each of ``count`` vertices' edges to s and to t, vertex by vertex, s first."""
-    return [(sample_exponential(mean, rng), sample_exponential(mean, rng)) for _ in range(count)]
+    if not count:
+        return []
+    draws = sample_exponential(mean, rng, 2 * count)
+    return list(zip(draws[::2], draws[1::2]))
 
 
 def private_min_st_cut(

@@ -165,7 +165,7 @@ class TestRngMatchesNumpy:
 
 
 def scalar_draws(sampler, scale: float, rng: Rng, count: int) -> np.ndarray:
-    """``count`` scalar draws from one stream, the way every mechanism draws."""
+    """``count`` scalar draws from one stream, one call per draw."""
     return np.array([sampler(scale, rng) for _ in range(count)])
 
 
@@ -219,6 +219,30 @@ class TestExponential:
         for bad in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 sample_exponential(bad, Rng(0))
+            with pytest.raises(ValueError):
+                sample_exponential(bad, Rng(0), 3)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    @pytest.mark.parametrize("size", [0, 1, 5, 64])
+    @pytest.mark.parametrize("mean", [0.0, 1e-300, 3.0])
+    def test_batch_equals_sequential_draws(self, seed, size, mean):
+        batch_rng, single_rng = Rng(seed), Rng(seed)
+        batch = sample_exponential(mean, batch_rng, size)
+        singles = [sample_exponential(mean, single_rng) for _ in range(size)]
+        assert type(batch) is list
+        assert [x.hex() for x in batch] == [x.hex() for x in singles]
+        # Both streams stand at the same place afterwards.
+        assert batch_rng.uniform() == single_rng.uniform()
+
+    def test_batch_at_mean_zero_consumes_nothing(self):
+        r = Rng(2)
+        before = Rng(2).uniform()
+        assert sample_exponential(0.0, r, 4) == [0.0] * 4
+        assert r.uniform() == before
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            sample_exponential(1.0, Rng(0), -1)
 
 
 class TestLedger:

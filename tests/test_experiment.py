@@ -14,6 +14,8 @@ from ghtree import (
     INFINITE,
     Epsilon,
     ExperimentConfig,
+    ExperimentReport,
+    ExperimentRow,
     Graph,
     Rng,
     SteinerTree,
@@ -319,6 +321,69 @@ class TestCsv:
             assert float(cells[4]) == row.lambda_exact
             assert float(cells[5]) == row.tree_value
             assert float(cells[8]) == row.value_error
+
+
+    def test_text_is_each_value_repr(self, tmp_path):
+        # Zeros of both signs in every memoised column, in both orders,
+        # values repeated within and across columns, a subnormal and
+        # 17-digit floats.
+        rows = [
+            ExperimentRow(0, 1, 5, "1.0", -0.0, 0.0, 2.5, 2.5, 0.0),
+            ExperimentRow(0, 2, 5, "1.0", 0.0, -0.0, 2.5, 2.5, -0.0),
+            ExperimentRow(1, 2, 5, "1.0", 5e-324, 0.1 + 0.2, -0.0, -1.0, 0.1 + 0.2),
+            ExperimentRow(0, 1, 6, "exact", 1e16, 1e16, 0.0, 1.2345678901234567, 5e-324),
+            ExperimentRow(0, 2, 6, "exact", 5e-324, 2.5, 1.2345678901234567, -0.0, 0.0),
+        ]
+        report = ExperimentReport(rows, [], None, None, 0.0)
+        path = tmp_path / "pinned.csv"
+        write_csv(report, str(path))
+        assert path.read_bytes() == (
+            b"pair_s,pair_t,seed,eps,lambda_exact,tree_value,side_true_weight,side_error,value_error\n"
+            b"0,1,5,1.0,-0.0,0.0,2.5,2.5,0.0\n"
+            b"0,2,5,1.0,0.0,-0.0,2.5,2.5,-0.0\n"
+            b"1,2,5,1.0,5e-324,0.30000000000000004,-0.0,-1.0,0.30000000000000004\n"
+            b"0,1,6,exact,1e+16,1e+16,0.0,1.2345678901234567,5e-324\n"
+            b"0,2,6,exact,5e-324,2.5,1.2345678901234567,-0.0,0.0\n"
+        )
+        assert not (tmp_path / "pinned.csv.tmp").exists()
+
+
+class TestRowType:
+    def test_fields(self):
+        assert ExperimentRow._fields == (
+            "pair_s",
+            "pair_t",
+            "seed",
+            "eps",
+            "lambda_exact",
+            "tree_value",
+            "side_true_weight",
+            "side_error",
+            "value_error",
+        )
+
+    def test_rows_are_the_pair_answers_in_sweep_order(self):
+        config = small_config(seeds=(3,), eps=(2.0,))
+        report = run_experiment(config)
+        g = _instance(config, 3)
+        exact_tree = gomory_hu_exact(g)
+        tree = final_gh_tree(g, Epsilon(2.0), Rng(3))
+        exact_minima = [_path_minima(exact_tree, s) for s in g.vertices]
+        expected = [
+            ExperimentRow(
+                pair_s=s,
+                pair_t=t,
+                seed=3,
+                eps="2.0",
+                lambda_exact=exact_value,
+                tree_value=tree_value,
+                side_true_weight=side_value,
+                side_error=side_value - exact_value,
+                value_error=tree_value - exact_value,
+            )
+            for s, t, exact_value, tree_value, side_value in _pair_answers(g, exact_minima, tree)
+        ]
+        assert report.rows == expected
 
 
 class TestParseConfig:

@@ -250,6 +250,29 @@ class TestFinalTree:
         assert weights_cost == pytest.approx(eps.value / 2.0)
         assert led.within_budget()
 
+    # Budget and weights trade one for one: every noise scale is a
+    # weight over eps, so at a power-of-two factor c every float the
+    # build computes on c*G at eps/c is c times its value on G at eps.
+    @pytest.mark.parametrize("c", [2.0**-2, 2.0**3, 2.0**10])
+    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize(
+        "kind, params, eps, constants",
+        [
+            pytest.param("erdos-renyi-weighted", {"n": 30, "p": 0.2}, 1.0, {}, id="er30"),
+            pytest.param(
+                "dumbbell", {"clique": 10}, 1e3, {"c_depth": 0.25, "c1": 0.05, "c2": 0.05}, id="dumbbell10-descending"
+            ),
+        ],
+    )
+    def test_scaling_weights_equals_scaling_eps(self, kind, params, eps, constants, seed, c):
+        g = generate(kind, params, 0)
+        scaled = Graph(g.vertices, [(u, v, c * w) for u, v, w in g.edges()])
+        tree = final_gh_tree(g, Epsilon(eps), Rng(seed), **constants)
+        got = final_gh_tree(scaled, Epsilon(eps / c), Rng(seed), **constants)
+        assert got.nodes == tree.nodes
+        assert got.f == tree.f
+        assert [(u, v, w.hex()) for u, v, w in got.edges] == [(u, v, (c * w).hex()) for u, v, w in tree.edges]
+
     def test_abort_propagates_with_seed(self):
         # Near-zero threshold constants make acceptance a coin flip, so
         # coverage stalls and the depth cap of 1 is exceeded.

@@ -28,6 +28,7 @@ from ghtree import (
     private_isolating_cuts,
     private_min_ST_cut,
     private_min_st_cut,
+    sample_exponential,
     save_tree,
 )
 from ghtree import _maxflow, exact
@@ -147,6 +148,36 @@ class TestNoisedInstance:
         got = private_min_st_cut(g, 0, 5, Epsilon(1.0), ZeroRng())
         assert got == oracles.private_min_st_cut(g, 0, 5, Epsilon(1.0), ZeroRng())
         assert got == min_st_cut_exact(g, 0, 5).cut.side
+
+
+class TestDrawNoise:
+    """A round's draws come from one sampler call, in single-draw order."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        sizes, real = [], private_cuts.sample_exponential
+
+        def spy(mean, rng, size=None):
+            sizes.append(size)
+            return real(mean, rng, size)
+
+        monkeypatch.setattr(private_cuts, "sample_exponential", spy)
+        return sizes
+
+    @pytest.mark.parametrize("count", [0, 1, 4])
+    @pytest.mark.parametrize("mean", [0.0, 2.5])
+    def test_pairs_are_sequential_draws_s_first(self, sizes, count, mean):
+        rng, ref = Rng(9), Rng(9)
+        got = private_cuts._draw_noise(count, mean, rng)
+        want = [(sample_exponential(mean, ref), sample_exponential(mean, ref)) for _ in range(count)]
+        assert [(a.hex(), b.hex()) for a, b in got] == [(a.hex(), b.hex()) for a, b in want]
+        assert rng.uniform() == ref.uniform()
+        assert sizes == ([2 * count] if count else [])
+
+    def test_st_cut_draws_in_one_call(self, sizes):
+        g = generate("erdos-renyi-weighted", {"n": 12, "p": 0.3}, 1)
+        private_min_st_cut(g, 0, 5, Epsilon(1.0), Rng(3))
+        assert sizes == [2 * (g.n - 2)]
 
 
 class TestPrivateSTCut:
