@@ -1,4 +1,4 @@
-"""Dinic max-flow on plain Python lists, used for every exact min-cut call.
+"""Dinic max-flow on plain Python lists, used for every min-cut call.
 
 Arcs are numbered from the graph's edge store, in canonical edge
 order: its k-th edge becomes arc 2k (u -> v) and arc 2k+1 (v -> u),
@@ -33,19 +33,17 @@ and its complement, and adds the crossing arcs' capacities in arc
 order, which is canonical edge order. A contraction reads only the
 edges at its blocks, whose ids it takes from the blocks' arc lists.
 
-The exact flows (``min_cut_source_side``) always run Dinic. Each round
-of the isolating cuts, and the s-t mechanism as one round, is first
-offered to ``_decided_side``, which skips Dinic when the arcs to s and
-t decide every vertex's side, as heavy noise edges to both ends do.
-``bit_round_codes`` reads each vertex's sums from one scan of g's
-edges: the floats the round network's arcs would carry, added in the
-order of the vertex's arc list. It builds that network only for a
-round the sums leave undecided, so every side is the one Dinic finds
-on it. Let c_s(x) and c_t(x) be the round network's capacities of x's
-arcs to s and to t, and r(x) the total of its other arcs, on the
-symmetric start capacities. If every vertex x other than s and t with
-a positive arc has |c_s - c_t| > r, then s plus the vertices with
-c_s > c_t is the source side Dinic finds:
+``min_cut_source_side`` is the one caller of Dinic. The s-t mechanism,
+and each round of the isolating cuts, cuts a noised graph: the input
+with the round's blocks contracted into s and t and noise added onto
+each other vertex's edges to them. ``private_cuts.bit_round_codes``
+builds it only when ``_decided_side`` cannot take the side from sums
+read in one scan of the input's edges: c_s(x) and c_t(x), the
+capacities of x's arcs to s and to t in the noised graph's network (0
+where it has none), and r(x), the total of its other arcs in the order
+of x's arc list, on the symmetric start capacities. If every vertex x
+other than s and t with a positive arc has |c_s - c_t| > r, then s plus
+the vertices with c_s > c_t is the source side Dinic finds:
 
 - It is the only minimum cut, up to vertices with no positive arc.
   Moving a vertex with c_s > c_t to s's side changes a cut by at most
@@ -240,91 +238,3 @@ def min_cut_source_side(g: Graph, s: int, t: int) -> frozenset[int]:
     level = _dinic_levels(adj, head, cap[:], index[s], index[t])
     return frozenset(v for v, lv in zip(g.vertices, level) if lv >= 0)
 
-
-def bit_round_codes(g: Graph, R: list[int], noise: list[list[tuple[float, float]]]) -> list[int]:
-    """Each vertex's code after the isolating cuts' rounds, in vertex order.
-
-    ``R`` holds terminals of g in caller order, such as [s, t] for the
-    s-t mechanism; a block of several must list them in vertex order,
-    as a sorted R does. Round i cuts block A, the terminals whose index
-    has bit i clear, from block B, the rest, and bit i of a vertex's
-    code is set when the round's side misses it, so a terminal's code is
-    its index. ``noise[i]`` holds the round's draws on each vertex
-    outside R, in vertex order: on its edge to A, then to B. A round's
-    side is ``private_min_ST_cut``'s on the same draws.
-
-    One scan of g's edges gives each outside vertex its c_s, c_t and r
-    (module docstring): its edges into A and into B, summed in canonical
-    order as contraction sums them, plus the draws, and its other edges.
-    A round these decide, such as one with no vertex outside R, builds
-    nothing. Any other runs Dinic on a round network: g's arcs, with R
-    left out of every arc list, a super-vertex per block, an arc pair
-    from every outside vertex to each, of capacity c_s and c_t, and one
-    pair between them, weighing B's terminals' edges into A summed in
-    order. A zero capacity acts as an absent edge, and each arc list is
-    in increasing order of its head, where a block's super-vertex sits
-    at its terminal when it has one, else after every vertex of g, A
-    before B. So Dinic pushes the contracted, noised graph's augmenting
-    paths with the same arithmetic. A call builds one arc layout per
-    pair of super-vertex positions, and g's network if g has none.
-    """
-    term = dict(zip(R, range(len(R))))
-    code = {v: term.get(v, 0) for v in g.vertices}
-    outside = [v for v in g.vertices if v not in term]
-    inner = dict.fromkeys(outside, 0.0)
-    into: dict[int, list[tuple[int, float]]] = {v: [] for v in outside}  # (terminal index, weight) pairs
-    for (u, v), w in g._weights.items():
-        if u in inner:
-            if v in inner:
-                inner[u] += w
-                inner[v] += w
-            else:
-                into[u].append((term[v], w))
-        elif v in inner:
-            into[v].append((term[u], w))
-    layouts: dict[tuple[int, int], tuple[list[list[int]], list[int]]] = {}
-    for i, draws in enumerate(noise):
-        sums = []
-        for x, (da, db) in zip(outside, draws):
-            wa = wb = 0.0
-            for k, w in into[x]:
-                if k >> i & 1:
-                    wb += w
-                else:
-                    wa += w
-            sums.append((x, wa + da, wb + db, inner[x]))
-        side = _decided_side(sums)
-        if side is None:
-            index, adj, head, cap = _network(g)
-            A = [index[r] for k, r in enumerate(R) if not k >> i & 1]
-            B = [index[r] for k, r in enumerate(R) if k >> i & 1]
-            sa = A[0] if len(A) == 1 else g.n
-            sb = B[0] if len(B) == 1 else g.n + 1
-            if (sa, sb) not in layouts:
-                # After g's arcs: outside vertex j's arcs to sa, back, to sb and back, then the A-B pair.
-                inside = {index[r] for r in R}
-                out_ids = [x for x in range(g.n) if x not in inside]
-                base, ab = len(head), len(head) + 4 * len(out_ids)
-                hd = head + [h for x in out_ids for h in (sa, x, sb, x)] + [sb, sa]
-                rows: list[list[int]] = [[] for _ in range(g.n + 2)]
-                for j, x in enumerate(out_ids):
-                    own = [a for a in adj[x] if head[a] not in inside]
-                    rows[x] = sorted(own + [base + 4 * j, base + 4 * j + 2], key=hd.__getitem__)
-                rows[sa] = sorted([*range(base + 1, ab, 4), ab], key=hd.__getitem__)
-                rows[sb] = sorted([*range(base + 3, ab, 4), ab + 1], key=hd.__getitem__)
-                layouts[sa, sb] = rows, hd
-            rows, hd = layouts[sa, sb]
-            in_a = set(A)
-            wab = 0.0
-            for b in B:
-                b_into_a = 0.0
-                for a in adj[b]:
-                    if head[a] in in_a:
-                        b_into_a += cap[a]
-                wab += b_into_a
-            supers = [c for _, cs, ct, _ in sums for c in (cs, cs, ct, ct)]
-            level = _dinic_levels(rows, hd, cap + supers + [wab, wab], sa, sb)
-            side = [v for v, lv in zip(g.vertices, level) if lv >= 0]
-        for x in set(outside).difference(side):
-            code[x] |= 1 << i
-    return list(code.values())

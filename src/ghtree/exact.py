@@ -1,10 +1,10 @@
 """Exact min s-t cuts and Gomory-Hu trees.
 
 The exact min s-t cut runs the flow kernel on the network a graph
-keeps. The private mechanisms run it on ``_maxflow``'s round network,
-which carries their noise; the exact S-T and isolating cuts are those
-mechanisms at an infinite budget. All cut values returned here are
-recomputed boundary weights, never solver bookkeeping.
+keeps, as the private mechanisms do on their noised graphs; the exact
+S-T and isolating cuts are those mechanisms at an infinite budget. All
+cut values returned here are recomputed boundary weights, never solver
+bookkeeping.
 """
 
 from __future__ import annotations

@@ -2,23 +2,20 @@
 
 The s-t mechanism attaches exponentially distributed noise edges from
 every vertex to both endpoints and solves the noised instance exactly,
-as one round of ``_maxflow.bit_round_codes``, releasing only the side
-it found. The S-T cut contracts each side and runs it. The isolating
-cuts refine disjoint regions with one S-T cut per bit of the
-terminals' indices, then cut all regions at once, with a penalty
-against regions that swallow most of U. Their per-bit rounds draw
-noise from the s-t mechanism's draw loop and are solved in one
-``bit_round_codes`` call, each round bit for bit the S-T cut it stands
-for. Where the noise on each vertex's edges to the two sides outweighs
-its other edges, as at moderate budgets it mostly does, a round or the
-combined cut takes its side from sums read in one scan of the graph's
-edges, and builds no flow network; the side is the one Dinic would
-find. At ``INFINITE`` they draw nothing and add no penalty: the exact
-S-T cut is ``private_min_ST_cut`` at ``INFINITE`` and
-``isolating_cuts_exact`` is the isolating cuts there. A side's weight
-is not private; callers take it from ``make_cut_side``. The pipeline's
-default constants and the recursion's budget share live here, the
-lowest module that uses a constant.
+releasing only the side it found. The S-T cut contracts each side and
+runs it. The isolating cuts refine disjoint regions with one S-T cut
+per bit of the terminals' indices, then cut all regions at once, with
+a penalty against regions that swallow most of U. ``bit_round_codes``
+solves the s-t mechanism as one round and the per-bit rounds in one
+call, each bit for bit the S-T cut it stands for. It builds a round's
+noised graph only when sums read in one scan of the input's edges
+leave the side undecided, which at moderate budgets is rare. At
+``INFINITE`` they draw nothing and add no penalty: the exact S-T cut
+is ``private_min_ST_cut`` at ``INFINITE`` and ``isolating_cuts_exact``
+is the isolating cuts there. A side's weight is not private; callers take
+it from ``make_cut_side``. The pipeline's default constants and the
+recursion's budget share live here, the lowest module that uses a
+constant.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from ._maxflow import bit_round_codes
+from ._maxflow import _decided_side, min_cut_source_side
 from .dp import INFINITE, Epsilon, PrivacyLedger, Rng, sample_exponential
 from .graph import CutSide, Graph, contract, make_cut_side
 
@@ -83,6 +80,77 @@ def _draw_noise(count: int, mean: float, rng: Rng) -> list[tuple[float, float]]:
     return list(zip(draws[::2], draws[1::2]))
 
 
+def _contract_sides(g: Graph, S: list[int], T: list[int]) -> tuple[Graph, int, int]:
+    """g with each side of several vertices contracted in one call, S first, and the vertices S and T became."""
+    blocks = [block for block in (S, T) if len(block) > 1]
+    if not blocks:
+        return g, S[0], T[0]
+    work, label = contract(g, *blocks)
+    return work, (label if len(S) > 1 else S[0]), (label + len(blocks) - 1 if len(T) > 1 else T[0])
+
+
+def bit_round_codes(g: Graph, R: list[int], noise: list[list[tuple[float, float]]]) -> list[int]:
+    """Each vertex's code after the isolating cuts' rounds, in vertex order.
+
+    ``R`` holds terminals of g in caller order, such as [s, t] for the
+    s-t mechanism; a block of several must list them in vertex order,
+    as a sorted R does. Round i cuts block A, the terminals whose index
+    has bit i clear, from block B, the rest, and bit i of a vertex's
+    code is set when the round's side misses it, so a terminal's code is
+    its index. ``noise[i]`` holds the round's draws on each vertex
+    outside R, in vertex order: on its edge to A, then to B. A round's
+    side is ``private_min_ST_cut``'s on the same draws.
+
+    One scan of g's edges gives each outside vertex its c_s, c_t and r
+    (``_maxflow``'s docstring): its edges into A and into B, summed in
+    canonical order as contraction sums them, plus the draws, and its
+    other edges. A round these decide, such as one with no vertex
+    outside R, builds nothing. Any other contracts each block of several
+    terminals, A first, adds each nonzero draw onto the vertex's edge to
+    its block, in vertex order, and cuts that noised graph with
+    ``min_cut_source_side``.
+    """
+    term = dict(zip(R, range(len(R))))
+    code = {v: term.get(v, 0) for v in g.vertices}
+    outside = [v for v in g.vertices if v not in term]
+    inner = dict.fromkeys(outside, 0.0)
+    into: dict[int, list[tuple[int, float]]] = {v: [] for v in outside}  # (terminal index, weight) pairs
+    for (u, v), w in g._weights.items():
+        if u in inner:
+            if v in inner:
+                inner[u] += w
+                inner[v] += w
+            else:
+                into[u].append((term[v], w))
+        elif v in inner:
+            into[v].append((term[u], w))
+    for i, draws in enumerate(noise):
+        sums = []
+        for x, (da, db) in zip(outside, draws):
+            wa = wb = 0.0
+            for k, w in into[x]:
+                if k >> i & 1:
+                    wb += w
+                else:
+                    wa += w
+            sums.append((x, wa + da, wb + db, inner[x]))
+        side = _decided_side(sums)
+        if side is None:
+            A = [r for k, r in enumerate(R) if not k >> i & 1]
+            B = [r for k, r in enumerate(R) if k >> i & 1]
+            work, s, t = _contract_sides(g, A, B)
+            weights = dict(work._weights)
+            for x, draw in zip(outside, draws):
+                for end, d in zip((s, t), draw):
+                    if d:
+                        key = (x, end) if x < end else (end, x)
+                        weights[key] = weights.get(key, 0.0) + d
+            side = min_cut_source_side(Graph._trusted(work.vertices, weights), s, t)
+        for x in set(outside).difference(side):
+            code[x] |= 1 << i
+    return list(code.values())
+
+
 def private_min_st_cut(
     g: Graph,
     s: int,
@@ -96,9 +164,10 @@ def private_min_st_cut(
     Every vertex other than s and t gets a noise edge to s and one to
     t, each an independent exponential with mean 1/eps stacked onto any
     existing weight. The noised instance is cut exactly, as one round
-    of ``bit_round_codes``, and the minimal side containing s is
-    returned. With an infinite budget every draw is zero and this is
-    min_st_cut_exact's side.
+    of ``bit_round_codes``, which builds it only when the sums leave the
+    side undecided, and the minimal side containing s is returned. With
+    an infinite budget every draw is zero and this is min_st_cut_exact's
+    side.
     """
     if not g.has_vertex(s) or not g.has_vertex(t):
         raise ValueError("cut endpoints must be graph vertices")
@@ -135,12 +204,7 @@ def private_min_ST_cut(
         raise ValueError("S and T must be disjoint")
     if not set(S) <= g.vertex_set or not set(T) <= g.vertex_set:
         raise ValueError("S and T must be subsets of the vertex set")
-    if len(S) == 1 and len(T) == 1:
-        return private_min_st_cut(g, S[0], T[0], eps, rng, ledger)
-    blocks = [block for block in (S, T) if len(block) > 1]
-    work, label = contract(g, *blocks)
-    s = label if len(S) > 1 else S[0]
-    t = label + len(blocks) - 1 if len(T) > 1 else T[0]
+    work, s, t = _contract_sides(g, S, T)
     side = private_min_st_cut(work, s, t, eps, rng, ledger)
     return (side & g.vertex_set) | frozenset(S)
 

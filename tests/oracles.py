@@ -500,8 +500,8 @@ def arc_sums(adj, head, cap, s, t) -> list:
 
     c_s and c_t are the capacities of x's arcs to s and to t, and r the
     total of its other arcs, each added in the order of x's arc list:
-    the sums ``ghtree._maxflow.bit_round_codes`` reads from an edge scan
-    instead of a round network.
+    the sums ``ghtree.private_cuts.bit_round_codes`` reads from an edge
+    scan instead of the noised graph's network.
     """
     out = []
     for x, arcs in enumerate(adj):

@@ -26,7 +26,7 @@ from ghtree import (
     private_min_ST_cut,
     private_min_st_cut,
 )
-from ghtree import _maxflow
+from ghtree import _maxflow, private_cuts
 from ghtree._maxflow import _decided_side, _dinic_levels, _network
 
 
@@ -286,7 +286,7 @@ class TestDinicDeepLevels:
         assert sum(side == {s} for s, side in zip(sources, sides)) >= g.n // 3
 
     def test_noised_instance(self, monkeypatch):
-        # The round network private_min_st_cut hands to the kernel with the rule off, captured on its way in.
+        # The noised graph's network private_min_st_cut hands to the kernel with the rule off, captured on its way in.
         seen = []
         real = _maxflow._dinic_levels
 
@@ -296,13 +296,13 @@ class TestDinicDeepLevels:
 
         g = generate("erdos-renyi-weighted", {"n": 60, "p": 0.1}, 0)
         want = private_min_st_cut(g, 0, 59, Epsilon(1.0), Rng(0))
-        monkeypatch.setattr(_maxflow, "_decided_side", lambda sums: None)
+        monkeypatch.setattr(private_cuts, "_decided_side", lambda sums: None)
         monkeypatch.setattr(_maxflow, "_dinic_levels", capture)
         side = private_min_st_cut(g, 0, 59, Epsilon(1.0), Rng(0))
         (adj, head, cap, s, t), = seen
         assert sum(c > 0.0 for c in cap) > 2 * g.m  # the noise arcs
         got = assert_levels_match_full_bfs(adj, head, cap, s, t)
-        # The round network keeps g's vertex ids, so its levels read as a side of g.
+        # The noised graph has g's vertices, so its levels read as a side of g.
         assert frozenset(v for v, lv in zip(g.vertices, got) if lv >= 0) == side == want
         assert side == oracles.private_min_st_cut(g, 0, 59, Epsilon(1.0), Rng(0))
 
@@ -346,7 +346,7 @@ def rule_and_kernel(g: Graph, s: int, t: int) -> tuple[list[int] | None, list[in
     """Levels the rule reads off g's network, None when it falls back, and ``_dinic_levels``' levels.
 
     The rule gets each vertex's c_s, c_t and r summed over its arcs in
-    list order, as ``bit_round_codes`` sums them for a round network.
+    list order, as ``bit_round_codes`` sums them for a noised graph.
     """
     index, adj, head, cap = _network(g)
     side = _decided_side(oracles.arc_sums(adj, head, cap, index[s], index[t]))

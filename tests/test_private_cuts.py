@@ -60,10 +60,13 @@ class TestPrivateStCut:
             raise AssertionError("a noised graph was built")
 
         g = generate("erdos-renyi-weighted", {"n": 12, "p": 0.5}, 3)
+        # Undecided without noise, this cut runs on a copy of g.
+        assert private_min_st_cut(g, 0, 9, INFINITE, Rng(0)) == min_st_cut_exact(g, 0, 9).cut.side
+        # Vertex 2 leans to s = 0 and vertex 3 to t = 1 by more than their edge weighs, which decides the cut.
+        decided = Graph(range(4), [(0, 2, 5.0), (1, 3, 5.0), (2, 3, 1.0)])
         pair = Graph(range(2), [(0, 1, 1.5)])
-        want = min_st_cut_exact(g, 0, 9).cut.side
         monkeypatch.setattr(Graph, "_trusted", refuse)
-        assert private_min_st_cut(g, 0, 9, INFINITE, Rng(0)) == want
+        assert private_min_st_cut(decided, 0, 1, INFINITE, Rng(0)) == {0, 2}
         # No vertex besides s and t: nothing is drawn at any budget.
         assert private_min_st_cut(pair, 0, 1, Epsilon(1.0), Rng(0)) == {0}
 
@@ -73,17 +76,24 @@ class TestPrivateStCut:
 
         g = generate("erdos-renyi-weighted", {"n": 12, "p": 0.5}, 3)
         calls = [(0, 9, 0), (4, 1, 1), (11, 6, 2)]
-        want = [oracles.private_min_st_cut(g, s, t, Epsilon(1.0), Rng(seed)) for s, t, seed in calls]
+        # At eps = 1 the noise decides none of these calls, so each cuts its noised graph.
+        for s, t, seed in calls:
+            assert private_min_st_cut(g, s, t, Epsilon(1.0), Rng(seed)) == oracles.private_min_st_cut(
+                g, s, t, Epsilon(1.0), Rng(seed)
+            )
+        # At eps = 1e-3 it decides all three.
+        eps = Epsilon(1e-3)
+        want = [oracles.private_min_st_cut(g, s, t, eps, Rng(seed)) for s, t, seed in calls]
         net = _maxflow._network(g)
         real_network = _maxflow._network
         asked = []
         monkeypatch.setattr(Graph, "__init__", refuse)
         monkeypatch.setattr(Graph, "_trusted", refuse)
         monkeypatch.setattr(_maxflow, "_network", lambda h: asked.append(h) or real_network(h))
-        got = [private_min_st_cut(g, s, t, Epsilon(1.0), Rng(seed)) for s, t, seed in calls]
+        got = [private_min_st_cut(g, s, t, eps, Rng(seed)) for s, t, seed in calls]
         assert got == want
-        # Every call reads the network g keeps, and no other graph's.
-        assert len(asked) == 3 and all(h is g for h in asked)
+        # A decided call reads no network, not even the one g keeps.
+        assert asked == []
         assert g._net is net
 
     @given(strategies.graphs_with_pair())
@@ -314,12 +324,13 @@ def record_flows(mp: pytest.MonkeyPatch, graphs: list, rule: bool = True) -> tup
 
     Returns the decisions, each as (the sums it read, as (x, c_s, c_t,
     r) tuples, and whether it decided), and the kernel runs, each as
-    (arc lists, heads, start and final capacities, s, t). Each call of
-    the s-t mechanism appends (its graph, the number of decisions
-    recorded before it) to ``graphs``.
+    (arc lists, heads, start and final capacities, s, t, the vertices
+    of the graph it cut). Each call of the s-t mechanism appends (its
+    graph, the number of decisions recorded before it) to ``graphs``.
     """
-    decisions, flows = [], []
-    real_rule, real_kernel, real_cut = _maxflow._decided_side, _maxflow._dinic_levels, private_cuts.private_min_st_cut
+    decisions, flows, cut = [], [], []
+    real_rule, real_kernel = private_cuts._decided_side, _maxflow._dinic_levels
+    real_source_side, real_cut = private_cuts.min_cut_source_side, private_cuts.private_min_st_cut
 
     def rule_spy(sums):
         sums = list(sums)
@@ -330,18 +341,20 @@ def record_flows(mp: pytest.MonkeyPatch, graphs: list, rule: bool = True) -> tup
     def kernel_spy(adj, head, cap, s, t):
         start = cap[:]
         level = real_kernel(adj, head, cap, s, t)
-        flows.append((adj, head, start, cap, s, t))
+        flows.append((adj, head, start, cap, s, t, cut[-1].vertices))
         return level
 
-    mp.setattr(_maxflow, "_decided_side", rule_spy)
+    mp.setattr(private_cuts, "_decided_side", rule_spy)
     mp.setattr(_maxflow, "_dinic_levels", kernel_spy)
+    mp.setattr(private_cuts, "min_cut_source_side", lambda h, *args: cut.append(h) or real_source_side(h, *args))
     mp.setattr(private_cuts, "private_min_st_cut", lambda h, *args: graphs.append((h, len(decisions))) or real_cut(h, *args))
     return decisions, flows
 
 
-def flow_rows(flow, label) -> tuple:
-    """Each vertex's arcs of positive capacity, in list order, as (head, start, final capacity), by vertex label; and s, t."""
-    adj, head, start, cap, s, t = flow
+def flow_rows(flow) -> tuple:
+    """Each vertex's arcs of positive capacity, in list order, as (head, start, final capacity), by the cut graph's vertex labels; and s, t."""
+    adj, head, start, cap, s, t, vertices = flow
+    label = vertices.__getitem__
     rows = {}
     for u, arcs in enumerate(adj):
         row = [(label(head[a]), start[a].hex(), cap[a].hex()) for a in arcs if start[a] > 0.0]
@@ -356,7 +369,7 @@ def hex_sums(sums, label) -> dict:
 
 
 class TestBitRounds:
-    """Each isolating-cut round, from the shared edge scan and round network, against the private S-T cut it stands for."""
+    """Each isolating-cut round, from the shared edge scan or its noised graph, against the private S-T cut it stands for."""
 
     @pytest.mark.parametrize("eps", [Epsilon(1.0), INFINITE], ids=["eps1", "infinite"])
     @pytest.mark.parametrize("size", [2, 3, 5, 9, None], ids=["r2", "r3", "r5", "r9", "rn"])
@@ -388,11 +401,6 @@ class TestBitRounds:
         assert rounds_decided == len(sides)  # one decision per round, then the combined cut's
         round_flows = iter(flows)  # the undecided rounds' flows come first, in round order
         fresh = g.vertices[-1] + 1
-
-        def round_label(u):
-            # The round network keeps g's vertex ids; multi-terminal blocks sit after them, as contraction labels them.
-            return g.vertices[u] if u < g.n else fresh + u - g.n
-
         eps_call = eps.split(math.log2(len(R)) + 2.0)
         ref_ledger = PrivacyLedger(eps)
         for i, side in enumerate(sides):
@@ -418,7 +426,7 @@ class TestBitRounds:
             if not decided:
                 # Same arcs in the same order with the same capacities, before and after the flow.
                 (ref_flow,) = ref_flows
-                assert flow_rows(next(round_flows), round_label) == flow_rows(ref_flow, h.vertices.__getitem__)
+                assert flow_rows(next(round_flows)) == flow_rows(ref_flow)
         assert ledger.entries[:-1] == ref_ledger.entries
         assert ledger.entries[-1].name == "private_st_cut"
 
@@ -544,7 +552,7 @@ def count_decided_flows(mp: pytest.MonkeyPatch) -> Counter:
     """
     counts: Counter = Counter()
     kinds: list[str] = []
-    real_rule = _maxflow._decided_side
+    real_rule = private_cuts._decided_side
 
     def rule_spy(sums):
         sums = list(sums)
@@ -553,7 +561,7 @@ def count_decided_flows(mp: pytest.MonkeyPatch) -> Counter:
             counts[kinds[-1] if kinds else "round", side is not None] += 1
         return side
 
-    mp.setattr(_maxflow, "_decided_side", rule_spy)
+    mp.setattr(private_cuts, "_decided_side", rule_spy)
     mp.setattr(exact, "min_cut_source_side", labelled(kinds, "pivot", exact.min_cut_source_side))
     mp.setattr(private_cuts, "private_min_st_cut", labelled(kinds, "combined", private_cuts.private_min_st_cut))
     return counts
@@ -611,17 +619,21 @@ class TestDecidedFlows:
                 default = build_bytes(g, eps, seed, tmp_path)
             with pytest.MonkeyPatch.context() as mp:
                 # Every flow, pivot, round or combined, falls back to Dinic.
-                mp.setattr(_maxflow, "_decided_side", lambda sums: None)
+                mp.setattr(private_cuts, "_decided_side", lambda sums: None)
                 assert build_bytes(g, eps, seed, tmp_path) == default
             decided = sum(n for (_, taken), n in counts.items() if taken)
             assert (decided == 0) == ((label, budget, seed) in NOTHING_DECIDED)
 
 
-def network_work(mp: pytest.MonkeyPatch) -> Counter:
-    """Count, as rounds run, the decisions taken and missed, networks built, Dinic runs and the arc layouts they ran on."""
+def network_work(mp: pytest.MonkeyPatch) -> tuple[Counter, list]:
+    """Count, as rounds run, the decisions taken and missed, networks built and Dinic runs; list the graphs cut.
+
+    Each graph an undecided round cuts is listed as (graph, s, t).
+    """
     work: Counter = Counter()
-    layouts = set()
-    real_rule, real_network, real_kernel = _maxflow._decided_side, _maxflow._network, _maxflow._dinic_levels
+    cuts: list = []
+    real_rule, real_network, real_kernel = private_cuts._decided_side, _maxflow._network, _maxflow._dinic_levels
+    real_source_side = private_cuts.min_cut_source_side
 
     def rule_spy(sums):
         side = real_rule(sums)
@@ -632,17 +644,15 @@ def network_work(mp: pytest.MonkeyPatch) -> Counter:
         work["networks"] += h._net is None
         return real_network(h)
 
-    def kernel_spy(adj, *args):
-        # A call keeps its layouts until it returns, so distinct arc lists are distinct layouts.
-        layouts.add(id(adj))
+    def kernel_spy(*args):
         work["flows"] += 1
-        work["layouts"] = len(layouts)
-        return real_kernel(adj, *args)
+        return real_kernel(*args)
 
-    mp.setattr(_maxflow, "_decided_side", rule_spy)
+    mp.setattr(private_cuts, "_decided_side", rule_spy)
     mp.setattr(_maxflow, "_network", network_spy)
     mp.setattr(_maxflow, "_dinic_levels", kernel_spy)
-    return work
+    mp.setattr(private_cuts, "min_cut_source_side", lambda h, s, t: cuts.append((h, s, t)) or real_source_side(h, s, t))
+    return work, cuts
 
 
 def replay_rounds(g: Graph, eps: Epsilon, seed: int) -> list:
@@ -663,7 +673,7 @@ def replay_rounds(g: Graph, eps: Epsilon, seed: int) -> list:
 
 
 class TestDecidedRoundsBuildNothing:
-    """A round the sums decide builds no network and runs no flow; an undecided one builds its layout once per call."""
+    """A round the sums decide builds no network and runs no flow; an undecided one cuts one noised graph."""
 
     @pytest.mark.parametrize("label", sorted(INSTANCES))
     def test_decided_calls_build_no_network(self, label):
@@ -672,28 +682,37 @@ class TestDecidedRoundsBuildNothing:
         for kind, h, R, noise, codes in replay_rounds(g, Epsilon(1.0), 0):
             fresh = Graph(h.vertices, h.edges())
             with pytest.MonkeyPatch.context() as mp:
-                work = network_work(mp)
-                assert _maxflow.bit_round_codes(fresh, R, noise) == codes
+                work, cuts = network_work(mp)
+                assert private_cuts.bit_round_codes(fresh, R, noise) == codes
             assert work["decided"] + work["undecided"] == len(noise)
             if not work["undecided"]:
                 decided[kind] += 1
-                assert work["networks"] == work["layouts"] == work["flows"] == 0
+                assert work["networks"] == work["flows"] == len(cuts) == 0
                 assert fresh._net is None
         # Both the s-t mechanism and the isolating cuts' rounds have calls whose every round is decided.
         assert decided["st"] > 0 and decided["rounds"] > 0
 
-    # Rounds, distinct (A-side, B-side) super-vertex positions: one-terminal blocks sit at their terminal.
-    @pytest.mark.parametrize("size, rounds, layouts", [(2, 1, 1), (3, 2, 2), (5, 3, 2), (9, 4, 2)])
-    def test_undecided_rounds_build_one_layout_per_super_vertex_pair(self, size, rounds, layouts):
+    @pytest.mark.parametrize("size, rounds", [(2, 1), (3, 2), (5, 3), (9, 4)])
+    def test_each_undecided_round_cuts_one_noised_graph(self, size, rounds):
         g = generate("erdos-renyi-weighted", {"n": 30, "p": 0.2}, 0)
         R = list(g.vertices[::3][:size])
         noise = [private_cuts._draw_noise(g.n - size, 1.0, Rng(i)) for i in range(rounds)]
-        want = _maxflow.bit_round_codes(g, R, noise)
+        want = private_cuts.bit_round_codes(g, R, noise)
         fresh = Graph(g.vertices, g.edges())
         with pytest.MonkeyPatch.context() as mp:
-            work = network_work(mp)
-            mp.setattr(_maxflow, "_decided_side", lambda sums: None)
-            assert _maxflow.bit_round_codes(fresh, R, noise) == want
-        assert work["flows"] == rounds
-        assert work["layouts"] == layouts
-        assert work["networks"] == 1
+            work, cuts = network_work(mp)
+            mp.setattr(private_cuts, "_decided_side", lambda sums: None)
+            assert private_cuts.bit_round_codes(fresh, R, noise) == want
+        assert work["flows"] == len(cuts) == rounds
+        # One network per noised graph, and g's, which contraction reads, once there are blocks to contract.
+        assert work["networks"] == rounds + (size > 2)
+        outside = [v for v in g.vertices if v not in R]
+        label = g.vertices[-1] + 1
+        for i, (h, s, t) in enumerate(cuts):
+            A = [r for k, r in enumerate(R) if not k >> i & 1]
+            B = [r for k, r in enumerate(R) if k >> i & 1]
+            # A one-terminal block keeps its terminal; a block of several gets a fresh label, A's first.
+            assert s == (A[0] if len(A) == 1 else label)
+            assert t == (B[0] if len(B) == 1 else label + (len(A) > 1))
+            ends = [block[0] for block in (A, B) if len(block) == 1]
+            assert h.vertices == (*sorted(outside + ends), *range(label, label + (len(A) > 1) + (len(B) > 1)))
