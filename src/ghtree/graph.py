@@ -10,7 +10,9 @@ rejected.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -62,13 +64,19 @@ class Graph:
 
         ``vertices`` is a sorted tuple of ints and every key of
         ``weights`` a pair (u, v) of them with u < v, mapped to a
-        positive finite weight. Only the key order is restored here;
-        keys are unique, so sorting on them alone gives the same order.
+        positive finite weight. Nothing is checked or merged; only the
+        key order is restored, by sorting the whole store. Keys are
+        unique, so sorting on them alone gives the same order.
         """
+        return cls._canonical(vertices, dict(sorted(weights.items(), key=itemgetter(0))))
+
+    @classmethod
+    def _canonical(cls, vertices: tuple[int, ...], weights: dict[tuple[int, int], float]) -> Graph:
+        """``_trusted`` for weights already in canonical key order, kept as given: nothing is sorted."""
         g = object.__new__(cls)
         g._vertices = vertices
         g._vset = frozenset(vertices)
-        g._weights = dict(sorted(weights.items(), key=itemgetter(0)))
+        g._weights = weights
         g._net = None
         g._pivot_values = None
         return g
@@ -161,7 +169,10 @@ def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
     of the result merge by summation. Contracting the whole vertex set
     yields a single-vertex graph. The edges at the blocks are found in
     the graph's flow network, which is built if g has none yet; every
-    other edge carries over unchanged.
+    other edge carries over unchanged, in g's order. Each new key holds
+    a block label, above every vertex of g, so it is none of g's keys:
+    only the new keys are sorted, each merged in at its bisected place
+    among the kept ones, and the store is never sorted as a whole.
 
     The result is bitwise that of contracting the blocks one at a time
     in the order given. A vertex's edges into a block are summed in
@@ -185,11 +196,14 @@ def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
         to.update(dict.fromkeys(s, label + i))
     incident = incident_edges(g, to)
     keys = list(g._weights)
-    weights = dict(g._weights)
+    values = list(g._weights.values())
+    kept = bytearray(b"\x01") * len(keys)
+    fresh: dict[tuple[int, int], float] = {}
     into_earlier: dict[tuple[int, int], float] = {}
     for k in incident:
-        u, v = key = keys[k]
-        w = weights.pop(key)
+        kept[k] = 0
+        u, v = keys[k]
+        w = values[k]
         fu = to.get(u, u)
         fv = to.get(v, v)
         if fu == fv:
@@ -199,12 +213,24 @@ def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
             into_earlier[key] = into_earlier.get(key, 0.0) + w
             continue
         key = (fu, fv) if fu < fv else (fv, fu)
-        weights[key] = weights.get(key, 0.0) + w
+        fresh[key] = fresh.get(key, 0.0) + w
     for (b, earlier), w in sorted(into_earlier.items()):
         key = (earlier, to[b])
-        weights[key] = weights.get(key, 0.0) + w
+        fresh[key] = fresh.get(key, 0.0) + w
+    keys = list(compress(keys, kept))
+    values = list(compress(values, kept))
+    merged_keys, merged_values, start = [], [], 0
+    for key in sorted(fresh):
+        stop = bisect_left(keys, key, start)
+        merged_keys += keys[start:stop]
+        merged_keys.append(key)
+        merged_values += values[start:stop]
+        merged_values.append(fresh[key])
+        start = stop
+    merged_keys += keys[start:]
+    merged_values += values[start:]
     vertices = tuple(v for v in g.vertices if v not in to) + tuple(range(label, label + len(blocks)))
-    return Graph._trusted(vertices, weights), label
+    return Graph._canonical(vertices, dict(zip(merged_keys, merged_values))), label
 
 
 def are_neighboring(g1: Graph, g2: Graph) -> bool:

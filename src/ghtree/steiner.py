@@ -14,6 +14,7 @@ that weighs every tree edge's cut.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -221,29 +222,52 @@ def combine_steiner(
     standing for that region, and w becomes the weight of the new edge
     joining f_child(x) to f_large(y). With no children the backbone is
     returned unchanged.
+
+    The inputs are valid trees, so only what a join can break is
+    checked: distinct y labels, mapped non-terminal supernodes, finite
+    nonnegative weights, and disjoint node sets and vertex maps once the
+    supernodes leave. The sorted nodes and edges are merged, and only
+    the new edges' endpoints get new adjacency lists, each built once.
+    The result equals the checked constructor's.
     """
     if not children:
         return t_large
-    y_labels = set()
-    for _, _, y, _ in children:
-        if y in y_labels:
-            raise ValueError(f"duplicate backbone supernode {y}")
-        y_labels.add(y)
-    nodes = set(t_large.nodes)
-    edges = list(t_large.edges)
-    f: dict[int, int] = {}
-    for vert, term in sorted(t_large.f.items()):
-        if vert not in y_labels:
-            f[vert] = term
+    f = dict(t_large._f)
+    joins = []
     for child, x, y, w in children:
-        if x not in child.f:
-            raise ValueError(f"supernode {x} missing from child vertex map")
-        if y not in t_large.f:
-            raise ValueError(f"supernode {y} missing from backbone vertex map")
-        nodes.update(child.nodes)
-        edges.extend(child.edges)
-        edges.append((child.f[x], t_large.f[y], float(w)))
-        for vert, term in sorted(child.f.items()):
-            if vert != x:
-                f[vert] = term
-    return SteinerTree(sorted(nodes), edges, f)
+        if x not in child.f or x in child.node_set:
+            raise ValueError(f"supernode {x} missing from child vertex map, or a child terminal")
+        if y not in t_large.f or y in t_large.node_set:
+            raise ValueError(f"supernode {y} missing from backbone vertex map, or a backbone terminal")
+        if y not in f:
+            raise ValueError(f"duplicate backbone supernode {y}")
+        del f[y]
+        a, b, w = child.f[x], t_large.f[y], float(w)
+        if not math.isfinite(w) or w < 0.0:
+            raise ValueError(f"tree edge ({a}, {b}) has invalid weight {w!r}")
+        joins.append((a, b, w) if a < b else (b, a, w))
+    mapped = len(f)
+    adj = dict(t_large._adj)
+    for child, x, _, _ in children:
+        part = dict(child._f)
+        del part[x]
+        mapped += len(part)
+        f.update(part)
+        adj.update(child._adj)
+    nodes = sorted(chain(t_large._nodes, *(child._nodes for child, *_ in children)))
+    nodeset = frozenset(nodes)
+    if len(nodeset) != len(nodes) or len(f) != mapped:
+        raise ValueError("joined trees share a node or map a vertex twice")
+    added: dict[int, list[tuple[int, float]]] = {}
+    for a, b, w in joins:
+        added.setdefault(a, []).append((b, w))
+        added.setdefault(b, []).append((a, w))
+    for v, extra in added.items():
+        adj[v] = sorted(adj[v] + extra)
+    out = object.__new__(SteinerTree)
+    out._nodes = tuple(nodes)
+    out._nodeset = nodeset
+    out._edges = tuple(sorted(chain(joins, t_large._edges, *(child._edges for child, *_ in children))))
+    out._f = MappingProxyType(f)
+    out._adj = adj
+    return out

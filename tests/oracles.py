@@ -18,6 +18,7 @@ from ghtree import (
     Graph,
     MaxFlowResult,
     Rng,
+    SteinerTree,
     contract,
     cut_weight,
     make_cut_side,
@@ -342,6 +343,60 @@ def scan_contract(g: Graph, *blocks) -> tuple:
         weights[key] = weights.get(key, 0.0) + w
     vertices = [v for v in g.vertices if v not in to] + list(range(label, label + len(blocks)))
     return Graph(vertices, [(u, v, w) for (u, v), w in weights.items()]), label
+
+
+def contract_by_sorting(g: Graph, *blocks) -> tuple:
+    """``contract`` on a copy of g's edge store, re-sorted as a whole.
+
+    Blocks must be nonempty and pairwise disjoint. Each edge at a block
+    is popped from the copy in canonical order and its weight added to
+    its relabelled pair, with the sums between blocks added last, as
+    ``scan_contract`` orders them; then ``Graph._trusted`` sorts every
+    key. The reference for the package's merge of new keys into the kept
+    ones.
+    """
+    label = g.vertices[-1] + 1
+    to = {v: label + i for i, block in enumerate(blocks) for v in block}
+    weights = dict(g._weights)
+    into_earlier = {}
+    for u, v, w in g.edges():
+        if u not in to and v not in to:
+            continue
+        del weights[u, v]
+        fu = to.get(u, u)
+        fv = to.get(v, v)
+        if fu == fv:
+            continue
+        if fu != u and fv != v:
+            key = (v, fu) if fu < fv else (u, fv)
+            into_earlier[key] = into_earlier.get(key, 0.0) + w
+            continue
+        key = (fu, fv) if fu < fv else (fv, fu)
+        weights[key] = weights.get(key, 0.0) + w
+    for (b, earlier), w in sorted(into_earlier.items()):
+        key = (earlier, to[b])
+        weights[key] = weights.get(key, 0.0) + w
+    vertices = tuple(v for v in g.vertices if v not in to) + tuple(range(label, label + len(blocks)))
+    return Graph._trusted(vertices, weights), label
+
+
+def checked_combine(backbone: SteinerTree, children) -> SteinerTree:
+    """``combine_steiner`` through the checked constructor, the reference for the package's join.
+
+    The nodes, the edges and the vertex maps of every tree are pooled,
+    with each child's new edge and without the supernodes, and
+    ``SteinerTree`` validates and sorts the whole tree again.
+    """
+    ys = {y for _, _, y, _ in children}
+    nodes = set(backbone.nodes)
+    edges = list(backbone.edges)
+    f = {v: t for v, t in backbone.f.items() if v not in ys}
+    for child, x, y, w in children:
+        nodes |= child.node_set
+        edges += child.edges
+        edges.append((child.f[x], backbone.f[y], w))
+        f.update((v, t) for v, t in child.f.items() if v != x)
+    return SteinerTree(sorted(nodes), edges, f)
 
 
 def loop_network(g: Graph) -> tuple:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -101,16 +101,17 @@ def sided_graphs(draw):
 
 
 @st.composite
-def blocked_graphs(draw):
-    """A spread-out graph with weights in thirds, and 1-4 disjoint blocks.
+def blocked_graphs(draw, max_blocks: int = 4, spare: int = 1):
+    """A spread-out graph with weights in thirds, and 1 to ``max_blocks`` disjoint blocks.
 
-    The blocks together hold from one vertex to all but one, in random
-    order, so a block ranges from a singleton to all but one vertex.
+    The blocks together hold from one vertex to all but ``spare``, in
+    random order, so a block ranges from a singleton to all but
+    ``spare`` vertices.
     """
-    h = draw(spread_graphs(min_n=2, weights=strategies.third_weights))
+    h = draw(spread_graphs(min_n=spare + 1, weights=strategies.third_weights))
     order = draw(st.permutations(h.vertices))
-    covered = draw(st.integers(1, h.n - 1))
-    ends = draw(st.sets(st.integers(1, covered - 1), max_size=3)) if covered > 1 else set()
+    covered = draw(st.integers(1, h.n - spare))
+    ends = draw(st.sets(st.integers(1, covered - 1), max_size=max_blocks - 1)) if covered > 1 else set()
     bounds = [0, *sorted(ends), covered]
     return h, [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -274,6 +275,30 @@ class TestContract:
             assert h.vertices == ref.vertices
             assert [(u, v, w.hex()) for u, v, w in h.edges()] == [(u, v, w.hex()) for u, v, w in ref.edges()]
             assert g._net is not None
+
+    @given(blocked_graphs(max_blocks=3, spare=0))
+    # One vertex of four; every vertex of a path; two blocks joined by
+    # four edges, and vertices whose edges into a block merge.
+    @example((Graph(range(4), [(0, 1, 1 / 3), (1, 2, 2 / 3), (2, 3, 1.0)]), [[2]]))
+    @example((Graph([1, 4, 7], [(1, 4, 2 / 3), (4, 7, 1 / 3)]), [[7, 1, 4]]))
+    @example(
+        (
+            Graph(
+                range(7),
+                [(0, 2, 1 / 3), (0, 3, 2 / 3), (1, 2, 2 / 3), (1, 3, 1 / 3), (2, 5, 1 / 3), (3, 5, 2 / 3),
+                 (4, 0, 4 / 3), (4, 1, 1 / 3), (5, 6, 1.0), (6, 1, 2 / 3), (6, 0, 1 / 3)],
+            ),
+            [[2, 3], [1, 0]],
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_popping_and_sorting_every_key(self, case):
+        g, blocks = case
+        ref, ref_label = oracles.contract_by_sorting(g, *blocks)
+        h, label = contract(g, *blocks)
+        assert label == ref_label
+        assert h.vertices == ref.vertices
+        assert [(u, v, w.hex()) for u, v, w in h.edges()] == [(u, v, w.hex()) for u, v, w in ref.edges()]
 
     @given(blocked_graphs())
     @settings(max_examples=100, deadline=None)

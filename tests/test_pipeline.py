@@ -273,6 +273,21 @@ class TestFinalTree:
         assert got.f == tree.f
         assert [(u, v, w.hex()) for u, v, w in got.edges] == [(u, v, (c * w).hex()) for u, v, w in tree.edges]
 
+    def test_descending_builds_rarely_abort_at_default_depth(self):
+        # At eps = 1e6 the default constants let every build descend, so
+        # the depth cap is checked on builds that recurse, not on depth-0 stars.
+        g = generate("dumbbell", {"clique": 10}, 0)
+        eps = Epsilon(1e6)
+        aborts = 0
+        for seed in range(100):
+            ledger = PrivacyLedger(eps)
+            try:
+                final_gh_tree(g, eps, Rng(seed), ledger)
+            except GHTreeAbort:
+                aborts += 1
+            assert "gh_tree.level.1" in {e.name for e in ledger.entries}, f"seed {seed} did not descend"
+        assert aborts <= 2
+
     def test_abort_propagates_with_seed(self):
         # Near-zero threshold constants make acceptance a coin flip, so
         # coverage stalls and the depth cap of 1 is exceeded.

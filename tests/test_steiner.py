@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from ghtree import (
     combine_steiner,
     component_nodes,
     min_edge_on_path,
+    save_tree,
 )
 
 
@@ -127,7 +131,85 @@ class TestPaths:
                     assert component_nodes(tree, (a, b), anchor) == oracles.component_nodes(tree, (a, b), anchor)
 
 
+@st.composite
+def joins(draw):
+    """A valid backbone and one to five valid child trees, each with its supernodes and join weight.
+
+    Labels come from a random permutation, so nodes, mapped vertices and
+    supernodes interleave. The children's x labels are their own, one
+    shared label, or the first y label, as in the private recursion.
+    """
+    k = draw(st.integers(1, 5))
+    sizes = [draw(st.integers(1, 4)) for _ in range(k + 1)]
+    extras = [draw(st.integers(0, 3)) for _ in range(k + 1)]
+    xs_from = draw(st.sampled_from(["own", "shared", "first y"]))
+    need = sum(sizes) + sum(extras) + k + {"own": k, "shared": 1, "first y": 0}[xs_from]
+    labels = iter(draw(st.permutations(range(need))))
+    ys = [next(labels) for _ in range(k)]
+    if xs_from == "own":
+        xs = [next(labels) for _ in range(k)]
+    else:
+        xs = [next(labels) if xs_from == "shared" else ys[0]] * k
+    weight = st.sampled_from([0.0, 1 / 3, 2 / 3, 1.0, 2.5])
+    trees = []
+    for i, (size, extra) in enumerate(zip(sizes, extras)):
+        nodes = [next(labels) for _ in range(size)]
+        edges = [(nodes[j], nodes[draw(st.integers(0, j - 1))], draw(weight)) for j in range(1, size)]
+        mapped = [next(labels) for _ in range(extra)] + (ys if i == 0 else [xs[i - 1]])
+        f = {v: v for v in nodes} | {v: draw(st.sampled_from(nodes)) for v in mapped}
+        trees.append(SteinerTree(nodes, edges, f))
+    return trees[0], [(t, x, y, draw(weight)) for t, x, y in zip(trees[1:], xs, ys)]
+
+
+def saved(tree: SteinerTree) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tree"
+        save_tree(tree, str(path))
+        return path.read_bytes()
+
+
 class TestCombine:
+    @given(joins())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_checked_constructor(self, case):
+        backbone, children = case
+        out = combine_steiner(backbone, children)
+        ref = oracles.checked_combine(backbone, children)
+        assert out == ref
+        assert out.node_set == ref.node_set
+        assert out._adj == ref._adj
+        assert saved(out) == saved(ref)
+
+    @pytest.mark.parametrize(
+        "backbone, children",
+        [
+            pytest.param(
+                SteinerTree([0], f={0: 0, 9: 0, 10: 0}),
+                [(SteinerTree([1], f={1: 1, 8: 1}), 8, 9, 1.0),
+                 (SteinerTree([1, 2], [(1, 2, 1.0)], f={1: 1, 2: 2, 8: 2}), 8, 10, 1.0)],
+                id="overlapping-child-nodes",
+            ),
+            pytest.param(
+                SteinerTree([0], f={0: 0, 9: 0, 5: 0}),
+                [(SteinerTree([1], f={1: 1, 8: 1, 5: 1}), 8, 9, 1.0)],
+                id="vertex-mapped-twice",
+            ),
+            pytest.param(
+                SteinerTree([0], f={0: 0, 9: 0}),
+                [(SteinerTree([1, 8], [(1, 8, 1.0)]), 8, 9, 1.0)],
+                id="supernode-is-a-terminal",
+            ),
+            pytest.param(
+                SteinerTree([0], f={0: 0, 9: 0}),
+                [(SteinerTree([1], f={1: 1, 8: 1}), 8, 9, float("nan"))],
+                id="nan-weight",
+            ),
+        ],
+    )
+    def test_invalid_join_rejected(self, backbone, children):
+        with pytest.raises(ValueError):
+            combine_steiner(backbone, children)
+
     def test_stitches_child_onto_backbone(self):
         # Backbone over {0, 4}; vertex 9 is the supernode for the child's
         # region, mapped to terminal 0.  Child over {1, 2}; vertex 8 is the
