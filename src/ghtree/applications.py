@@ -11,14 +11,13 @@ non-private diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import CutSide, Graph, make_cut_side
 from .steiner import SteinerTree, component_nodes, min_edge_on_path
 
 
-@dataclass(frozen=True)
-class KCutSolution:
+class KCutSolution(NamedTuple):
     """A partition of the vertex set into exactly k nonempty parts.
 
     ``value`` is the recomputed total weight of edges between distinct

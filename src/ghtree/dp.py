@@ -21,13 +21,53 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 LEDGER_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class Epsilon:
+class _Frozen:
+    """Base of a value type whose ``__init__`` checks its fields.
+
+    Fields are the ``__slots__``, in constructor order. ``__init__``
+    stores them once, in that order, with ``_set``; a later assignment
+    or deletion raises AttributeError. ``==``, ``hash`` and ``repr`` are
+    field-wise, as a frozen dataclass's are, and copies and pickles are
+    rebuilt through the constructor, so every instance has passed its
+    checks. ``@dataclass`` is not used: importing ``dataclasses`` and
+    creating its classes took about a quarter of the package's import.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Epsilon(_Frozen):
     """A privacy budget: a positive real, or infinity for noiseless mode.
 
     Splitting arithmetic works uniformly in both modes since any share
@@ -35,13 +75,13 @@ class Epsilon:
     noise scale derived from it.
     """
 
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        v = float(self.value)
+    def __init__(self, value: float):
+        v = float(value)
         if math.isnan(v) or v <= 0.0:
-            raise ValueError(f"epsilon must be positive or infinite, got {self.value!r}")
-        object.__setattr__(self, "value", v)
+            raise ValueError(f"epsilon must be positive or infinite, got {value!r}")
+        self._set(v)
 
     @property
     def is_noiseless(self) -> bool:
@@ -283,8 +323,7 @@ def sample_exponential(mean: float, rng: Rng, size: int | None = None) -> float 
     return [-mean * log(1.0 - uniform()) for _ in range(size)]
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     name: str
     sensitivity: float
     scale: float
@@ -297,12 +336,15 @@ class LedgerEntry:
         return self.count * self.sensitivity / self.scale
 
 
-@dataclass
 class PrivacyLedger:
     """Advisory record of every noise mechanism charged against a budget."""
 
-    budget: Epsilon
-    entries: list[LedgerEntry] = field(default_factory=list)
+    def __init__(self, budget: Epsilon, entries: list[LedgerEntry] | None = None):
+        self.budget = budget
+        self.entries = [] if entries is None else entries
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     def charge(self, name: str, sensitivity: float, scale: float, count: int = 1) -> None:
         if sensitivity < 0.0 or math.isnan(sensitivity):

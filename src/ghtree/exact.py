@@ -9,15 +9,14 @@ bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._maxflow import min_cut_source_side
 from .graph import CutSide, Graph, contract, cut_weight
 from .steiner import SteinerTree, _single_node_tree, combine_steiner
 
 
-@dataclass(frozen=True)
-class MaxFlowResult:
+class MaxFlowResult(NamedTuple):
     """A minimum s-t cut: the side containing s, and its value."""
 
     cut: CutSide

@@ -25,12 +25,10 @@ from __future__ import annotations
 
 import math
 import os
-import statistics
 import time
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple
 
-from .dp import Epsilon, Rng
+from .dp import Epsilon, Rng, _Frozen
 from .exact import gomory_hu_exact
 from .generators import generate
 from .graph import Graph
@@ -62,23 +60,32 @@ def env_constants() -> dict[str, float]:
     return out
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One sweep: an instance source, budget grid, seed list, and mode."""
+class ExperimentConfig(_Frozen):
+    """One sweep: an instance source, budget grid, seed list, and mode.
 
-    generator: str | None = None
-    params: Mapping[str, float] = field(default_factory=dict)
-    input_path: str | None = None
-    eps: tuple[float, ...] = (1.0,)
-    seeds: tuple[int, ...] = (0,)
-    mode: str = "private"
-    c1: float = DEFAULT_C1
-    c2: float = DEFAULT_C2
-    c_depth: float = DEFAULT_C_DEPTH
-    penalty_const: float = DEFAULT_PENALTY_CONST
-    out: str | None = None
+    ``params`` defaults to a fresh empty dict.
+    """
 
-    def __post_init__(self):
+    __slots__ = (
+        "generator", "params", "input_path", "eps", "seeds", "mode", "c1", "c2", "c_depth", "penalty_const", "out"
+    )
+
+    def __init__(
+        self,
+        generator: str | None = None,
+        params: Mapping[str, float] | None = None,
+        input_path: str | None = None,
+        eps: tuple[float, ...] = (1.0,),
+        seeds: tuple[int, ...] = (0,),
+        mode: str = "private",
+        c1: float = DEFAULT_C1,
+        c2: float = DEFAULT_C2,
+        c_depth: float = DEFAULT_C_DEPTH,
+        penalty_const: float = DEFAULT_PENALTY_CONST,
+        out: str | None = None,
+    ):
+        params = {} if params is None else params
+        self._set(generator, params, input_path, eps, seeds, mode, c1, c2, c_depth, penalty_const, out)
         if (self.generator is None) == (self.input_path is None):
             raise ValueError("config needs exactly one of generator or input")
         if self.mode not in MODES:
@@ -110,20 +117,29 @@ class ExperimentRow(NamedTuple):
     value_error: float
 
 
-@dataclass(frozen=True)
-class AbortRecord:
+class AbortRecord(NamedTuple):
     seed: int
     eps: str
     depth: int
 
 
-@dataclass
 class ExperimentReport:
-    rows: list[ExperimentRow]
-    aborts: list[AbortRecord]
-    max_side_error: float | None
-    median_side_error: float | None
-    wall_time_s: float
+    def __init__(
+        self,
+        rows: list[ExperimentRow],
+        aborts: list[AbortRecord],
+        max_side_error: float | None,
+        median_side_error: float | None,
+        wall_time_s: float,
+    ):
+        self.rows = rows
+        self.aborts = aborts
+        self.max_side_error = max_side_error
+        self.median_side_error = median_side_error
+        self.wall_time_s = wall_time_s
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     def max_side_error_by_cell(self) -> dict[tuple[int, str], float]:
         """Worst all-pairs side error per (seed, eps) cell."""
@@ -133,6 +149,13 @@ class ExperimentReport:
             if key not in out or row.side_error > out[key]:
                 out[key] = row.side_error
         return out
+
+
+def _median(values: list[float]) -> float:
+    """``statistics.median`` of a nonempty list: the middle sorted value, or the mean of the middle two."""
+    data = sorted(values)
+    mid = len(data) // 2
+    return data[mid] if len(data) % 2 else (data[mid - 1] + data[mid]) / 2
 
 
 def _eps_label(value: float) -> str:
@@ -218,7 +241,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         rows=rows,
         aborts=aborts,
         max_side_error=max(side_errors) if side_errors else None,
-        median_side_error=statistics.median(side_errors) if side_errors else None,
+        median_side_error=_median(side_errors) if side_errors else None,
         wall_time_s=wall,
     )
 

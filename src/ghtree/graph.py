@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from ._maxflow import boundary_weight, incident_edges
 
@@ -125,8 +124,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class CutSide:
+class CutSide(NamedTuple):
     """One side of a cut: a proper nonempty vertex subset and its weight.
 
     ``value`` is always the recomputed boundary weight of ``side`` in the

@@ -18,10 +18,9 @@ over how a single edge change can land across sibling branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .dp import Epsilon, PrivacyLedger, Rng, sample_laplace
+from .dp import Epsilon, PrivacyLedger, Rng, _Frozen, sample_laplace
 from .exact import min_st_cut_exact
 from .graph import CutSide, Graph, contract
 from .private_cuts import DEFAULT_C1, DEFAULT_C2, DEFAULT_C_DEPTH, DEFAULT_PENALTY_CONST, RECURSION_SHARE
@@ -46,24 +45,26 @@ class GHTreeAbort(RuntimeError):
         self.seed = seed
 
 
-@dataclass(frozen=True)
-class StepParams:
+class StepParams(_Frozen):
     """Budget and constants for a single carving step."""
 
-    eps: Epsilon
-    beta: float
-    c1: float = DEFAULT_C1
-    c2: float = DEFAULT_C2
-    penalty_const: float = DEFAULT_PENALTY_CONST
+    __slots__ = ("eps", "beta", "c1", "c2", "penalty_const")
 
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta!r}")
-        _check_constants(c1=self.c1, c2=self.c2, penalty_const=self.penalty_const)
+    def __init__(
+        self,
+        eps: Epsilon,
+        beta: float,
+        c1: float = DEFAULT_C1,
+        c2: float = DEFAULT_C2,
+        penalty_const: float = DEFAULT_PENALTY_CONST,
+    ):
+        if not 0.0 < beta < 1.0:
+            raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
+        _check_constants(c1=c1, c2=c2, penalty_const=penalty_const)
+        self._set(eps, beta, c1, c2, penalty_const)
 
 
-@dataclass(frozen=True)
-class StepOutput:
+class StepOutput(NamedTuple):
     """Terminals carved off by one step.
 
     ``sets`` maps each selected terminal v to its cut side, which

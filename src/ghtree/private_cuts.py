@@ -21,11 +21,10 @@ constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from ._maxflow import _decided_side, min_cut_source_side
-from .dp import INFINITE, Epsilon, PrivacyLedger, Rng, sample_exponential
+from .dp import INFINITE, Epsilon, PrivacyLedger, Rng, _Frozen, sample_exponential
 from .graph import CutSide, Graph, contract, make_cut_side
 
 # Default constants of the pipeline's error allowances (c1, c2), depth
@@ -46,8 +45,7 @@ def _check_constants(**constants: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class IsoCutParams:
+class IsoCutParams(_Frozen):
     """Budget and shape parameters for one isolating-cuts invocation.
 
     ``U`` is the terminal universe whose coverage the penalty protects;
@@ -55,20 +53,16 @@ class IsoCutParams:
     the failure probability the penalty is calibrated against.
     """
 
-    eps: Epsilon
-    beta: float
-    U: frozenset[int]
-    penalty_const: float = DEFAULT_PENALTY_CONST
+    __slots__ = ("eps", "beta", "U", "penalty_const")
 
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta!r}")
-        _check_constants(penalty_const=self.penalty_const)
-        object.__setattr__(self, "U", frozenset(int(v) for v in self.U))
+    def __init__(self, eps: Epsilon, beta: float, U: frozenset[int], penalty_const: float = DEFAULT_PENALTY_CONST):
+        if not 0.0 < beta < 1.0:
+            raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
+        _check_constants(penalty_const=penalty_const)
+        self._set(eps, beta, frozenset(int(v) for v in U), penalty_const)
 
 
-@dataclass(frozen=True)
-class IsoCutsResult:
+class IsoCutsResult(NamedTuple):
     cuts: Mapping[int, CutSide]
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -42,6 +44,34 @@ class TestEpsilon:
     def test_split_factor_must_be_positive(self):
         with pytest.raises(ValueError):
             Epsilon(1.0).split(0)
+
+    def test_value_coerced_to_float_by_position_or_keyword(self):
+        assert type(Epsilon(2).value) is float
+        assert Epsilon("0.5") == Epsilon(value=0.5)
+
+    @pytest.mark.parametrize("bad", [0, -1.5, math.nan])
+    def test_rejection_names_the_given_value(self, bad):
+        with pytest.raises(ValueError, match=rf"^epsilon must be positive or infinite, got {bad!r}$"):
+            Epsilon(bad)
+
+    def test_equal_values_equal_objects_and_hashes(self):
+        assert Epsilon(1) == Epsilon(1.0) and hash(Epsilon(1)) == hash(Epsilon(1.0))
+        assert Epsilon(1.0) != Epsilon(2.0)
+        assert Epsilon(1.0) != 1.0
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        eps = Epsilon(1.0)
+        with pytest.raises(AttributeError):
+            eps.value = 2.0
+        with pytest.raises(AttributeError):
+            del eps.value
+        with pytest.raises(AttributeError):
+            eps.other = 1
+        assert eps.value == 1.0
+
+    def test_copies_rebuild_through_the_constructor(self):
+        assert pickle.loads(pickle.dumps(INFINITE)) == INFINITE
+        assert copy.deepcopy(Epsilon(0.5)) == Epsilon(0.5)
 
 
 class TestRng:
@@ -273,6 +303,24 @@ class TestLedger:
         led = PrivacyLedger(INFINITE)
         led.charge("a", 1.0, 1e-9)
         assert led.within_budget()
+
+    def test_entry_is_a_record(self):
+        entry = LedgerEntry("x", 1.0, 2.0, 3)
+        assert entry == LedgerEntry(name="x", sensitivity=1.0, scale=2.0, count=3)
+        assert hash(entry) == hash(LedgerEntry("x", 1.0, 2.0, 3))
+        with pytest.raises(AttributeError):
+            entry.count = 4
+
+    def test_ledgers_compare_by_fields_and_are_unhashable(self):
+        a, b = PrivacyLedger(Epsilon(1.0)), PrivacyLedger(budget=Epsilon(1.0), entries=[])
+        assert a == b and a.entries is not PrivacyLedger(Epsilon(1.0)).entries
+        a.charge("x", 1.0, 2.0)
+        assert a != b
+        b.charge("x", 1.0, 2.0)
+        assert a == b
+        assert PrivacyLedger(Epsilon(2.0)) != PrivacyLedger(Epsilon(1.0))
+        with pytest.raises(TypeError):
+            hash(a)
 
     def test_invalid_charges_rejected(self):
         led = PrivacyLedger(Epsilon(1.0))

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import statistics
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ from ghtree import (
     write_csv,
 )
 from ghtree import exact, experiment
-from ghtree.experiment import CSV_HEADER, _instance, _pair_answers
+from ghtree.experiment import CSV_HEADER, AbortRecord, _instance, _median, _pair_answers
 from ghtree.exact import gomory_hu_exact
 from ghtree.steiner import _path_minima
 from oracles import min_edge_on_path
@@ -87,6 +88,62 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             small_config(**{name: value})
 
+    def test_positional_and_keyword_construction_with_defaults(self):
+        config = ExperimentConfig("cycle")
+        assert config == ExperimentConfig(
+            generator="cycle",
+            params={},
+            input_path=None,
+            eps=(1.0,),
+            seeds=(0,),
+            mode="private",
+            c1=4.0,
+            c2=4.0,
+            c_depth=4.0,
+            penalty_const=4.0,
+            out=None,
+        )
+        assert config.params is not ExperimentConfig("cycle").params
+        positional = ExperimentConfig(None, {"n": 3}, "g.txt", (2.0,), (5,), "exact-baseline", 1.0, 2.0, 3.0, 5.0, "o")
+        assert positional == ExperimentConfig(
+            out="o",
+            penalty_const=5.0,
+            c_depth=3.0,
+            c2=2.0,
+            c1=1.0,
+            mode="exact-baseline",
+            seeds=(5,),
+            eps=(2.0,),
+            input_path="g.txt",
+            params={"n": 3},
+        )
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(seeds=()), "need at least one seed"),
+            (dict(eps=()), "need at least one eps value"),
+            (dict(eps=(1.0, -2.0)), r"eps values must be positive, got -2\.0"),
+            (dict(mode="fancy"), r"mode must be one of \('private', 'exact-baseline'\), got 'fancy'"),
+        ],
+    )
+    def test_validation_messages(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            small_config(**overrides)
+
+    def test_equal_fields_equal_objects(self):
+        assert small_config() == small_config() == copy.deepcopy(small_config())
+        assert small_config() != small_config(seeds=(0,))
+        # Like the frozen dataclass it replaced, hashing hashes every field, and params is a dict.
+        with pytest.raises(TypeError, match="dict"):
+            hash(small_config())
+
+    def test_fields_cannot_be_assigned(self):
+        config = small_config()
+        with pytest.raises(AttributeError):
+            config.eps = (2.0,)
+        assert config.eps == (1.0,)
+
 
 class TestRun:
     def test_noiseless_mode_has_zero_errors(self):
@@ -119,6 +176,37 @@ class TestRun:
         assert report.max_side_error == max(r.side_error for r in report.rows)
         by_cell = report.max_side_error_by_cell()
         assert set(by_cell) == {(s, e) for s in (0, 1) for e in ("0.5", "2.0")}
+
+    def test_median_side_error_is_the_median(self):
+        report = run_experiment(small_config(eps=(0.5, 2.0)))
+        side_errors = [row.side_error for row in report.rows]
+        assert report.median_side_error.hex() == statistics.median(side_errors).hex()
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.3], [0.1, 0.7, 0.2], [0.1, 0.7, 0.2, 1e-300], [1.0, 2.0], [-0.0, 0.0, 5e-324, 1.7976931348623157e308]],
+    )
+    def test_median_matches_statistics(self, values):
+        assert _median(values).hex() == statistics.median(values).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    def test_median_matches_statistics_on_any_list(self, values):
+        assert _median(values).hex() == statistics.median(values).hex()
+
+    def test_reports_compare_by_fields_and_are_unhashable(self):
+        report = ExperimentReport([], [AbortRecord(0, "1.0", 3)], None, None, 0.5)
+        same = ExperimentReport(
+            rows=[],
+            aborts=[AbortRecord(seed=0, eps="1.0", depth=3)],
+            max_side_error=None,
+            median_side_error=None,
+            wall_time_s=0.5,
+        )
+        assert report == same
+        assert report != ExperimentReport([], [], None, None, 0.5)
+        with pytest.raises(TypeError):
+            hash(report)
 
     def test_file_instance_source(self, tmp_path):
         g = Graph(range(4), [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 0, 2.0)])
@@ -168,14 +256,15 @@ class TestSharedPivotValues:
     def test_eps_cells_run_the_flows_of_one_cell(self, monkeypatch):
         # Default constants give a depth-0 star in every cell, so every pivot flow runs on the seed's own graph.
         calls = count_flows(monkeypatch)
-        config = small_config(params={"n": 16, "p": 0.3}, seeds=(0, 1))
-        report = run_experiment(replace(config, eps=self.EPS))
+        fields = dict(params={"n": 16, "p": 0.3}, seeds=(0, 1))
+        config = small_config(**fields)
+        report = run_experiment(small_config(**fields, eps=self.EPS))
         sweep_flows = len(calls)
         del calls[:]
         run_experiment(config)
         assert sweep_flows == len(calls)
         for value in self.EPS:
-            single = run_experiment(replace(config, eps=(value,)))
+            single = run_experiment(small_config(**fields, eps=(value,)))
             assert [r for r in report.rows if r.eps == repr(value)] == single.rows
 
     def test_consecutive_builds_each_run_every_pivot_flow(self, monkeypatch):

@@ -27,6 +27,7 @@ from ghtree import (
     min_st_cut_exact,
 )
 from ghtree.pipeline import _gh_rec
+from ghtree.private_cuts import DEFAULT_C1, DEFAULT_C2, DEFAULT_PENALTY_CONST
 
 
 def dumbbell6() -> Graph:
@@ -77,6 +78,30 @@ class TestRecursionParams:
 
 
 class TestStepParams:
+    def test_positional_and_keyword_construction_with_defaults(self):
+        params = StepParams(Epsilon(1.0), 0.5)
+        assert (params.c1, params.c2, params.penalty_const) == (DEFAULT_C1, DEFAULT_C2, DEFAULT_PENALTY_CONST)
+        assert params == StepParams(eps=Epsilon(1.0), beta=0.5, c1=DEFAULT_C1, c2=DEFAULT_C2)
+        assert StepParams(Epsilon(1.0), 0.5, 1.0, 2.0, 3.0) == StepParams(
+            Epsilon(1.0), 0.5, penalty_const=3.0, c2=2.0, c1=1.0
+        )
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, math.nan])
+    def test_beta_message(self, beta):
+        with pytest.raises(ValueError, match=rf"^beta must lie in \(0, 1\), got {beta!r}$"):
+            StepParams(Epsilon(1.0), beta)
+
+    def test_equal_fields_equal_objects_and_hashes(self):
+        a, b = StepParams(Epsilon(1.0), 0.5), StepParams(Epsilon(1), 0.5)
+        assert a == b and hash(a) == hash(b)
+        assert a != StepParams(Epsilon(1.0), 0.25)
+
+    def test_fields_cannot_be_assigned(self):
+        params = StepParams(Epsilon(1.0), 0.5)
+        with pytest.raises(AttributeError):
+            params.beta = 0.25
+        assert params.beta == 0.5
+
     @pytest.mark.parametrize("value", NONFINITE)
     @pytest.mark.parametrize("name", ["c1", "c2", "penalty_const"])
     def test_nonfinite_constant_rejected(self, name, value):

@@ -238,6 +238,28 @@ class TestIsoParams:
         with pytest.raises(ValueError, match="penalty_const must be positive and finite"):
             IsoCutParams(eps=Epsilon(1.0), beta=0.5, U=frozenset(), penalty_const=value)
 
+    def test_positional_and_keyword_construction_coerce_the_universe(self):
+        params = IsoCutParams(Epsilon(1.0), 0.5, [2, 1, 2])
+        assert params.U == frozenset({1, 2}) and type(params.U) is frozenset
+        assert params.penalty_const == private_cuts.DEFAULT_PENALTY_CONST
+        assert params == IsoCutParams(eps=Epsilon(1.0), beta=0.5, U=frozenset({1, 2}), penalty_const=4.0)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, -0.5])
+    def test_beta_message(self, beta):
+        with pytest.raises(ValueError, match=rf"^beta must lie in \(0, 1\), got {beta!r}$"):
+            IsoCutParams(Epsilon(1.0), beta, frozenset())
+
+    def test_equal_fields_equal_objects_and_hashes(self):
+        a, b = IsoCutParams(Epsilon(1.0), 0.5, {1, 2}), IsoCutParams(Epsilon(1.0), 0.5, (2, 1))
+        assert a == b and hash(a) == hash(b)
+        assert a != IsoCutParams(Epsilon(1.0), 0.5, {1})
+
+    def test_fields_cannot_be_assigned(self):
+        params = IsoCutParams(Epsilon(1.0), 0.5, {1})
+        with pytest.raises(AttributeError):
+            params.U = frozenset({1, 2})
+        assert params.U == frozenset({1})
+
 
 def iso_params(eps, g, beta=0.01) -> IsoCutParams:
     return IsoCutParams(eps=eps, beta=beta, U=frozenset(g.vertices))
