@@ -15,7 +15,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from ._maxflow import boundary_weight, incident_edges
+from ._maxflow import boundary_weight, incident_edges, patch_network
 
 
 def _canon(u: int, v: int) -> tuple[int, int]:
@@ -28,7 +28,8 @@ class Graph:
     Isolated vertices are allowed; the vertex set is fixed at
     construction. Zero-weight edges supplied to the constructor are
     dropped, negative or non-finite weights are rejected. The flow
-    network that ``_maxflow`` builds for the graph is kept in ``_net``.
+    network that ``_maxflow`` builds for the graph, or patches from its
+    parent's after ``contract``, is kept in ``_net``.
     ``_pivot_values`` is None, or a dict that ``gh_tree_step`` reads and
     fills with exact pivot cut values λ(s, v) under the key (s, v); only
     ``run_experiment`` gives a graph one, so that a seed's eps cells
@@ -170,7 +171,10 @@ def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
     other edge carries over unchanged, in g's order. Each new key holds
     a block label, above every vertex of g, so it is none of g's keys:
     only the new keys are sorted, each merged in at its bisected place
-    among the kept ones, and the store is never sorted as a whole.
+    among the kept ones, and the store is never sorted as a whole. The
+    result patches g's network into its own when first asked for one
+    (``_maxflow.patch_network``), unless over half its arcs would be
+    dead, in which case it builds its own.
 
     The result is bitwise that of contracting the blocks one at a time
     in the order given. A vertex's edges into a block are summed in
@@ -192,13 +196,12 @@ def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
         if not to.keys().isdisjoint(s):
             raise ValueError("contraction blocks must be pairwise disjoint")
         to.update(dict.fromkeys(s, label + i))
-    incident = incident_edges(g, to)
     keys = list(g._weights)
     values = list(g._weights.values())
     kept = bytearray(b"\x01") * len(keys)
     fresh: dict[tuple[int, int], float] = {}
     into_earlier: dict[tuple[int, int], float] = {}
-    for k in incident:
+    for k in incident_edges(g, keys, to):
         kept[k] = 0
         u, v = keys[k]
         w = values[k]
@@ -215,20 +218,23 @@ def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
     for (b, earlier), w in sorted(into_earlier.items()):
         key = (earlier, to[b])
         fresh[key] = fresh.get(key, 0.0) + w
+    new = sorted(fresh.items())
     keys = list(compress(keys, kept))
     values = list(compress(values, kept))
     merged_keys, merged_values, start = [], [], 0
-    for key in sorted(fresh):
+    for key, w in new:
         stop = bisect_left(keys, key, start)
         merged_keys += keys[start:stop]
         merged_keys.append(key)
         merged_values += values[start:stop]
-        merged_values.append(fresh[key])
+        merged_values.append(w)
         start = stop
     merged_keys += keys[start:]
     merged_values += values[start:]
     vertices = tuple(v for v in g.vertices if v not in to) + tuple(range(label, label + len(blocks)))
-    return Graph._canonical(vertices, dict(zip(merged_keys, merged_values))), label
+    h = Graph._canonical(vertices, dict(zip(merged_keys, merged_values)))
+    patch_network(g, h, to, new)
+    return h, label
 
 
 def are_neighboring(g1: Graph, g2: Graph) -> bool:

@@ -404,7 +404,8 @@ def loop_network(g: Graph) -> tuple:
 
     Edge k of the canonical order becomes arc 2k (u -> v) and arc 2k+1
     (v -> u), both with capacity w, appended to each endpoint's arc list.
-    Returns (vertex index, arc lists, arc heads, capacities).
+    Returns (vertex index, each position's vertex, arc lists, arc heads,
+    capacities).
     """
     index = {v: i for i, v in enumerate(g.vertices)}
     adj = [[] for _ in index]
@@ -415,7 +416,7 @@ def loop_network(g: Graph) -> tuple:
         adj[index[v]].append(len(heads) + 1)
         heads += (index[v], index[u])
         caps += (w, w)
-    return index, adj, heads, caps
+    return index, list(g.vertices), adj, heads, caps
 
 
 def noised_graph(g: Graph, s, t, eps, rng) -> Graph:

@@ -17,6 +17,7 @@ from ghtree import (
     Graph,
     Rng,
     component_nodes,
+    contract,
     cut_weight,
     generate,
     gomory_hu_exact,
@@ -26,8 +27,8 @@ from ghtree import (
     private_min_ST_cut,
     private_min_st_cut,
 )
-from ghtree import _maxflow, private_cuts
-from ghtree._maxflow import _decided_side, _dinic_levels, _network
+from ghtree import _maxflow, exact, private_cuts
+from ghtree._maxflow import _decided_side, _dinic_levels, _network, incident_edges, min_cut_source_side
 
 
 def dumbbell6() -> Graph:
@@ -139,6 +140,97 @@ class TestFlowNetworkReuse:
         assert [e.cut.side for e in expected[1:4]] == [{0, 1, 2}, {3, 4, 5}, {0}]
 
 
+def next_blocks(data, g: Graph) -> list[list[int]]:
+    """Blocks for one more contraction of g.
+
+    One vertex, all vertices but one, neighbours of one vertex, whose
+    edges to it merge, or one to three random disjoint blocks.
+    """
+    kind = data.draw(st.sampled_from(["single", "all but one", "merging", "several"]))
+    order = data.draw(st.permutations(g.vertices))
+    if kind == "single":
+        return [order[:1]]
+    if kind == "all but one":
+        return [order[1:]]
+    if kind == "merging":
+        near = [v for v in order if sum(g.weight(v, u) > 0.0 for u in g.vertices) >= 2]
+        if near:
+            ring = [u for u in g.vertices if g.weight(near[0], u) > 0.0]
+            return [data.draw(st.lists(st.sampled_from(ring), min_size=2, unique=True))]
+    cuts = sorted(data.draw(st.sets(st.integers(1, g.n - 1), min_size=1, max_size=3)))
+    return [order[a:b] for a, b in zip([0, *cuts], cuts)]
+
+
+def edge_bits(g: Graph) -> list:
+    return [(u, v, w.hex()) for u, v, w in g.edges()]
+
+
+def residual_rows(g: Graph, s: int, t: int) -> dict:
+    """Each vertex's arcs in list order, as (head, start and final capacity), after the kernel cuts s from t in g's network."""
+    index, verts, adj, head, cap = _network(g)
+    final = cap[:]
+    _dinic_levels(adj, head, final, index[s], index[t], len(adj) - g.n)
+    return {v: [(verts[head[a]], cap[a].hex(), final[a].hex()) for a in adj[index[v]]] for v in g.vertices}
+
+
+class TestPatchedNetworks:
+    """A contracted graph's network, patched from its parent's, cuts, weighs and contracts as a fresh graph's does."""
+
+    @given(strategies.connected_graphs(min_n=3, max_n=9, weights=strategies.third_weights), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_chains_of_contractions_equal_fresh_graphs(self, g, data):
+        h = g
+        for _ in range(data.draw(st.integers(1, 4))):
+            if h.n < 3:
+                break
+            blocks = next_blocks(data, h)
+            parent = h
+            before = repr(_network(parent))  # repr shows every float's bits
+            h, label = contract(parent, *blocks)
+            # The same contraction of a fresh copy; its own result is fresh too.
+            ref, ref_label = contract(Graph(parent.vertices, parent.edges()), *blocks)
+            assert (h.vertices, label, edge_bits(h)) == (ref.vertices, ref_label, edge_bits(ref))
+            # Until first asked for, h's network is the parent's, with the patch still to apply.
+            pending = h._net is not None
+            assert not pending or h._net[0] is parent._net
+            patched = repr(_network(h))
+            assert (len(h._net[2]) > h.n) == pending  # a patched network leaves each block's position empty
+            fresh = Graph(h.vertices, h.edges())
+            keys = [(u, v) for u, v, _ in h.edges()]
+            for s, t in ((s, t) for s in h.vertices for t in h.vertices if s != t):
+                side = min_cut_source_side(h, s, t)
+                assert side == min_cut_source_side(fresh, s, t)
+                assert cut_weight(h, side).hex() == cut_weight(fresh, side).hex()
+                assert incident_edges(h, keys, {s, t}) == incident_edges(fresh, keys, {s, t})
+                assert residual_rows(h, s, t) == residual_rows(fresh, s, t)
+            for v in h.vertices:
+                assert incident_edges(h, keys, [v]) == incident_edges(fresh, keys, [v])
+            rest = h.vertices[1:]
+            for bits in range(2 ** len(rest)):
+                side = {h.vertices[0], *(v for i, v in enumerate(rest) if bits >> i & 1)}
+                assert cut_weight(h, side).hex() == cut_weight(fresh, side).hex()
+            # Neither the contraction nor the cuts changed the parent's network, or a patched one.
+            assert repr(parent._net) == before
+            assert repr(h._net) == patched
+        # The last graph's next contraction, as each earlier one's was checked above.
+        blocks = next_blocks(data, h)
+        nxt, ref = contract(h, *blocks), contract(Graph(h.vertices, h.edges()), *blocks)
+        assert (nxt[0].vertices, nxt[1], edge_bits(nxt[0])) == (ref[0].vertices, ref[1], edge_bits(ref[0]))
+
+    def test_one_vertex_cut_off_patches_the_network(self):
+        g = generate("erdos-renyi-weighted", {"n": 40, "p": 0.2}, 0)
+        min_st_cut_exact(g, 0, 1)
+        h = contract(g, [5])[0]
+        assert h._net[0] is g._net  # nothing is copied before h is cut
+        index, verts, adj, head, cap = _network(h)
+        # g's arcs copied, vertex 5's position left empty, its label appended; 5's edges stay as dead arcs.
+        assert head[: 2 * g.m] == g._net[3] and cap[: 2 * g.m] == g._net[4]
+        assert 5 not in index and verts[5] is None and adj[5] == []
+        assert index[g.n] == g.n and verts == [*g.vertices[:5], None, *g.vertices[6:], g.n]
+        assert sum(map(len, adj)) == 2 * h.m < len(head)
+        assert min_st_cut_exact(h, 0, g.n) == fresh_cut(h, 0, g.n)
+
+
 class TestNetworkSlot:
     """A graph's flow network is built once, kept on that object and nowhere else."""
 
@@ -197,18 +289,18 @@ class TestDinicKernel:
     @settings(max_examples=300, deadline=None)
     def test_same_capacities_and_reachable_set_as_full_bfs(self, case):
         g, s, t = case
-        index, adj, head, cap = _network(g)
+        index, _, adj, head, cap = _network(g)
         got_cap, ref_cap = cap[:], cap[:]
-        got = _dinic_levels(adj, head, got_cap, index[s], index[t])
+        got = _dinic_levels(adj, head, got_cap, index[s], index[t], 0)
         ref = oracles.dinic_levels_full_bfs(adj, head, ref_cap, index[s], index[t])
         assert [c.hex() for c in got_cap] == [c.hex() for c in ref_cap]
         assert {i for i, lv in enumerate(got) if lv >= 0} == {i for i, lv in enumerate(ref) if lv >= 0}
 
 
-def assert_levels_match_full_bfs(adj: list, head: list, cap: list, s: int, t: int) -> list[int]:
+def assert_levels_match_full_bfs(adj: list, head: list, cap: list, s: int, t: int, empty: int) -> list[int]:
     """Check the kernel against the full-BFS reference on one network, each on its own copy of ``cap``; return the kernel's levels."""
     got_cap, ref_cap = cap[:], cap[:]
-    got = _dinic_levels(adj, head, got_cap, s, t)
+    got = _dinic_levels(adj, head, got_cap, s, t, empty)
     ref = oracles.dinic_levels_full_bfs(adj, head, ref_cap, s, t)
     assert [c.hex() for c in got_cap] == [c.hex() for c in ref_cap]
     assert {i for i, lv in enumerate(got) if lv >= 0} == {i for i, lv in enumerate(ref) if lv >= 0}
@@ -217,9 +309,9 @@ def assert_levels_match_full_bfs(adj: list, head: list, cap: list, s: int, t: in
 
 def assert_kernel_matches_full_bfs(g: Graph, s: int, t: int) -> frozenset[int]:
     """Check the kernel against the full-BFS reference on g's network; return the side found."""
-    index, adj, head, cap = _network(g)
-    got = assert_levels_match_full_bfs(adj, head, cap, index[s], index[t])
-    return frozenset(v for v, lv in zip(g.vertices, got) if lv >= 0)
+    index, verts, adj, head, cap = _network(g)
+    got = assert_levels_match_full_bfs(adj, head, cap, index[s], index[t], len(adj) - g.n)
+    return frozenset(v for v, lv in zip(verts, got) if lv >= 0)
 
 
 @st.composite
@@ -290,18 +382,19 @@ class TestDinicDeepLevels:
         seen = []
         real = _maxflow._dinic_levels
 
-        def capture(adj, head, cap, s, t):
-            seen.append((adj, head, cap[:], s, t))
-            return real(adj, head, cap, s, t)
+        def capture(adj, head, cap, s, t, empty):
+            seen.append((adj, head, cap[:], s, t, empty))
+            return real(adj, head, cap, s, t, empty)
 
         g = generate("erdos-renyi-weighted", {"n": 60, "p": 0.1}, 0)
         want = private_min_st_cut(g, 0, 59, Epsilon(1.0), Rng(0))
         monkeypatch.setattr(private_cuts, "_decided_side", lambda sums: None)
         monkeypatch.setattr(_maxflow, "_dinic_levels", capture)
         side = private_min_st_cut(g, 0, 59, Epsilon(1.0), Rng(0))
-        (adj, head, cap, s, t), = seen
+        (adj, head, cap, s, t, empty), = seen
         assert sum(c > 0.0 for c in cap) > 2 * g.m  # the noise arcs
-        got = assert_levels_match_full_bfs(adj, head, cap, s, t)
+        assert empty == 0  # the noised graph's network is built fresh
+        got = assert_levels_match_full_bfs(adj, head, cap, s, t, empty)
         # The noised graph has g's vertices, so its levels read as a side of g.
         assert frozenset(v for v, lv in zip(g.vertices, got) if lv >= 0) == side == want
         assert side == oracles.private_min_st_cut(g, 0, 59, Epsilon(1.0), Rng(0))
@@ -348,9 +441,9 @@ def rule_and_kernel(g: Graph, s: int, t: int) -> tuple[list[int] | None, list[in
     The rule gets each vertex's c_s, c_t and r summed over its arcs in
     list order, as ``bit_round_codes`` sums them for a noised graph.
     """
-    index, adj, head, cap = _network(g)
+    index, _, adj, head, cap = _network(g)
     side = _decided_side(oracles.arc_sums(adj, head, cap, index[s], index[t]))
-    ref = _dinic_levels(adj, head, cap[:], index[s], index[t])
+    ref = _dinic_levels(adj, head, cap[:], index[s], index[t], 0)
     if side is None:
         return None, ref
     level = [-1] * len(adj)
@@ -516,3 +609,25 @@ class TestGomoryHu:
         finally:
             tracemalloc.stop()
         assert peak < 20 * graph_bytes
+
+    @pytest.mark.parametrize(
+        "kind, params", [("erdos-renyi-weighted", {"n": 120, "p": 0.1}), ("dumbbell", {"clique": 20})]
+    )
+    def test_networks_hold_at_most_twice_the_live_arcs(self, kind, params, monkeypatch):
+        sizes = []
+        real = exact.min_cut_source_side
+
+        def spy(h, s, t):
+            side = real(h, s, t)
+            _, verts, adj, head, cap = h._net
+            sizes.append((len(head), len(cap), sum(map(len, adj)), 2 * h.m, len(verts) - h.n))
+            return side
+
+        monkeypatch.setattr(exact, "min_cut_source_side", spy)
+        g = generate(kind, params, 0)
+        gomory_hu_exact(g)
+        assert len(sizes) == g.n - 1
+        for arcs, caps, live, want, empty in sizes:
+            assert arcs == caps <= 2 * live
+            assert live == want
+        assert sum(empty > 0 for *_, empty in sizes) > g.n // 2  # most of the cut graphs were patched

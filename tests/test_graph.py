@@ -323,9 +323,9 @@ class TestNetwork:
     @given(spread_graphs())
     @settings(max_examples=100, deadline=None)
     def test_equals_a_network_grown_one_edge_at_a_time(self, g):
-        index, adj, head, cap = _network(g)
-        ref_index, ref_adj, ref_head, ref_cap = oracles.loop_network(g)
-        assert (index, adj, head) == (ref_index, ref_adj, ref_head)
+        index, verts, adj, head, cap = _network(g)
+        ref_index, ref_verts, ref_adj, ref_head, ref_cap = oracles.loop_network(g)
+        assert (index, verts, adj, head) == (ref_index, ref_verts, ref_adj, ref_head)
         assert [c.hex() for c in cap] == [c.hex() for c in ref_cap]
 
 
