@@ -6,9 +6,12 @@ from a graph's edge store numbers its arcs in canonical edge order: the
 k-th edge becomes arc 2k (u -> v) and arc 2k+1 (v -> u), both with the
 edge weight as capacity, so the reverse of arc ``a`` is ``a ^ 1``;
 position i holds the i-th vertex and lists its arc ids in increasing
-order. The kernel returns the final BFS level list: positions still
-reachable from the source in the residual network form the minimal
-source-side min cut, which is the tie-break every caller relies on.
+order. A contraction's store lists only each vertex's edges in
+canonical order (``graph``'s docstring), so a network built from one
+walks it sorted. The kernel returns the final BFS level list: positions
+still reachable from the source in the residual network form the
+minimal source-side min cut, which is the tie-break every caller relies
+on.
 
 Each phase labels vertices by residual distance to the sink t, with a
 BFS from t over reverse arcs that stops after scanning the vertex that
@@ -30,24 +33,23 @@ A graph's network is made on first use and kept on the graph, so every
 flow, cut weight and contraction on one graph object share it; each
 flow works on its own copy of the capacities, and as graphs are
 immutable the network never goes stale. A constructed graph builds it
-in one pass over preallocated arrays. A contraction reads only the
-edges at its blocks and leaves its result the parent's network with a
-patch that the result's first use applies, so a result never cut
-copies nothing. The patch copies the arrays, empties each block
-vertex's position, drops the arcs into the blocks from their
-neighbours' lists, puts the labels after all other positions and
-appends the new edges, each at a label, as arc pairs in canonical key
-order; if over half the arcs would then be dead, the result builds
-fresh instead. Arc ids are then canonical only on fresh networks, but
-positions follow vertex order, as labels exceed every vertex, and each
-vertex lists its arcs in canonical edge order: its kept arcs in their
-old order, then the new ones, whose keys hold a label. So Dinic pushes
-the same flows, and its last BFS leaves the empty positions out of its
-stop count. A contraction finds the canonical ids of the edges at its
-blocks from their end positions, bisected into the edge store. A cut
-weight adds the crossing arcs of the smaller of the side and its
-complement in canonical edge order: by arc id on a fresh network, by
-end positions on a patched one.
+in one pass over preallocated arrays. A contraction reads the edges at
+its blocks from their arc lists (``edges_at``) and leaves its result
+the parent's network with a patch that the result's first use applies,
+so a result never cut copies nothing. The patch copies the arrays,
+empties each block vertex's position, drops the arcs into the blocks
+from their neighbours' lists, puts the labels after all other
+positions and appends the new edges, each at a label, as arc pairs in
+canonical key order; if over half the arcs would then be dead, the
+result builds fresh instead. Arc ids are then canonical only on fresh
+networks, but positions follow vertex order, as labels exceed every
+vertex, and each vertex lists its arcs in canonical edge order: its
+kept arcs in their old order, then the new ones, whose keys hold a
+label. So Dinic pushes the same flows, and its last BFS leaves the
+empty positions out of its stop count. A cut weight adds the crossing
+arcs of the smaller of the side and its complement in canonical edge
+order: by arc id on a fresh network, by end positions on a patched
+one.
 
 ``min_cut_source_side`` is the one caller of Dinic. The s-t mechanism,
 and each round of the isolating cuts, cuts a noised graph: the input
@@ -96,7 +98,6 @@ the first vertex with |c_s - c_t| <= r.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -205,13 +206,14 @@ def _network(g: Graph) -> _Network:
     """The flow network of g, built or patched on first use and kept in the graph's ``_net`` slot."""
     net = g._net
     if net is None:
+        weights = g._weights if g._sorted else dict(sorted(g._weights.items()))  # a contraction's store
         index = {v: i for i, v in enumerate(g.vertices)}
         adj: list[list[int]] = [[] for _ in index]
         head = [0] * (2 * g.m)
         cap = [0.0] * len(head)
-        cap[::2] = cap[1::2] = list(g._weights.values())
+        cap[::2] = cap[1::2] = list(weights.values())
         a = 0
-        for u, v in g._weights:
+        for u, v in weights:
             iu, iv = index[u], index[v]
             adj[iu].append(a)
             adj[iv].append(a + 1)
@@ -255,18 +257,10 @@ def _patched(h: Graph, net: _Network, blocks: Iterable[int], new: list[tuple[tup
     return index, verts, adj, head, cap
 
 
-def incident_edges(g: Graph, keys: list[tuple[int, int]], vertices: Iterable[int]) -> list[int]:
-    """Canonical ids, in increasing order, of g's edges with an endpoint in ``vertices``; ``keys`` lists g's edge keys."""
-    index, verts, adj, head, _ = _network(g)
-    p = len(adj)
-    pairs = set()
-    for i in map(index.__getitem__, vertices):
-        pairs.update(i * p + j if i < j else j * p + i for j in map(head.__getitem__, adj[i]))
-    ids, k = [], 0
-    for pair in sorted(pairs):  # positions follow vertex order, so the keys come in canonical order
-        k = bisect_left(keys, (verts[pair // p], verts[pair % p]), k)
-        ids.append(k)
-    return ids
+def edges_at(g: Graph, vertices: Iterable[int]) -> list[tuple[int, int, float]]:
+    """(v, x, w) for each edge {v, x} of g at each of ``vertices`` in turn, each vertex's edges in canonical order."""
+    index, verts, adj, head, cap = _network(g)
+    return [(v, verts[head[a]], cap[a]) for v in vertices for a in adj[index[v]]]
 
 
 def boundary_weight(g: Graph, side: set[int] | frozenset[int]) -> float:

@@ -5,17 +5,23 @@ algorithm in this package that needs "the i-th vertex" relies on that
 order. Edge weights are positive reals on unordered pairs: parallel
 edges merge by summation, zero-weight pairs are dropped, self-loops are
 rejected.
+
+Each vertex's edges appear in the edge store in canonical order, by
+their other end; flow networks and every sum over a vertex's edges
+rely on that alone. A contraction copies its parent's store, deletes
+the keys at its blocks and appends its sorted new keys, each last among
+its ends' edges. Other graphs keep the whole store sorted, so only a
+contraction's is sorted for ``Graph.edges`` or a fresh network.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from ._maxflow import boundary_weight, incident_edges, patch_network
+from ._maxflow import boundary_weight, edges_at, patch_network
 
 
 def _canon(u: int, v: int) -> tuple[int, int]:
@@ -27,16 +33,18 @@ class Graph:
 
     Isolated vertices are allowed; the vertex set is fixed at
     construction. Zero-weight edges supplied to the constructor are
-    dropped, negative or non-finite weights are rejected. The flow
-    network that ``_maxflow`` builds for the graph, or patches from its
-    parent's after ``contract``, is kept in ``_net``.
-    ``_pivot_values`` is None, or a dict that ``gh_tree_step`` reads and
-    fills with exact pivot cut values λ(s, v) under the key (s, v); only
-    ``run_experiment`` gives a graph one, so that a seed's eps cells
-    share them. Equality and hashing ignore both slots.
+    dropped, negative or non-finite weights are rejected. The edge store
+    lists each vertex's edges in canonical order, and ``_sorted`` says
+    whether it is sorted as a whole (module docstring). The flow network
+    that ``_maxflow`` builds for the graph, or patches from its parent's
+    after ``contract``, is kept in ``_net``. ``_pivot_values`` is None,
+    or a dict that ``gh_tree_step`` reads and fills with exact pivot cut
+    values λ(s, v) under the key (s, v); only ``run_experiment`` gives a
+    graph one, so that a seed's eps cells share them. Equality and
+    hashing ignore the store's order and these three slots.
     """
 
-    __slots__ = ("_vertices", "_vset", "_weights", "_net", "_pivot_values")
+    __slots__ = ("_vertices", "_vset", "_weights", "_sorted", "_net", "_pivot_values")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int, float]] = ()):
         vs = sorted({int(v) for v in vertices})
@@ -55,6 +63,7 @@ class Graph:
         self._vertices: tuple[int, ...] = tuple(vs)
         self._vset = vset
         self._weights = {k: w for k, w in sorted(weights.items()) if w > 0.0}
+        self._sorted = True
         self._net = None
         self._pivot_values: dict[tuple[int, int], float] | None = None
 
@@ -68,15 +77,16 @@ class Graph:
         key order is restored, by sorting the whole store. Keys are
         unique, so sorting on them alone gives the same order.
         """
-        return cls._canonical(vertices, dict(sorted(weights.items(), key=itemgetter(0))))
+        return cls._canonical(vertices, dict(sorted(weights.items(), key=itemgetter(0))), True)
 
     @classmethod
-    def _canonical(cls, vertices: tuple[int, ...], weights: dict[tuple[int, int], float]) -> Graph:
-        """``_trusted`` for weights already in canonical key order, kept as given: nothing is sorted."""
+    def _canonical(cls, vertices: tuple[int, ...], weights: dict[tuple[int, int], float], ordered: bool) -> Graph:
+        """``_trusted`` for weights with each vertex's edges in canonical order, and all if ``ordered``: nothing is sorted."""
         g = object.__new__(cls)
         g._vertices = vertices
         g._vset = frozenset(vertices)
         g._weights = weights
+        g._sorted = ordered
         g._net = None
         g._pivot_values = None
         return g
@@ -109,8 +119,9 @@ class Graph:
         return self._weights.get(_canon(u, v), 0.0)
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Edges as (u, v, w) with u < v, in sorted order."""
-        for (u, v), w in self._weights.items():
+        """Edges as (u, v, w) with u < v, in sorted order; only a contraction's store is sorted for it."""
+        items = self._weights.items()
+        for (u, v), w in items if self._sorted else sorted(items):
             yield u, v, w
 
     def __eq__(self, other: object) -> bool:
@@ -119,7 +130,7 @@ class Graph:
         return self._vertices == other._vertices and self._weights == other._weights
 
     def __hash__(self) -> int:
-        return hash((self._vertices, tuple(self._weights.items())))
+        return hash((self._vertices, frozenset(self._weights.items())))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -166,22 +177,23 @@ def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
     surviving vertex; the first label is returned with the graph. Edges
     internal to a block disappear; edges between the same two vertices
     of the result merge by summation. Contracting the whole vertex set
-    yields a single-vertex graph. The edges at the blocks are found in
-    the graph's flow network, which is built if g has none yet; every
-    other edge carries over unchanged, in g's order. Each new key holds
-    a block label, above every vertex of g, so it is none of g's keys:
-    only the new keys are sorted, each merged in at its bisected place
-    among the kept ones, and the store is never sorted as a whole. The
-    result patches g's network into its own when first asked for one
+    yields a single-vertex graph. The edges at the blocks are read from
+    the graph's flow network, which is built if g has none yet, block
+    vertex by block vertex in increasing order. The result's store is a
+    copy of g's with the keys at the blocks deleted and the new keys
+    appended in canonical order; it is never sorted or rebuilt as a
+    whole. Each new key holds a block label, above every vertex of g, so
+    it comes after every kept edge of its ends and each vertex's edges
+    stay in canonical order (module docstring). The result patches g's
+    network into its own when first asked for one
     (``_maxflow.patch_network``), unless over half its arcs would be
     dead, in which case it builds its own.
 
     The result is bitwise that of contracting the blocks one at a time
     in the order given. A vertex's edges into a block are summed in
-    canonical edge order, which visits them in increasing order of the
-    block vertex, as each one-block contraction does. An edge between
-    blocks i < j is the sum, over the vertices b of block j in
-    increasing order, of b's summed edges into block i.
+    increasing order of the block vertex, as each one-block contraction
+    does. An edge between blocks i < j is the sum, over the vertices b
+    of block j in increasing order, of b's summed edges into block i.
     """
     if not blocks:
         raise ValueError("contract needs at least one block")
@@ -196,43 +208,36 @@ def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
         if not to.keys().isdisjoint(s):
             raise ValueError("contraction blocks must be pairwise disjoint")
         to.update(dict.fromkeys(s, label + i))
-    keys = list(g._weights)
-    values = list(g._weights.values())
-    kept = bytearray(b"\x01") * len(keys)
+    order = sorted(to)
+    weights = g._weights.copy()
     fresh: dict[tuple[int, int], float] = {}
-    into_earlier: dict[tuple[int, int], float] = {}
-    for k in incident_edges(g, keys, to):
-        kept[k] = 0
-        u, v = keys[k]
-        w = values[k]
-        fu = to.get(u, u)
-        fv = to.get(v, v)
-        if fu == fv:
+    into_earlier: dict[tuple[int, int], float] = {}  # (b, earlier label), each b's keys before the next b's
+    for b, x, w in edges_at(g, order):
+        fx = to.get(x)
+        if fx is None:
+            del weights[(x, b) if x < b else (b, x)]
+            key = (x, to[b])
+            fresh[key] = fresh.get(key, 0.0) + w
             continue
-        if fu != u and fv != v:
-            key = (v, fu) if fu < fv else (u, fv)
+        if b < x:  # an edge inside the blocks is met from both ends
+            del weights[b, x]
+        if fx < to[b]:
+            key = (b, fx)
             into_earlier[key] = into_earlier.get(key, 0.0) + w
-            continue
-        key = (fu, fv) if fu < fv else (fv, fu)
-        fresh[key] = fresh.get(key, 0.0) + w
-    for (b, earlier), w in sorted(into_earlier.items()):
+    for (b, earlier), w in into_earlier.items():
         key = (earlier, to[b])
         fresh[key] = fresh.get(key, 0.0) + w
     new = sorted(fresh.items())
-    keys = list(compress(keys, kept))
-    values = list(compress(values, kept))
-    merged_keys, merged_values, start = [], [], 0
-    for key, w in new:
-        stop = bisect_left(keys, key, start)
-        merged_keys += keys[start:stop]
-        merged_keys.append(key)
-        merged_values += values[start:stop]
-        merged_values.append(w)
-        start = stop
-    merged_keys += keys[start:]
-    merged_values += values[start:]
-    vertices = tuple(v for v in g.vertices if v not in to) + tuple(range(label, label + len(blocks)))
-    h = Graph._canonical(vertices, dict(zip(merged_keys, merged_values)))
+    weights.update(new)
+    vs = g.vertices
+    vertices, i = [], 0
+    for v in order:  # the kept vertices, as slices between the block vertices' positions
+        j = bisect_left(vs, v, i)
+        vertices += vs[i:j]
+        i = j + 1
+    vertices += vs[i:]
+    vertices += range(label, label + len(blocks))
+    h = Graph._canonical(tuple(vertices), weights, False)
     patch_network(g, h, to, new)
     return h, label
 

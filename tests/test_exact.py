@@ -28,7 +28,7 @@ from ghtree import (
     private_min_st_cut,
 )
 from ghtree import _maxflow, exact, private_cuts
-from ghtree._maxflow import _decided_side, _dinic_levels, _network, incident_edges, min_cut_source_side
+from ghtree._maxflow import _decided_side, _dinic_levels, _network, edges_at, min_cut_source_side
 
 
 def dumbbell6() -> Graph:
@@ -196,15 +196,14 @@ class TestPatchedNetworks:
             patched = repr(_network(h))
             assert (len(h._net[2]) > h.n) == pending  # a patched network leaves each block's position empty
             fresh = Graph(h.vertices, h.edges())
-            keys = [(u, v) for u, v, _ in h.edges()]
             for s, t in ((s, t) for s in h.vertices for t in h.vertices if s != t):
                 side = min_cut_source_side(h, s, t)
                 assert side == min_cut_source_side(fresh, s, t)
                 assert cut_weight(h, side).hex() == cut_weight(fresh, side).hex()
-                assert incident_edges(h, keys, {s, t}) == incident_edges(fresh, keys, {s, t})
+                assert edges_at(h, [t, s]) == edges_at(fresh, [t, s])
                 assert residual_rows(h, s, t) == residual_rows(fresh, s, t)
-            for v in h.vertices:
-                assert incident_edges(h, keys, [v]) == incident_edges(fresh, keys, [v])
+            # Each vertex's edges, read from the network, are its edges in canonical order.
+            assert edges_at(h, h.vertices) == [(v, x, w) for v in h.vertices for x, w in oracles.adjacency(fresh, v)]
             rest = h.vertices[1:]
             for bits in range(2 ** len(rest)):
                 side = {h.vertices[0], *(v for i, v in enumerate(rest) if bits >> i & 1)}
@@ -229,6 +228,43 @@ class TestPatchedNetworks:
         assert index[g.n] == g.n and verts == [*g.vertices[:5], None, *g.vertices[6:], g.n]
         assert sum(map(len, adj)) == 2 * h.m < len(head)
         assert min_st_cut_exact(h, 0, g.n) == fresh_cut(h, 0, g.n)
+
+
+class TestCopiedStores:
+    """A contraction copies its parent's edge store, deletes the keys at its blocks and appends its new keys."""
+
+    @given(strategies.connected_graphs(min_n=3, max_n=10, weights=strategies.kernel_weights), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_chains_keep_each_vertex_in_order_and_equal_sorted_stores(self, g, data):
+        h = ref = g
+        for _ in range(data.draw(st.integers(1, 5))):
+            if h.n < 2:
+                break
+            blocks = next_blocks(data, h)
+            if data.draw(st.booleans()):
+                _network(h)  # a parent cut before it is contracted, or not
+            h, label = contract(h, *blocks)
+            ref, ref_label = oracles.contract_by_sorting(ref, *blocks)
+            assert (h.vertices, label, edge_bits(h)) == (ref.vertices, ref_label, edge_bits(ref))
+            for v in h.vertices:
+                keys = [k for k in h._weights if v in k]
+                assert keys == sorted(keys)
+            if h._net is None:  # the patch was declined: a fresh network, built from the sorted store
+                index, verts, adj, head, cap = _network(h)
+                ref_index, ref_verts, ref_adj, ref_head, ref_cap = oracles.loop_network(ref)
+                assert (index, verts, adj, head) == (ref_index, ref_verts, ref_adj, ref_head)
+                assert [c.hex() for c in cap] == [c.hex() for c in ref_cap]
+
+    def test_relabels_append_and_big_blocks_decline(self):
+        g = generate("erdos-renyi-weighted", {"n": 40, "p": 0.2}, 0)
+        h = contract(g, [5])[0]
+        assert h._net is not None  # patched
+        moved = [k for k in h._weights if g.n in k]
+        assert list(h._weights)[-len(moved) :] == moved == sorted(moved)
+        assert list(h._weights) != sorted(h._weights)
+        k = contract(h, h.vertices[1:])[0]
+        assert k._net is None  # declined
+        assert _network(k) == oracles.loop_network(Graph(k.vertices, k.edges()))
 
 
 class TestNetworkSlot:

@@ -39,6 +39,8 @@ INSTANCES = {
     "dumbbell6": ("dumbbell", {"clique": 6}),
     "path50": ("path", {"n": 50}),
     "dumbbell10": ("dumbbell", {"clique": 10}),
+    # exact-apps' instance: every contraction of its exact tree has a one-vertex block.
+    "er200": ("erdos-renyi-weighted", {"n": 200, "p": 0.1}),
 }
 
 # Smaller constants than the defaults, at which a finite-eps build on
@@ -139,6 +141,7 @@ PRODUCERS = {
     "private_dumbbell6": lambda tmp: _private_tree("dumbbell6", tmp),
     "noiseless_er40": lambda tmp: _tree_bytes(final_gh_tree(_graph("er40"), INFINITE, Rng(0)), tmp),
     "exact_er40": lambda tmp: _tree_bytes(gomory_hu_exact(_graph("er40")), tmp),
+    "exact_er200": lambda tmp: _tree_bytes(gomory_hu_exact(_graph("er200")), tmp),
     "nested_path50": lambda tmp: _nested_tree("path50", 0, tmp),
     "nested_planted24": lambda tmp: _nested_tree("planted24", 5, tmp),
     "st_cuts_er40": _st_cuts,
@@ -152,6 +155,7 @@ PRODUCERS = {
 GOLDEN = {
     "descending_dumbbell10_seed0": "88def3fec85073ab4e1e581383150450a15fe6338bf046082c455b0ed452337e",
     "descending_dumbbell10_seed2": "edafef35a0c9ef57bae086f697533dbe6e25d2b19c79a8c406f8ce2c5ca286cc",
+    "exact_er200": "772ddcb0c33a1999ef3634617c7efc8bf634336738a1aaa77a80f6cae4ab5b7c",
     "exact_er40": "d561266f03284d01072ebe2e8fe07773e1ee57ba4fcd4b72b0e1e97629a23720",
     "isolating_cuts_planted24": "2adbaa46c578db6967f2762c9ffed6f8b814699be6c2ad674f38d8eade49d9eb",
     "nested_path50": "ee47580b1f5cdf60040c5197dfe9d3ae888e646f60cd7864c72bb705d42637d1",
