@@ -2,16 +2,16 @@
 
 A network holds a vertex index, each position's vertex, each
 position's arc ids, and the arcs' heads and capacities. A network built
-from a graph's edge store numbers its arcs in canonical edge order: the
-k-th edge becomes arc 2k (u -> v) and arc 2k+1 (v -> u), both with the
-edge weight as capacity, so the reverse of arc ``a`` is ``a ^ 1``;
-position i holds the i-th vertex and lists its arc ids in increasing
-order. A contraction's store lists only each vertex's edges in
-canonical order (``graph``'s docstring), so a network built from one
-walks it sorted. The kernel returns the final BFS level list: positions
-still reachable from the source in the residual network form the
-minimal source-side min cut, which is the tie-break every caller relies
-on.
+from a graph's edge store numbers its arcs in store order: the k-th
+edge becomes arc 2k (u -> v) and arc 2k+1 (v -> u), both with the edge
+weight as capacity, so the reverse of arc ``a`` is ``a ^ 1``; position
+i holds the i-th vertex and lists its arc ids in increasing order. The
+store lists each vertex's edges in canonical order (``graph``'s
+docstring), so each arc list is in canonical edge order, and that is
+all the kernel reads. The kernel returns the final BFS level list:
+positions still reachable from the source in the residual network form
+the minimal source-side min cut, which is the tie-break every caller
+relies on.
 
 Each phase labels vertices by residual distance to the sink t, with a
 BFS from t over reverse arcs that stops after scanning the vertex that
@@ -41,15 +41,14 @@ empties each block vertex's position, drops the arcs into the blocks
 from their neighbours' lists, puts the labels after all other
 positions and appends the new edges, each at a label, as arc pairs in
 canonical key order; if over half the arcs would then be dead, the
-result builds fresh instead. Arc ids are then canonical only on fresh
-networks, but positions follow vertex order, as labels exceed every
-vertex, and each vertex lists its arcs in canonical edge order: its
-kept arcs in their old order, then the new ones, whose keys hold a
-label. So Dinic pushes the same flows, and its last BFS leaves the
-empty positions out of its stop count. A cut weight adds the crossing
-arcs of the smaller of the side and its complement in canonical edge
-order: by arc id on a fresh network, by end positions on a patched
-one.
+result builds fresh instead. Positions follow vertex order, as labels
+exceed every vertex, and each vertex lists its arcs in canonical edge
+order: its kept arcs in their old order, then the new ones, whose keys
+hold a label. So Dinic pushes the same flows, and its last BFS leaves
+the empty positions out of its stop count. A cut weight is the
+``math.fsum`` of the crossing arcs' capacities at the smaller of the
+side and its complement: the exact sum rounded once, so it depends on
+the side alone, not on arc ids, network kind or the side walked.
 
 ``min_cut_source_side`` is the one caller of Dinic. The s-t mechanism,
 and each round of the isolating cuts, cuts a noised graph: the input
@@ -98,6 +97,7 @@ the first vertex with |c_s - c_t| <= r.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -206,14 +206,13 @@ def _network(g: Graph) -> _Network:
     """The flow network of g, built or patched on first use and kept in the graph's ``_net`` slot."""
     net = g._net
     if net is None:
-        weights = g._weights if g._sorted else dict(sorted(g._weights.items()))  # a contraction's store
         index = {v: i for i, v in enumerate(g.vertices)}
         adj: list[list[int]] = [[] for _ in index]
         head = [0] * (2 * g.m)
         cap = [0.0] * len(head)
-        cap[::2] = cap[1::2] = list(weights.values())
+        cap[::2] = cap[1::2] = list(g._weights.values())
         a = 0
-        for u, v in weights:
+        for u, v in g._weights:
             iu, iv = index[u], index[v]
             adj[iu].append(a)
             adj[iv].append(a + 1)
@@ -264,27 +263,17 @@ def edges_at(g: Graph, vertices: Iterable[int]) -> list[tuple[int, int, float]]:
 
 
 def boundary_weight(g: Graph, side: set[int] | frozenset[int]) -> float:
-    """Weight of the edges leaving ``side``, a subset of g's vertices.
+    """Weight of the edges leaving ``side``, a subset of g's vertices, exactly rounded.
 
-    Walks the arcs of the smaller of ``side`` and its complement. Each
-    crossing edge is met once, from its end in the walked set, and the
-    weights are added from 0.0 in canonical edge order (module docstring).
+    Walks the arcs of the smaller of ``side`` and its complement, so each
+    crossing edge is met once, from its end in the walked set. ``math.fsum``
+    rounds the exact total once, so equal sides give equal bits whatever
+    the arc order, the network or the side walked.
     """
     index, _, adj, head, cap = _network(g)
     walked = side if 2 * len(side) <= g.n else g.vertex_set - side
     inside = {index[v] for v in walked}
-    p, arcs = len(adj), len(head)
-    if p == len(index):  # a fresh network, as every input graph's: bare arc ids sort in half the time
-        crossing = sorted(a for i in inside for a in adj[i] if head[a] not in inside)
-    else:  # the end positions' pair, then the arc id, in one integer
-        ends = sorted(
-            (i * p + j if i < j else j * p + i) * arcs + a for i in inside for a in adj[i] if (j := head[a]) not in inside
-        )
-        crossing = [x % arcs for x in ends]
-    total = 0.0
-    for a in crossing:  # not sum(), which compensates from Python 3.12 on
-        total += cap[a]
-    return total
+    return math.fsum([cap[a] for i in inside for a in adj[i] if head[a] not in inside])
 
 
 def min_cut_source_side(g: Graph, s: int, t: int) -> frozenset[int]:

@@ -11,6 +11,7 @@ non-private diagnostic.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .graph import CutSide, Graph, make_cut_side
@@ -89,32 +90,33 @@ class _UnionFind:
 def min_k_cut(tree: SteinerTree, g: Graph, k: int) -> KCutSolution:
     """Partition g into exactly k parts using the k-1 lightest tree edges.
 
-    Removing those edges splits the terminals into k groups; the union
-    of the groups' induced cuts is deleted from g. If that leaves more
-    than k components, deleted edges are re-added heaviest first (they
-    only merge, never pay) until exactly k remain; any leftover surplus
-    from a disconnected input is merged at zero cost.
+    Removing those edges splits the terminals into k groups; the edges
+    of g whose ends' terminals f(x), f(y) fall in different groups are
+    deleted. If that leaves more than k components, deleted edges are
+    re-added heaviest first (they only merge, never pay) until exactly
+    k remain; any leftover surplus from a disconnected input is merged
+    at zero cost. ``value`` is the exactly rounded sum (``math.fsum``)
+    of the deleted edges that still join two parts.
     """
     if not 2 <= k <= len(tree.nodes):
         raise ValueError(f"k must lie in [2, {len(tree.nodes)}], got {k}")
+    f = tree.f
+    if any(v not in f for v in g.vertices):
+        raise ValueError("the tree's vertex map must cover every vertex of the graph")
     order = sorted(tree.edges, key=lambda e: (e[2], e[0], e[1]))
-    removed = order[: k - 1]
-    cut_edges: set[tuple[int, int]] = set()
-    for a, b, _ in removed:
-        side = tree.preimage(component_nodes(tree, (a, b), a))
-        for x, y, _w in g.edges():
-            if (x in side) != (y in side):
-                cut_edges.add((x, y))
+    groups = _UnionFind(tree.nodes)
+    for a, b, _ in order[k - 1 :]:
+        groups.union(a, b)
     uf = _UnionFind(g.vertices)
     count = g.n
-    for x, y, _w in g.edges():
-        if (x, y) not in cut_edges and uf.union(x, y):
+    cut = []
+    for x, y, w in g.edges():
+        if groups.find(f[x]) != groups.find(f[y]):
+            cut.append((x, y, w))
+        elif uf.union(x, y):
             count -= 1
-    readd = sorted(
-        ((x, y, g.weight(x, y)) for x, y in cut_edges),
-        key=lambda e: (-e[2], e[0], e[1]),
-    )
-    for x, y, _w in readd:
+    cut.sort(key=lambda e: (-e[2], e[0], e[1]))
+    for x, y, _w in cut:
         if count == k:
             break
         if uf.union(x, y):
@@ -126,14 +128,10 @@ def min_k_cut(tree: SteinerTree, g: Graph, k: int) -> KCutSolution:
                 break
             if uf.union(roots[0], r):
                 count -= 1
-    groups: dict[int, set[int]] = {}
+    parts: dict[int, set[int]] = {}
     for v in g.vertices:
-        groups.setdefault(uf.find(v), set()).add(v)
-    parts = tuple(
-        frozenset(p) for p in sorted(groups.values(), key=lambda p: min(p))
+        parts.setdefault(uf.find(v), set()).add(v)
+    return KCutSolution(
+        parts=tuple(frozenset(p) for p in sorted(parts.values(), key=min)),
+        value=math.fsum(w for x, y, w in cut if uf.find(x) != uf.find(y)),
     )
-    value = 0.0
-    for x, y, w in g.edges():
-        if uf.find(x) != uf.find(y):
-            value += w
-    return KCutSolution(parts=parts, value=value)

@@ -10,8 +10,9 @@ Each vertex's edges appear in the edge store in canonical order, by
 their other end; flow networks and every sum over a vertex's edges
 rely on that alone. A contraction copies its parent's store, deletes
 the keys at its blocks and appends its sorted new keys, each last among
-its ends' edges. Other graphs keep the whole store sorted, so only a
-contraction's is sorted for ``Graph.edges`` or a fresh network.
+its ends' edges. Other graphs keep the whole store sorted, and
+``Graph.edges`` always sorts. Cut weights are exactly rounded sums
+(``math.fsum``), so they do not depend on the store's order.
 """
 
 from __future__ import annotations
@@ -34,17 +35,17 @@ class Graph:
     Isolated vertices are allowed; the vertex set is fixed at
     construction. Zero-weight edges supplied to the constructor are
     dropped, negative or non-finite weights are rejected. The edge store
-    lists each vertex's edges in canonical order, and ``_sorted`` says
-    whether it is sorted as a whole (module docstring). The flow network
-    that ``_maxflow`` builds for the graph, or patches from its parent's
-    after ``contract``, is kept in ``_net``. ``_pivot_values`` is None,
-    or a dict that ``gh_tree_step`` reads and fills with exact pivot cut
-    values λ(s, v) under the key (s, v); only ``run_experiment`` gives a
-    graph one, so that a seed's eps cells share them. Equality and
-    hashing ignore the store's order and these three slots.
+    lists each vertex's edges in canonical order (module docstring). The
+    flow network that ``_maxflow`` builds for the graph, or patches from
+    its parent's after ``contract``, is kept in ``_net``.
+    ``_pivot_values`` is None, or a dict that ``gh_tree_step`` reads and
+    fills with exact pivot cut values λ(s, v) under the key (s, v); only
+    ``run_experiment`` gives a graph one, so that a seed's eps cells
+    share them. Equality and hashing ignore the store's order and these
+    two slots.
     """
 
-    __slots__ = ("_vertices", "_vset", "_weights", "_sorted", "_net", "_pivot_values")
+    __slots__ = ("_vertices", "_vset", "_weights", "_net", "_pivot_values")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int, float]] = ()):
         vs = sorted({int(v) for v in vertices})
@@ -63,7 +64,6 @@ class Graph:
         self._vertices: tuple[int, ...] = tuple(vs)
         self._vset = vset
         self._weights = {k: w for k, w in sorted(weights.items()) if w > 0.0}
-        self._sorted = True
         self._net = None
         self._pivot_values: dict[tuple[int, int], float] | None = None
 
@@ -77,16 +77,15 @@ class Graph:
         key order is restored, by sorting the whole store. Keys are
         unique, so sorting on them alone gives the same order.
         """
-        return cls._canonical(vertices, dict(sorted(weights.items(), key=itemgetter(0))), True)
+        return cls._canonical(vertices, dict(sorted(weights.items(), key=itemgetter(0))))
 
     @classmethod
-    def _canonical(cls, vertices: tuple[int, ...], weights: dict[tuple[int, int], float], ordered: bool) -> Graph:
-        """``_trusted`` for weights with each vertex's edges in canonical order, and all if ``ordered``: nothing is sorted."""
+    def _canonical(cls, vertices: tuple[int, ...], weights: dict[tuple[int, int], float]) -> Graph:
+        """``_trusted`` for weights that already list each vertex's edges in canonical order: nothing is sorted."""
         g = object.__new__(cls)
         g._vertices = vertices
         g._vset = frozenset(vertices)
         g._weights = weights
-        g._sorted = ordered
         g._net = None
         g._pivot_values = None
         return g
@@ -119,9 +118,8 @@ class Graph:
         return self._weights.get(_canon(u, v), 0.0)
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Edges as (u, v, w) with u < v, in sorted order; only a contraction's store is sorted for it."""
-        items = self._weights.items()
-        for (u, v), w in items if self._sorted else sorted(items):
+        """Edges as (u, v, w) with u < v, in sorted order."""
+        for (u, v), w in sorted(self._weights.items()):
             yield u, v, w
 
     def __eq__(self, other: object) -> bool:
@@ -153,8 +151,8 @@ def cut_weight(g: Graph, side: Iterable[int]) -> float:
     ``side`` must be a subset of the vertex set; the empty set and the
     full set both have weight 0. Only the edges at the smaller of
     ``side`` and its complement are read, from the graph's flow network,
-    and the crossing ones are summed in canonical edge order, so equal
-    sides always produce bitwise-equal totals.
+    and the crossing ones are added by ``math.fsum``, which rounds the
+    exact total once, so equal sides always produce bitwise-equal totals.
     """
     s = {int(v) for v in side}
     if not s <= g.vertex_set:
@@ -163,7 +161,7 @@ def cut_weight(g: Graph, side: Iterable[int]) -> float:
 
 
 def make_cut_side(g: Graph, side: Iterable[int]) -> CutSide:
-    """Build a CutSide, validating properness and recomputing its value as ``cut_weight`` does."""
+    """Build a CutSide, validating properness; its value is ``cut_weight``'s exactly rounded sum."""
     s = frozenset(int(v) for v in side)
     if not s or not s < g.vertex_set:
         raise ValueError("cut side must be a proper nonempty subset of the vertex set")
@@ -237,7 +235,7 @@ def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
         i = j + 1
     vertices += vs[i:]
     vertices += range(label, label + len(blocks))
-    h = Graph._canonical(tuple(vertices), weights, False)
+    h = Graph._canonical(tuple(vertices), weights)
     patch_network(g, h, to, new)
     return h, label
 

@@ -179,7 +179,7 @@ def _edge_cut_weights(tree: SteinerTree, g: Graph) -> dict[tuple[int, int], floa
 
     The tree is rooted at its first node and each edge's side is the
     preimage of the subtree below it. Both sides of an edge have the
-    same boundary, which ``cut_weight`` sums in canonical edge order, so
+    same boundary, whose exactly rounded sum ``cut_weight`` returns, so
     one value serves both orientations bit for bit.
     """
     root = tree.nodes[0]

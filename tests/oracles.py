@@ -8,6 +8,7 @@ cannot be mirrored by the oracle.  Exponential in n; callers keep n small.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -52,13 +53,15 @@ def all_cut_values(g: Graph) -> np.ndarray:
 
 
 def scan_cut_weight(g: Graph, side) -> float:
-    """Weight of the edges leaving ``side``, added one at a time in canonical edge order."""
+    """Weight of the edges leaving ``side``, found by a scan of every edge and exactly rounded by ``math.fsum``."""
     side = set(side)
-    total = 0.0
-    for u, v, w in g.edges():
-        if (u in side) != (v in side):
-            total += w
-    return total
+    return math.fsum(w for u, v, w in g.edges() if (u in side) != (v in side))
+
+
+def exact_cut_weight(g: Graph, side) -> float:
+    """Weight of the edges leaving ``side``, summed exactly as fractions and rounded once to the nearest float."""
+    side = set(side)
+    return exact_partition_value(g, [side, g.vertex_set - side])
 
 
 def side_from_mask(g: Graph, mask: int) -> frozenset:
@@ -220,6 +223,60 @@ def partition_cut_value(g: Graph, blocks) -> float:
         for v in block:
             owner[v] = idx
     return sum(w for u, v, w in g.edges() if owner[u] != owner[v])
+
+
+def exact_partition_value(g: Graph, blocks) -> float:
+    """``partition_cut_value`` summed exactly as fractions and rounded once to the nearest float."""
+    owner = {v: i for i, block in enumerate(blocks) for v in block}
+    return float(sum(Fraction(w) for u, v, w in g.edges() if owner[u] != owner[v]))
+
+
+def tree_k_cut_parts(tree: SteinerTree, g: Graph, k: int) -> tuple:
+    """The parts of ``min_k_cut`` by its definition, one removed tree edge at a time.
+
+    Each of the k-1 lightest tree edges (by weight, then ends) splits
+    the tree in two; every edge of g that crosses the preimage of either
+    half is deleted. Deleted edges come back heaviest first (ties by
+    ends) while they merge two of more than k components, and any
+    surplus left merges into the component of the smallest vertex, in
+    order of each component's smallest vertex. Parts are sorted by their
+    smallest vertex.
+    """
+    lightest = sorted(tree.edges, key=lambda e: (e[2], e[0], e[1]))[: k - 1]
+    cut = set()
+    for a, b, _ in lightest:
+        half = {a}
+        grown = True
+        while grown:
+            grown = False
+            for x, y, _ in tree.edges:
+                if {x, y} != {a, b} and (x in half) != (y in half):
+                    half |= {x, y}
+                    grown = True
+        side = {v for v, t in tree.f.items() if t in half}
+        cut |= {(x, y, w) for x, y, w in g.edges() if (x in side) != (y in side)}
+    comp = {v: v for v in g.vertices}  # each vertex's component, named by its smallest vertex
+
+    def merge(x, y) -> bool:
+        cx, cy = sorted((comp[x], comp[y]))
+        for v in comp:
+            if comp[v] == cy:
+                comp[v] = cx
+        return cx != cy
+
+    for x, y, w in g.edges():
+        if (x, y, w) not in cut:
+            merge(x, y)
+    for x, y, _ in sorted(cut, key=lambda e: (-e[2], e[0], e[1])):
+        if len(set(comp.values())) > k:
+            merge(x, y)
+    names = sorted(set(comp.values()))
+    for name in names[1 : len(names) - k + 1]:
+        merge(names[0], name)
+    parts = {}
+    for v in g.vertices:
+        parts.setdefault(comp[v], set()).add(v)
+    return tuple(frozenset(p) for p in sorted(parts.values(), key=min))
 
 
 def brute_k_cut_value(g: Graph, k: int) -> float:

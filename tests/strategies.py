@@ -64,6 +64,9 @@ float_weights = st.floats(1e-3, 1e3)
 # Grid weights and thirds give bottleneck ties; free floats give arbitrary bits.
 kernel_weights = st.one_of(grid_weights, third_weights, float_weights)
 
+# Weights whose sums round differently in different orders: 1 + 2^-53 rounds to 1, 10^16 + 1 to 10^16.
+rounding_weights = st.one_of(kernel_weights, st.sampled_from([1.0, 2.0**-53, 1e16]))
+
 
 @st.composite
 def graphs_with_disjoint_blocks(draw, max_blocks: int = 4):

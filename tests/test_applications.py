@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import strategies
@@ -99,6 +100,16 @@ class TestGlobalMinCut:
         assert cut.value == pytest.approx(value, abs=1e-9)
 
 
+@st.composite
+def mapped_trees(draw):
+    """A random tree on some of a graph's vertices, with tied weights, and a random vertex map onto its nodes."""
+    g = draw(strategies.connected_graphs(min_n=3, max_n=8, weights=strategies.rounding_weights))
+    nodes = sorted(draw(st.sets(st.sampled_from(g.vertices), min_size=2)))
+    edges = [(v, draw(st.sampled_from(nodes[:i])), draw(st.integers(0, 4)) / 2.0) for i, v in enumerate(nodes) if i]
+    f = {v: v if v in nodes else draw(st.sampled_from(nodes)) for v in g.vertices}
+    return SteinerTree(nodes, edges, f), g
+
+
 class TestMinKCut:
     def test_dumbbell_two_parts(self):
         g = dumbbell6()
@@ -125,6 +136,11 @@ class TestMinKCut:
             min_k_cut(tree, g, 1)
         with pytest.raises(ValueError):
             min_k_cut(tree, g, 7)
+
+    def test_a_vertex_the_tree_does_not_map_is_rejected(self):
+        tree = gomory_hu_exact(dumbbell6())
+        with pytest.raises(ValueError, match="vertex map"):
+            min_k_cut(tree, Graph(range(7), [(5, 6, 1.0)]), 2)
 
     def test_disconnected_graph_merges_surplus_for_free(self):
         g = Graph(range(4), [(0, 1, 1.0), (2, 3, 1.0)])
@@ -160,6 +176,15 @@ class TestMinKCut:
             sol = min_k_cut(tree, g, k)
             opt = oracles.brute_k_cut_value(g, k)
             assert sol.value <= 2.0 * opt + 1e-9
+
+    @given(mapped_trees(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_parts_and_value_follow_the_definition(self, case, data):
+        tree, g = case
+        k = data.draw(st.integers(2, len(tree.nodes)))
+        sol = min_k_cut(tree, g, k)
+        assert sol.parts == oracles.tree_k_cut_parts(tree, g, k)
+        assert sol.value.hex() == oracles.exact_partition_value(g, sol.parts).hex()
 
     def test_seeded_instances_stay_within_two_opt(self):
         for seed in range(20):

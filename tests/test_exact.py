@@ -249,11 +249,9 @@ class TestCopiedStores:
             for v in h.vertices:
                 keys = [k for k in h._weights if v in k]
                 assert keys == sorted(keys)
-            if h._net is None:  # the patch was declined: a fresh network, built from the sorted store
-                index, verts, adj, head, cap = _network(h)
-                ref_index, ref_verts, ref_adj, ref_head, ref_cap = oracles.loop_network(ref)
-                assert (index, verts, adj, head) == (ref_index, ref_verts, ref_adj, ref_head)
-                assert [c.hex() for c in cap] == [c.hex() for c in ref_cap]
+            if h._net is None:  # the patch was declined: a fresh network, built from the store as it is
+                assert _network(h)[:2] == oracles.loop_network(ref)[:2]
+                assert edges_at(h, h.vertices) == edges_at(ref, ref.vertices)  # each vertex's (head, capacity) list
 
     def test_relabels_append_and_big_blocks_decline(self):
         g = generate("erdos-renyi-weighted", {"n": 40, "p": 0.2}, 0)
@@ -265,6 +263,43 @@ class TestCopiedStores:
         k = contract(h, h.vertices[1:])[0]
         assert k._net is None  # declined
         assert _network(k) == oracles.loop_network(Graph(k.vertices, k.edges()))
+
+
+class TestExactlyRoundedCutWeights:
+    """A cut weight is the exact sum of its crossing weights rounded once: store order, network kind and walked side do not matter."""
+
+    def test_a_sum_that_rounds_differently_in_store_order(self):
+        tiny = 2.0**-53
+        clique = [(u, v, 1.0) for u in range(4, 9) for v in range(u + 1, 9)]
+        g = Graph(range(9), [(0, 1, 1.0), (0, 2, tiny), (0, 3, tiny), (1, 4, 1.0), *clique])
+        patched = contract(g, [1])[0]
+        declined = contract(g, range(4, 9))[0]
+        assert patched._net is not None and declined._net is None
+        # Vertex 0's edges in store order; added in that order, the first sum rounds down twice.
+        assert [w for k, w in g._weights.items() if 0 in k] == [1.0, tiny, tiny]
+        assert [w for k, w in patched._weights.items() if 0 in k] == [tiny, tiny, 1.0]
+        assert 1.0 + tiny + tiny == 1.0 != tiny + tiny + 1.0 == 1.0 + 2 * tiny
+        for h in (g, patched, declined, Graph(patched.vertices, patched.edges())):
+            for side in ({0}, h.vertex_set - {0}):
+                assert cut_weight(h, side).hex() == (1.0 + 2 * tiny).hex()
+
+    @given(strategies.connected_graphs(min_n=3, max_n=8, weights=strategies.rounding_weights), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equal_sides_give_equal_bits_on_every_store_and_network(self, g, data):
+        h = g
+        for _ in range(data.draw(st.integers(0, 3))):
+            if h.n < 3:
+                break
+            h = contract(h, *next_blocks(data, h))[0]  # a patched network, or a declined patch's fresh one
+        shuffled = dict(data.draw(st.permutations(list(h._weights.items()))))
+        # The same graph with its store sorted, and in any order at all: cut weights read no order.
+        copies = [h, Graph(h.vertices, h.edges()), Graph._canonical(h.vertices, shuffled)]
+        rest = h.vertices[1:]
+        for bits in range(2 ** len(rest)):
+            side = {h.vertices[0], *(v for i, v in enumerate(rest) if bits >> i & 1)}
+            want = oracles.exact_cut_weight(h, side).hex()
+            for copy in copies:
+                assert cut_weight(copy, side).hex() == cut_weight(copy, copy.vertex_set - side).hex() == want
 
 
 class TestNetworkSlot:

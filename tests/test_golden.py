@@ -155,18 +155,18 @@ PRODUCERS = {
 GOLDEN = {
     "descending_dumbbell10_seed0": "88def3fec85073ab4e1e581383150450a15fe6338bf046082c455b0ed452337e",
     "descending_dumbbell10_seed2": "edafef35a0c9ef57bae086f697533dbe6e25d2b19c79a8c406f8ce2c5ca286cc",
-    "exact_er200": "772ddcb0c33a1999ef3634617c7efc8bf634336738a1aaa77a80f6cae4ab5b7c",
-    "exact_er40": "d561266f03284d01072ebe2e8fe07773e1ee57ba4fcd4b72b0e1e97629a23720",
+    "exact_er200": "b3db36355a18b648b296fdd82e1d080d0a7cd89e0809d306aeae878c2328622f",
+    "exact_er40": "784db2cfdd4757f2b28e03791bf477dc3b936f8fd511dfc1030ce9360d0061d9",
     "isolating_cuts_planted24": "2adbaa46c578db6967f2762c9ffed6f8b814699be6c2ad674f38d8eade49d9eb",
     "nested_path50": "ee47580b1f5cdf60040c5197dfe9d3ae888e646f60cd7864c72bb705d42637d1",
     "nested_planted24": "dec99e1f370da89abd1c7ed68ec6da6477ac30258f1db8f4336d595b3329086e",
-    "noiseless_er40": "80731088f1e52f61c3fd2346ab903dd77e1549646ab6c5d623e4f19b55c0a89c",
+    "noiseless_er40": "784db2cfdd4757f2b28e03791bf477dc3b936f8fd511dfc1030ce9360d0061d9",
     "private_dumbbell6": "72fd9d818c545cf7412f24c1c003f93c4e3ada8a07681632d9f3553256d9654a",
-    "private_er40": "89ad77576ae84268a37e08d5c5359179870ee6a72575eb13e1c7d442ddde52e7",
+    "private_er40": "d840bca2effff8284d27c0f3f1bff2ac93c99df68c84fdcdf4226a99106ebc80",
     "private_planted24": "c7f0608c1cf3fe0c7edccf5fed970f4c986f67a479998fddd8f6fb70a37c2efb",
-    "st_cuts_er40": "742e736eca275b3e56e19eed57967f84b444f72d3438968fb4839c0c42595385",
+    "st_cuts_er40": "b24d9c14065ecc3716a4e9e2f534802ffce5bfadea348317554ac8d2970a9338",
     "sweep_descending_dumbbell10": "0a1214274b338399d0d4c85f2b18ef58c8b5d1fc60f3f6e3bc363449063db77e",
-    "sweep_er12": "8ec09376f7aae3a50e1bb89bee5969535087bf2774a0f59e54b000f915cea609",
+    "sweep_er12": "0928d9a15d1568cc985bcac1a6cc8ec6729a4cdea92f43a2a5fb7d10fd36b044",
 }
 
 

@@ -18,7 +18,6 @@ from ghtree import (
     make_cut_side,
     min_st_cut_exact,
 )
-from ghtree import _maxflow, graph
 from ghtree._maxflow import _network
 
 
@@ -80,13 +79,6 @@ class TestConstruction:
     def test_edges_iterate_sorted_canonical(self):
         g = Graph(range(3), [(2, 1, 2.0), (1, 0, 1.0)])
         assert list(g.edges()) == [(0, 1, 1.0), (1, 2, 2.0)]
-
-    def test_a_sorted_store_is_read_without_sorting(self, monkeypatch):
-        g = Graph(range(3), [(2, 1, 2.0), (1, 0, 1.0)])
-        monkeypatch.setattr(graph, "sorted", None, raising=False)  # a call would raise
-        monkeypatch.setattr(_maxflow, "sorted", None, raising=False)
-        assert list(g.edges()) == [(0, 1, 1.0), (1, 2, 2.0)]
-        assert _network(g)[2] == [[0], [1, 2], [3]]
 
     def test_equal_graphs_with_different_store_orders_compare_and_hash_equal(self):
         g = Graph(range(4), [(0, 1, 1.0), (0, 3, 2.0), (1, 2, 3.0), (2, 3, 1.5)])
