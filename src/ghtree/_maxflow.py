@@ -13,21 +13,33 @@ positions still reachable from the source in the residual network form
 the minimal source-side min cut, which is the tie-break every caller
 relies on.
 
-Each phase labels vertices by residual distance to the sink t, with a
-BFS from t over reverse arcs that stops after scanning the vertex that
-labels s, and the DFS from s takes only arcs that lower that distance
-by one. This changes no augmentation. A walk along such arcs stays on
-shortest residual s-t paths, so they are the arcs of the level graph
-from s minus those into vertices that cannot reach t; a DFS over the
-full level graph would enter such a vertex, change no capacity and move
+Each phase labels vertices by residual distance to the sink t, and the
+DFS from s takes only arcs that lower that distance by one. This
+changes no augmentation. A walk along such arcs stays on shortest
+residual s-t paths, so they are the arcs of the level graph from s
+minus those into vertices that cannot reach t; a DFS over the full
+level graph would enter such a vertex, change no capacity and move
 past the arc. So the DFS pushes the same paths in the same order and
-does the same float arithmetic. The last phase costs a BFS from t that
-never labels s, then one forward BFS from s whose levels give the
-reachable set. Everything s reaches is among the vertices the BFS from
-t left unlabelled, so the forward BFS stops once it has labelled as
-many vertices as that. When a phase ends with no residual capacity on
-any arc out of s, as when the min cut is s's own edges, the next phase
-would be that last one and label only s, so the kernel returns at once.
+does the same float arithmetic. The BFS goes level by level. Before it
+expands level k it stops, with s at k + 1, if s has a residual arc
+into level k. It expands top-down, over each frontier vertex's reverse
+arcs, while the frontier holds fewer vertices than are unlabelled,
+else bottom-up: each unlabelled position takes the first residual arc
+in its list into level k (Beamer, Asanovic and Patterson, SC 2012).
+Both label exactly the vertices one residual arc from level k, so the
+levels below s's are exact. The DFS reads only them and s, and an
+unlabelled vertex of s's level matches no lower level, as a labelled
+one would not. A vertex at level 1 takes its arc into t from a map
+built once per flow, and is a dead end if that arc is saturated: t is
+the only level-0 vertex and a network holds one arc pair per vertex
+pair, so that arc is all a scan of its list could find. The last
+phase's BFS never labels s and so runs to the end, leaving unlabelled
+exactly the empty positions and the vertices that cannot reach t. A
+forward BFS from s then labels the reachable set, which lies among
+them, so it stops once it has labelled ``dist.count(-1) - empty``
+vertices. When a phase ends with no residual capacity on any arc out
+of s, as when the min cut is s's own edges, the next phase would be
+that last one and label only s, so the kernel returns at once.
 
 A graph's network is made on first use and kept on the graph, so every
 flow, cut weight and contraction on one graph object share it; each
@@ -113,53 +125,93 @@ _SLACK = 16 * 2.0**-53
 _Network = tuple[dict[int, int], list[int | None], list[list[int]], list[int], list[float]]
 
 
-def _bfs(adj: list[list[int]], head: list[int], cap: list[float], root: int, rev: int, stop: int, limit: int) -> list[int]:
-    """BFS levels from root over arcs a with ``cap[a ^ rev] > 0.0``; ends after the scan that labels stop or the limit-th vertex."""
-    level = [-1] * len(adj)
-    level[root] = 0
-    queue = [root]
-    for u in queue:  # FIFO: the loop also visits vertices appended during it
-        lv = level[u] + 1
-        for a in adj[u]:
-            v = head[a]
-            if level[v] < 0 and cap[a ^ rev] > 0.0:
-                level[v] = lv
-                queue.append(v)
-        if level[stop] >= 0 or len(queue) == limit:
-            break
-    return level
+def _residual_levels(adj: list[list[int]], head: list[int], cap: list[float], s: int, t: int) -> list[int]:
+    """Residual distance to t by level, ending at s's (module docstring); -1 where unlabelled."""
+    n = len(adj)
+    dist = [-1] * n
+    dist[t] = 0
+    frontier = [t]
+    left = n - 1  # unlabelled positions, empty ones included
+    k = 0
+    while frontier:
+        for a in adj[s]:
+            if dist[head[a]] == k and cap[a] > 0.0:
+                dist[s] = k + 1
+                return dist
+        nxt = []
+        if len(frontier) < left:
+            # Top-down: head[a] reaches u over a ^ 1.
+            for u in frontier:
+                for a in adj[u]:
+                    v = head[a]
+                    if dist[v] < 0 and cap[a ^ 1] > 0.0:
+                        dist[v] = k + 1
+                        nxt.append(v)
+        else:
+            # Bottom-up: each unlabelled position takes its first residual arc into level k.
+            for v in range(n):
+                if dist[v] < 0:
+                    for a in adj[v]:
+                        if dist[head[a]] == k and cap[a] > 0.0:
+                            dist[v] = k + 1
+                            nxt.append(v)
+                            break
+        left -= len(nxt)
+        frontier = nxt
+        k += 1
+    return dist
 
 
 def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: int, t: int, empty: int) -> list[int]:
     """BFS levels of the last phase; ``empty`` counts the positions that hold no vertex, which no BFS reaches."""
     n = len(adj)
+    # Each vertex's one arc into t, for the DFS's last hop.
+    last_hop = {head[a]: a ^ 1 for a in adj[t]}
     while True:
-        # Residual distance to t: head[a] reaches y over a ^ 1 for each arc a of y.
-        dist = _bfs(adj, head, cap, t, 1, s, n)
+        dist = _residual_levels(adj, head, cap, s, t)
         if dist[s] < 0:
-            # This BFS ran to completion; s reaches only vertices it left unlabelled.
-            return _bfs(adj, head, cap, s, 0, t, dist.count(-1) - empty)
+            # That BFS ran to completion; s reaches only vertices it left unlabelled.
+            limit = dist.count(-1) - empty
+            level = [-1] * n
+            level[s] = 0
+            queue = [s]
+            for u in queue:  # FIFO: the loop also visits vertices appended during it
+                lv = level[u] + 1
+                for a in adj[u]:
+                    v = head[a]
+                    if level[v] < 0 and cap[a] > 0.0:
+                        level[v] = lv
+                        queue.append(v)
+                if len(queue) == limit:
+                    break
+            return level
         it = [0] * n
         path: list[int] = []
         u = s
         while True:
-            if u == t:
-                # The first arc of least capacity is the first one saturated:
-                # x - y == 0.0 exactly when x == y, for finite floats.
-                nd = 0
-                delta = cap[path[0]]
-                for i in range(1, len(path)):
-                    if cap[path[i]] < delta:
-                        delta = cap[path[i]]
-                        nd = i
-                for a in path:
-                    cap[a] -= delta
-                    cap[a ^ 1] += delta
-                del path[nd:]
-                u = head[path[-1]] if path else s
-                continue
-            arcs = adj[u]
             lv = dist[u] - 1
+            if lv:
+                arcs = adj[u]
+            else:
+                # The last hop: t is the only level-0 vertex, and u has one arc into it.
+                a = last_hop[u]
+                if cap[a] > 0.0:
+                    path.append(a)
+                    # The first arc of least capacity is the first one saturated:
+                    # x - y == 0.0 exactly when x == y, for finite floats.
+                    nd = 0
+                    delta = cap[path[0]]
+                    for i in range(1, len(path)):
+                        if cap[path[i]] < delta:
+                            delta = cap[path[i]]
+                            nd = i
+                    for a in path:
+                        cap[a] -= delta
+                        cap[a ^ 1] += delta
+                    del path[nd:]
+                    u = head[path[-1]] if path else s
+                    continue
+                arcs = ()  # that arc is saturated: a dead end
             for i in range(it[u], len(arcs)):
                 a = arcs[i]
                 if cap[a] > 0.0 and dist[head[a]] == lv:

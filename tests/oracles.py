@@ -8,6 +8,7 @@ cannot be mirrored by the oracle.  Exponential in n; callers keep n small.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -630,6 +631,30 @@ def arc_sums(adj, head, cap, s, t) -> list:
                 r += cap[a]
         out.append((x, cs, ct, r))
     return out
+
+
+def residual_distances(adj, head, cap, t) -> list:
+    """Residual distance to t of every position of a flow network, -1 where t is out of reach.
+
+    A plain FIFO BFS from t over the arcs with ``cap > 0.0``, followed
+    backwards: the arc lists are scanned once for each arc's tail, so
+    nothing assumes arcs come in pairs.
+    """
+    into = [[] for _ in adj]
+    for x, arcs in enumerate(adj):
+        for a in arcs:
+            if cap[a] > 0.0:
+                into[head[a]].append(x)
+    dist = [-1] * len(adj)
+    dist[t] = 0
+    queue = deque([t])
+    while queue:
+        u = queue.popleft()
+        for x in into[u]:
+            if dist[x] < 0:
+                dist[x] = dist[u] + 1
+                queue.append(x)
+    return dist
 
 
 def dinic_levels_full_bfs(adj, head, cap, s, t) -> list:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import contextlib
+import inspect
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -479,6 +483,209 @@ class TestDinicDeepLevels:
     @settings(max_examples=100, deadline=None)
     def test_vertices_beside_both_ends(self, case):
         assert_kernel_matches_full_bfs(*case)
+
+
+def level_branches() -> tuple[int, range, range]:
+    """The line of ``_residual_levels``' direction test, and the lines of its top-down and bottom-up branches."""
+    tree = ast.parse(inspect.getsource(_maxflow))
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_residual_levels")
+    (branch,) = [node for node in ast.walk(fn) if isinstance(node, ast.If) and node.orelse]
+    return branch.lineno, *(range(body[0].lineno, body[-1].end_lineno + 1) for body in (branch.body, branch.orelse))
+
+
+RESIDUAL_LEVELS = _maxflow._residual_levels
+TEST_LINE, TOP_DOWN, BOTTOM_UP = level_branches()
+
+
+def traced_levels(adj: list, head: list, cap: list, s: int, t: int) -> tuple[list[int], list[str]]:
+    """``_residual_levels``' result, and the direction it expanded each level in, read off a line tracer."""
+    directions = []
+    branch_next = False
+
+    def on_line(frame, event, arg):
+        nonlocal branch_next
+        if event == "line":
+            if frame.f_lineno == TEST_LINE:
+                branch_next = True
+            elif branch_next:
+                branch_next = False
+                line = frame.f_lineno
+                directions.append("top-down" if line in TOP_DOWN else "bottom-up" if line in BOTTOM_UP else line)
+        return on_line
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is RESIDUAL_LEVELS.__code__ else None)
+    try:
+        dist = RESIDUAL_LEVELS(adj, head, cap, s, t)
+    finally:
+        sys.settrace(before)
+    return dist, directions
+
+
+def predicted_directions(ref: list[int], s: int) -> list[str]:
+    """The direction of each level expansion, by the rule, given the true distances to t."""
+    n, stop = len(ref), ref[s] - 1
+    directions = []
+    labelled = k = 0
+    while ref.count(k) and k != stop:
+        labelled += ref.count(k)
+        directions.append("top-down" if ref.count(k) < n - labelled else "bottom-up")
+        k += 1
+    return directions
+
+
+def check_levels(adj: list, head: list, cap: list, s: int, t: int) -> tuple[list[int], list[str]]:
+    """``_residual_levels`` against ``oracles.residual_distances``, with the directions it took.
+
+    Below s's distance and at s it gives the oracle's distance, and it
+    labels nothing else; when s cannot reach t it labels every vertex.
+    """
+    got, directions = traced_levels(adj, head, cap, s, t)
+    ref = oracles.residual_distances(adj, head, cap, t)
+    d = ref[s]
+    assert got == (ref if d < 0 else [x if 0 <= x < d or v == s else -1 for v, x in enumerate(ref)])
+    assert directions == predicted_directions(ref, s)
+    return got, directions
+
+
+@contextlib.contextmanager
+def checked_phases():
+    """Check every phase's levels inside the kernel; yields the directions of all phases, a list per phase."""
+    seen = []
+
+    def spy(adj, head, cap, s, t):
+        dist, directions = check_levels(adj, head, cap, s, t)
+        seen.append(directions)
+        return dist
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_maxflow, "_residual_levels", spy)
+        yield seen
+
+
+@st.composite
+def dense_pairs(draw):
+    """A clique, or a random graph missing at most half its pairs, on 4-12 vertices, and a distinct pair."""
+    n = draw(st.integers(4, 12))
+    pairs = list(combinations(range(n), 2))
+    missing = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs) // 2)) if draw(st.booleans()) else set()
+    g = Graph(range(n), [(u, v, draw(strategies.kernel_weights)) for u, v in pairs if (u, v) not in missing])
+    s, t = draw(st.permutations(g.vertices))[:2]
+    return g, s, t
+
+
+def zeroed(data, g: Graph, s: int, t: int) -> tuple:
+    """g's network with a random set of arcs, in either direction, set to 0.0; s and t as positions."""
+    index, _, adj, head, cap = _network(g)
+    cap = cap[:]
+    for a in data.draw(st.sets(st.integers(0, len(cap) - 1), max_size=len(cap) // 2)) if cap else ():
+        cap[a] = 0.0
+    return adj, head, cap, index[s], index[t], len(adj) - g.n
+
+
+class TestResidualLevels:
+    """Every phase's levels against a plain BFS to t, expanded top-down or bottom-up as the rule says."""
+
+    def test_a_path_runs_top_down_only(self):
+        g = Graph(range(10), [(v, v + 1, 1.0 + v) for v in range(9)])
+        index, _, adj, head, cap = _network(g)
+        dist, directions = check_levels(adj, head, cap, index[9], index[0])
+        assert dist == list(range(10))
+        assert directions == ["top-down"] * 8
+
+    @pytest.mark.parametrize("patched", [False, True])
+    def test_a_clique_turns_bottom_up_at_level_1(self, patched):
+        # t = 0, s = 1; 2 and 3 have no residual arc into t, and s none but into 2 and 3.
+        g = Graph(range(8 + patched), [(u, v, 1.0) for u, v in combinations(range(8 + patched), 2)])
+        if patched:
+            g = contract(g, [8])[0]  # a relabelled clique vertex: position 8 is left empty
+        index, _, adj, head, cap = _network(g)
+        assert len(adj) - g.n == patched
+        cap = cap[:]
+        for x in (1, 2, 3):
+            for a in adj[index[x]]:
+                if head[a] == index[0] or (x == 1 and head[a] > index[3]):
+                    cap[a] = 0.0
+        dist, directions = check_levels(adj, head, cap, index[1], index[0])
+        assert dist == [0, 3, 2, 2, 1, 1, 1, 1] + ([-1, 1] if patched else [])
+        assert directions == ["top-down", "bottom-up"]
+
+    def test_pivot_flows_run_both_directions(self):
+        # A dense random graph: later phases saturate s's arcs into level 1, so its expansion goes bottom-up.
+        g = generate("erdos-renyi-weighted", {"n": 30, "p": 0.5}, 0)
+        with checked_phases() as seen:
+            for t in g.vertices[1:]:
+                assert_kernel_matches_full_bfs(g, 0, t)
+        steps = [direction for phase in seen for direction in phase]
+        assert "top-down" in steps and "bottom-up" in steps
+        assert any(phase[1:2] == ["bottom-up"] for phase in seen)
+
+    @given(dense_pairs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cliques_and_dense_graphs_with_arcs_set_to_zero(self, case, data):
+        with checked_phases() as seen:
+            assert_levels_match_full_bfs(*zeroed(data, *case))
+        assert seen
+
+    @given(
+        st.one_of(deep_pairs(), detached_pairs(), strategies.graphs_with_pair(max_n=12, weights=strategies.kernel_weights)),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_paths_cycles_grids_and_sparse_graphs_with_arcs_set_to_zero(self, case, data):
+        with checked_phases() as seen:
+            assert_levels_match_full_bfs(*zeroed(data, *case))
+        assert seen
+
+    @given(
+        st.one_of(
+            strategies.connected_graphs(min_n=4, max_n=10, weights=strategies.kernel_weights),
+            dense_pairs().map(lambda case: case[0]),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_patched_networks_with_empty_positions(self, g, data):
+        h = g
+        while h.n > 2 and (h is g or data.draw(st.booleans())):
+            h = contract(h, *next_blocks(data, h))[0]
+        s, t = data.draw(st.permutations(h.vertices))[:2]
+        with checked_phases() as seen:
+            side = assert_kernel_matches_full_bfs(h, s, t)
+            assert_levels_match_full_bfs(*zeroed(data, h, s, t))
+        assert seen
+        assert side == min_cut_source_side(Graph(h.vertices, h.edges()), s, t)
+
+
+class MovedCaps(list):
+    """Capacities that refuse a write that leaves an arc's capacity as it was."""
+
+    def __setitem__(self, a, x):
+        assert x != self[a], "a push moved no flow"
+        super().__setitem__(a, x)
+
+
+class TestLastHop:
+    """A vertex at level 1 steps into t over its one arc while that arc has residual capacity, and is a dead end after."""
+
+    def test_a_saturated_last_hop_is_a_dead_end(self):
+        # s = 2 pushes 1.0 over 2 -> 1 -> 0; the push saturates 1 -> 0, so 1 is then a dead end and the phase ends.
+        g = Graph(range(3), [(0, 1, 1.0), (1, 2, 2.0)])
+        index, _, adj, head, cap = _network(g)
+        got = MovedCaps(cap)
+        assert _dinic_levels(adj, head, got, index[2], index[0], 0) == [-1, 1, 0]
+        assert got == [2.0, 0.0, 3.0, 1.0]
+
+    @given(strategies.graphs_with_pair(max_n=12))
+    @settings(max_examples=200, deadline=None)
+    def test_every_push_moves_flow(self, case):
+        # Quarter weights keep every sum exact, so a push of any positive amount changes both arcs it writes.
+        g, s, t = case
+        index, _, adj, head, cap = _network(g)
+        got, ref = MovedCaps(cap), cap[:]
+        _dinic_levels(adj, head, got, index[s], index[t], 0)
+        oracles.dinic_levels_full_bfs(adj, head, ref, index[s], index[t])
+        assert got == ref
 
 
 @st.composite
