@@ -37,9 +37,24 @@ phase's BFS never labels s and so runs to the end, leaving unlabelled
 exactly the empty positions and the vertices that cannot reach t. A
 forward BFS from s then labels the reachable set, which lies among
 them, so it stops once it has labelled ``dist.count(-1) - empty``
-vertices. When a phase ends with no residual capacity on any arc out
-of s, as when the min cut is s's own edges, the next phase would be
-that last one and label only s, so the kernel returns at once.
+vertices.
+
+The kernel also stops at the push that closes the last residual arc
+out of s or into t. An augmenting path is a shortest residual path, so
+it never enters s or leaves t. A push raises only the reverses of the
+path's arcs, none of which leaves s or enters t, and of the arcs out
+of s and into t it lowers only the path's first and last. So a push
+can close such an arc but never reopen one, and the kernel counts the
+open ones: at the start from s's arc list and the last-hop map, then
+after each push from the path's first and last arcs. Once either count
+is 0, no augmenting path is left, and the rest of the phase would push
+nothing and so change no capacity. So the kernel goes straight to the
+forward BFS from s. If no arc out of s is open, that BFS labels s
+alone. If no arc into t is open, the next phase's BFS would have
+labelled t alone, so the forward BFS stops once it has labelled
+``n - 1 - empty`` vertices. The counts are read only after a push, so
+a flow that starts with no open arc at s or t still runs its first
+BFS, which finds s out of reach.
 
 A graph's network is made on first use and kept on the graph, so every
 flow, cut weight and contraction on one graph object share it; each
@@ -163,28 +178,22 @@ def _residual_levels(adj: list[list[int]], head: list[int], cap: list[float], s:
 
 
 def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: int, t: int, empty: int) -> list[int]:
-    """BFS levels of the last phase; ``empty`` counts the positions that hold no vertex, which no BFS reaches."""
+    """Levels of the final forward BFS from s, -1 where s does not reach.
+
+    ``empty`` counts the positions that hold no vertex, which no BFS reaches.
+    """
     n = len(adj)
     # Each vertex's one arc into t, for the DFS's last hop.
     last_hop = {head[a]: a ^ 1 for a in adj[t]}
+    # Residual arcs into t and out of s: a push can close them, never reopen one.
+    open_t = sum(cap[a] > 0.0 for a in last_hop.values())
+    open_s = sum(cap[a] > 0.0 for a in adj[s])
     while True:
         dist = _residual_levels(adj, head, cap, s, t)
         if dist[s] < 0:
             # That BFS ran to completion; s reaches only vertices it left unlabelled.
             limit = dist.count(-1) - empty
-            level = [-1] * n
-            level[s] = 0
-            queue = [s]
-            for u in queue:  # FIFO: the loop also visits vertices appended during it
-                lv = level[u] + 1
-                for a in adj[u]:
-                    v = head[a]
-                    if level[v] < 0 and cap[a] > 0.0:
-                        level[v] = lv
-                        queue.append(v)
-                if len(queue) == limit:
-                    break
-            return level
+            break
         it = [0] * n
         path: list[int] = []
         u = s
@@ -208,13 +217,19 @@ def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: in
                     for a in path:
                         cap[a] -= delta
                         cap[a ^ 1] += delta
+                    if cap[a] == 0.0:  # the last hop
+                        open_t -= 1
+                    if cap[path[0]] == 0.0:
+                        open_s -= 1
+                    if not (open_s and open_t):
+                        break  # no augmenting path is left
                     del path[nd:]
                     u = head[path[-1]] if path else s
                     continue
                 arcs = ()  # that arc is saturated: a dead end
             for i in range(it[u], len(arcs)):
                 a = arcs[i]
-                if cap[a] > 0.0 and dist[head[a]] == lv:
+                if dist[head[a]] == lv and cap[a] > 0.0:
                     it[u] = i
                     path.append(a)
                     u = head[a]
@@ -226,11 +241,23 @@ def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: in
                 path.pop()
                 u = head[path[-1]] if path else s
                 it[u] += 1
-        if not any(cap[a] > 0.0 for a in adj[s]):
-            # s reaches nothing, so the next phase would be the last and label only s.
-            level = [-1] * n
-            level[s] = 0
-            return level
+        if not (open_s and open_t):
+            # No augmenting path is left (module docstring).
+            limit = n - 1 - empty
+            break
+    level = [-1] * n
+    level[s] = 0
+    queue = [s]
+    for u in queue:  # FIFO: the loop also visits vertices appended during it
+        lv = level[u] + 1
+        for a in adj[u]:
+            v = head[a]
+            if level[v] < 0 and cap[a] > 0.0:
+                level[v] = lv
+                queue.append(v)
+        if len(queue) == limit:
+            break
+    return level
 
 
 def _decided_side(sums: Iterable[tuple[int, float, float, float]]) -> list[int] | None:

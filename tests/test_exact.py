@@ -688,6 +688,76 @@ class TestLastHop:
         assert got == ref
 
 
+@contextlib.contextmanager
+def phases_reaching_s():
+    """Record, for each phase BFS the kernel runs, whether it labelled s: True for a phase that pushes."""
+    seen = []
+
+    def spy(adj, head, cap, s, t):
+        dist = RESIDUAL_LEVELS(adj, head, cap, s, t)
+        seen.append(dist[s] >= 0)
+        return dist
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_maxflow, "_residual_levels", spy)
+        yield seen
+
+
+@st.composite
+def light_end_pairs(draw):
+    """A graph with the edges at s or t scaled down, so that end's own edges are often the min cut.
+
+    Half the time a contraction of blocks of other vertices follows, so
+    the kernel runs on a patched network with empty positions, where s
+    and t keep their labels.
+    """
+    g, s, t = draw(strategies.graphs_with_pair(min_n=3, max_n=12, weights=strategies.kernel_weights))
+    end = draw(st.sampled_from([s, t]))
+    scale = draw(st.sampled_from([0.5, 1 / 3, 0.1, 1e-3]))
+    g = Graph(g.vertices, [(u, v, w * scale if end in (u, v) else w) for u, v, w in g.edges()])
+    rest = [v for v in draw(st.permutations(g.vertices)) if v not in (s, t)]
+    if len(rest) >= 2 and draw(st.booleans()):
+        cuts = sorted(draw(st.sets(st.integers(1, len(rest)), min_size=1, max_size=2)))
+        g = contract(g, *(rest[a:b] for a, b in zip([0, *cuts], cuts)))[0]
+    return g, s, t
+
+
+class TestClosedEnds:
+    """The kernel stops at the push that closes the last residual arc into t or out of s, with no closing BFS."""
+
+    @staticmethod
+    def light_star() -> Graph:
+        """A clique on 0-5 with weight 2, and 6 tied to 0, 1 and 2 by lighter edges: 6's own edges are the min cut."""
+        return Graph(range(7), [(u, v, 2.0) for u, v in combinations(range(6), 2)] + [(0, 6, 1.0), (1, 6, 0.5), (2, 6, 0.25)])
+
+    def test_a_sink_star_cut_runs_only_pushing_phases(self):
+        with phases_reaching_s() as seen:
+            side = assert_kernel_matches_full_bfs(self.light_star(), 5, 6)
+        assert side == set(range(6))
+        assert seen and all(seen)
+
+    def test_a_source_star_cut_runs_only_pushing_phases(self):
+        with phases_reaching_s() as seen:
+            side = assert_kernel_matches_full_bfs(self.light_star(), 6, 5)
+        assert side == {6}
+        assert seen and all(seen)
+
+    def test_light_ends_on_fresh_and_patched_networks(self):
+        fired = {"s": 0, "t": 0}
+
+        @given(light_end_pairs())
+        @settings(max_examples=300, deadline=None)
+        def check(case):
+            g, s, t = case
+            with phases_reaching_s() as seen:
+                side = assert_kernel_matches_full_bfs(g, s, t)
+            if seen[-1]:  # the last phase pushed, so a stop ended the flow
+                fired["s" if side == {s} else "t"] += 1
+
+        check()
+        assert fired["s"] and fired["t"]
+
+
 @st.composite
 def decided_pairs(draw):
     """A noised graph whose every other vertex leans to s or to t by more than all its other edges weigh.
