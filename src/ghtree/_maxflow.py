@@ -63,16 +63,25 @@ immutable the network never goes stale. A constructed graph builds it
 in one pass over preallocated arrays. A contraction reads the edges at
 its blocks from their arc lists (``edges_at``) and leaves its result
 the parent's network with a patch that the result's first use applies,
-so a result never cut copies nothing. The patch copies the arrays,
-empties each block vertex's position, drops the arcs into the blocks
-from their neighbours' lists, puts the labels after all other
-positions and appends the new edges, each at a label, as arc pairs in
-canonical key order; if over half the arcs would then be dead, the
-result builds fresh instead. Positions follow vertex order, as labels
-exceed every vertex, and each vertex lists its arcs in canonical edge
-order: its kept arcs in their old order, then the new ones, whose keys
-hold a label. So Dinic pushes the same flows, and its last BFS leaves
-the empty positions out of its stop count. A cut weight is the
+so a result never cut copies nothing. A contraction of one vertex v
+is a rename: no edge merges, so the result's edges are the parent's
+with v's label for v. The label takes v's position and arc list, whose
+other ends are its neighbours in the same order, and each neighbour
+gets a copy of its list with its arc to v moved last, where its key
+with the label sits in the store. The rename shares the parent's heads
+and capacities, adds and drops no arc and empties no position. Any
+other patch copies the arrays, empties each block vertex's position,
+drops the arcs into the blocks from their neighbours' lists, puts the
+labels after all other positions and appends the new edges, each at a
+label, as arc pairs in canonical key order; if over half the arcs would
+then be dead, the result builds fresh instead. Either way each vertex
+lists its arcs in canonical edge order: its kept arcs in their old
+order, then the new ones, whose keys hold a label. Positions need not
+follow vertex order, as a label may sit at a renamed vertex's, and no
+level depends on that order: a BFS level is a set, whatever order the
+positions are visited in, and the DFS reads only arc lists. So Dinic
+pushes the same flows, and its last BFS leaves the empty positions out
+of its stop count. A cut weight is the
 ``math.fsum`` of the crossing arcs' capacities at the smaller of the
 side and its complement: the exact sum rounded once, so it depends on
 the side alone, not on arc ids, network kind or the side walked.
@@ -125,7 +134,7 @@ the first vertex with |c_s - c_t| <= r.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Collection, Iterable
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -303,19 +312,35 @@ def _network(g: Graph) -> _Network:
     return net
 
 
-def patch_network(g: Graph, h: Graph, blocks: Iterable[int], new: list[tuple[tuple[int, int], float]]) -> None:
+def patch_network(g: Graph, h: Graph, blocks: Collection[int], new: list[tuple[tuple[int, int], float]]) -> None:
     """Leave h, g with ``blocks`` contracted, g's network and the patch its first use applies (module docstring).
 
-    ``new`` holds h's edges at the labels, as (key, weight) in canonical key order.
+    ``blocks`` holds the block vertices; a single one is renamed, which
+    adds no arc, so only other patches can be declined for dead arcs.
+    ``new`` holds h's edges at the labels, as (key, weight) in canonical
+    key order.
     """
     net = _network(g)
-    if len(net[3]) + 2 * len(new) <= 4 * h.m:
+    if len(blocks) == 1 or len(net[3]) + 2 * len(new) <= 4 * h.m:
         h._net = (net, blocks, new)
 
 
-def _patched(h: Graph, net: _Network, blocks: Iterable[int], new: list[tuple[tuple[int, int], float]]) -> _Network:
+def _patched(h: Graph, net: _Network, blocks: Collection[int], new: list[tuple[tuple[int, int], float]]) -> _Network:
     index, verts, adj, head, cap = net
-    index, verts, adj, head, cap = index.copy(), verts[:], adj[:], head[:], cap[:]
+    index, verts, adj = index.copy(), verts[:], adj[:]
+    if len(blocks) == 1:
+        # A rename: the label takes the vertex's position and arcs (module docstring).
+        (v,) = blocks
+        label = h.vertices[-1]
+        i = index[label] = index.pop(v)
+        verts[i] = label
+        for a in adj[i]:
+            row = adj[head[a]][:]
+            row.remove(a ^ 1)
+            row.append(a ^ 1)
+            adj[head[a]] = row
+        return index, verts, adj, head, cap
+    head, cap = head[:], cap[:]
     gone = {index.pop(v) for v in blocks}
     for x in {head[a] for i in gone for a in adj[i]} - gone:
         adj[x] = [a for a in adj[x] if head[a] not in gone]

@@ -184,8 +184,10 @@ def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
     it comes after every kept edge of its ends and each vertex's edges
     stay in canonical order (module docstring). The result patches g's
     network into its own when first asked for one
-    (``_maxflow.patch_network``), unless over half its arcs would be
-    dead, in which case it builds its own.
+    (``_maxflow.patch_network``). A lone block vertex is renamed in g's
+    arcs, which the result shares; other blocks copy g's arcs and add
+    the new ones, unless over half the arcs would then be dead, in
+    which case the result builds its own.
 
     The result is bitwise that of contracting the blocks one at a time
     in the order given. A vertex's edges into a block are summed in

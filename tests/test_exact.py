@@ -198,7 +198,14 @@ class TestPatchedNetworks:
             pending = h._net is not None
             assert not pending or h._net[0] is parent._net
             patched = repr(_network(h))
-            assert (len(h._net[2]) > h.n) == pending  # a patched network leaves each block's position empty
+            empty, parent_empty = len(h._net[2]) - h.n, len(parent._net[2]) - parent.n
+            if pending and len(blocks) == len(blocks[0]) == 1:
+                # A rename: the label takes the vertex's position, and the parent's arcs are shared.
+                assert empty == parent_empty
+                assert h._net[3] is parent._net[3] and h._net[4] is parent._net[4]
+            else:
+                # A patched network leaves each block vertex's position empty; a fresh one has none.
+                assert empty == (parent_empty + sum(map(len, blocks)) if pending else 0)
             fresh = Graph(h.vertices, h.edges())
             for s, t in ((s, t) for s in h.vertices for t in h.vertices if s != t):
                 side = min_cut_source_side(h, s, t)
@@ -226,12 +233,45 @@ class TestPatchedNetworks:
         h = contract(g, [5])[0]
         assert h._net[0] is g._net  # nothing is copied before h is cut
         index, verts, adj, head, cap = _network(h)
-        # g's arcs copied, vertex 5's position left empty, its label appended; 5's edges stay as dead arcs.
-        assert head[: 2 * g.m] == g._net[3] and cap[: 2 * g.m] == g._net[4]
-        assert 5 not in index and verts[5] is None and adj[5] == []
-        assert index[g.n] == g.n and verts == [*g.vertices[:5], None, *g.vertices[6:], g.n]
-        assert sum(map(len, adj)) == 2 * h.m < len(head)
+        # 5's label takes its position and arc list; g's arcs are shared, not copied, and none is dead.
+        assert head is g._net[3] and cap is g._net[4]
+        assert 5 not in index and index[g.n] == 5 and verts == [*g.vertices[:5], g.n, *g.vertices[6:]]
+        assert adj[5] is g._net[2][5]
+        assert sum(map(len, adj)) == 2 * h.m == len(head)
+        # Each neighbour's arc to the label moves last, in a copy of its list; every other list is g's own.
+        near = {head[a]: a ^ 1 for a in adj[5]}
+        for x, row in enumerate(adj):
+            old = g._net[2][x]
+            if x in near:
+                assert row is not old and row == [a for a in old if a != near[x]] + [near[x]]
+            else:
+                assert row is old
         assert min_st_cut_exact(h, 0, g.n) == fresh_cut(h, 0, g.n)
+
+    def test_an_exact_tree_renames_over_the_input_arcs(self, monkeypatch):
+        # Every ER cut splits off one vertex, so each contraction is a rename of the last one's network.
+        g = generate("erdos-renyi-weighted", {"n": 60, "p": 0.2}, 0)
+        seen = []
+        real = _maxflow._patched
+
+        def spy(h, net, blocks, new):
+            before = repr(net)  # repr shows every float's bits
+            seen.append((h, net, before, len(blocks)))
+            return real(h, net, blocks, new)
+
+        monkeypatch.setattr(_maxflow, "_patched", spy)
+        gomory_hu_exact(g)
+        assert len(seen) > g.n // 2
+        for i, (h, parent, before, size) in enumerate(seen):
+            assert size == 1
+            assert h._net[3] is g._net[3] and h._net[4] is g._net[4]
+            # Neither the rename nor any later flow or contraction changed the parent's network.
+            assert repr(parent) == before
+            if i % 4 == 0:
+                fresh = Graph(h.vertices, h.edges())
+                label = h.vertices[-1]
+                for s, t in ((h.vertices[0], label), (label, h.vertices[1])):
+                    assert residual_rows(h, s, t) == residual_rows(fresh, s, t)
 
 
 class TestCopiedStores:
@@ -596,18 +636,18 @@ class TestResidualLevels:
     @pytest.mark.parametrize("patched", [False, True])
     def test_a_clique_turns_bottom_up_at_level_1(self, patched):
         # t = 0, s = 1; 2 and 3 have no residual arc into t, and s none but into 2 and 3.
-        g = Graph(range(8 + patched), [(u, v, 1.0) for u, v in combinations(range(8 + patched), 2)])
+        g = Graph(range(8 + 2 * patched), [(u, v, 1.0) for u, v in combinations(range(8 + 2 * patched), 2)])
         if patched:
-            g = contract(g, [8])[0]  # a relabelled clique vertex: position 8 is left empty
+            g = contract(g, [8, 9])[0]  # two clique vertices merged: positions 8 and 9 are left empty
         index, _, adj, head, cap = _network(g)
-        assert len(adj) - g.n == patched
+        assert len(adj) - g.n == 2 * patched
         cap = cap[:]
         for x in (1, 2, 3):
             for a in adj[index[x]]:
                 if head[a] == index[0] or (x == 1 and head[a] > index[3]):
                     cap[a] = 0.0
         dist, directions = check_levels(adj, head, cap, index[1], index[0])
-        assert dist == [0, 3, 2, 2, 1, 1, 1, 1] + ([-1, 1] if patched else [])
+        assert dist == [0, 3, 2, 2, 1, 1, 1, 1] + ([-1, -1, 1] if patched else [])
         assert directions == ["top-down", "bottom-up"]
 
     def test_pivot_flows_run_both_directions(self):
@@ -708,8 +748,9 @@ def light_end_pairs(draw):
     """A graph with the edges at s or t scaled down, so that end's own edges are often the min cut.
 
     Half the time a contraction of blocks of other vertices follows, so
-    the kernel runs on a patched network with empty positions, where s
-    and t keep their labels.
+    the kernel runs on a patched network, where s and t keep their
+    labels; it has empty positions unless its one block is one vertex,
+    which is renamed.
     """
     g, s, t = draw(strategies.graphs_with_pair(min_n=3, max_n=12, weights=strategies.kernel_weights))
     end = draw(st.sampled_from([s, t]))
@@ -971,11 +1012,23 @@ class TestGomoryHu:
             sizes.append((len(head), len(cap), sum(map(len, adj)), 2 * h.m, len(verts) - h.n))
             return side
 
+        block_sizes = []
+        real_patched = _maxflow._patched
+
+        def patch_spy(h, net, blocks, new):
+            block_sizes.append(len(blocks))
+            return real_patched(h, net, blocks, new)
+
         monkeypatch.setattr(exact, "min_cut_source_side", spy)
+        monkeypatch.setattr(_maxflow, "_patched", patch_spy)
         g = generate(kind, params, 0)
         gomory_hu_exact(g)
         assert len(sizes) == g.n - 1
         for arcs, caps, live, want, empty in sizes:
             assert arcs == caps <= 2 * live
             assert live == want
-        assert sum(empty > 0 for *_, empty in sizes) > g.n // 2  # most of the cut graphs were patched
+        assert len(block_sizes) > g.n // 2  # most of the cut graphs were patched from their parents' networks
+        # Every ER cut splits off one vertex, so each patch is a rename and leaves no position empty;
+        # the dumbbell's bridge cut contracts a clique, whose patch leaves its vertices' positions empty.
+        merged = any(b > 1 for b in block_sizes)
+        assert merged == any(empty > 0 for *_, empty in sizes) == (kind == "dumbbell")
