@@ -34,10 +34,9 @@ built once per flow, and is a dead end if that arc is saturated: t is
 the only level-0 vertex and a network holds one arc pair per vertex
 pair, so that arc is all a scan of its list could find. The last
 phase's BFS never labels s and so runs to the end, leaving unlabelled
-exactly the empty positions and the vertices that cannot reach t. A
-forward BFS from s then labels the reachable set, which lies among
-them, so it stops once it has labelled ``dist.count(-1) - empty``
-vertices.
+exactly the vertices that cannot reach t. A forward BFS from s then
+labels the reachable set, which lies among them, so it stops once it
+has labelled ``dist.count(-1)`` vertices.
 
 The kernel also stops at the push that closes the last residual arc
 out of s or into t. An augmenting path is a shortest residual path, so
@@ -52,39 +51,33 @@ nothing and so change no capacity. So the kernel goes straight to the
 forward BFS from s. If no arc out of s is open, that BFS labels s
 alone. If no arc into t is open, the next phase's BFS would have
 labelled t alone, so the forward BFS stops once it has labelled
-``n - 1 - empty`` vertices. The counts are read only after a push, so
+``n - 1`` vertices. The counts are read only after a push, so
 a flow that starts with no open arc at s or t still runs its first
 BFS, which finds s out of reach.
 
 A graph's network is made on first use and kept on the graph, so every
 flow, cut weight and contraction on one graph object share it; each
 flow works on its own copy of the capacities, and as graphs are
-immutable the network never goes stale. A constructed graph builds it
-in one pass over preallocated arrays. A contraction reads the edges at
-its blocks from their arc lists (``edges_at``) and leaves its result
-the parent's network with a patch that the result's first use applies,
-so a result never cut copies nothing. A contraction of one vertex v
-is a rename: no edge merges, so the result's edges are the parent's
-with v's label for v. The label takes v's position and arc list, whose
-other ends are its neighbours in the same order, and each neighbour
-gets a copy of its list with its arc to v moved last, where its key
-with the label sits in the store. The rename shares the parent's heads
-and capacities, adds and drops no arc and empties no position. Any
-other patch copies the arrays, empties each block vertex's position,
-drops the arcs into the blocks from their neighbours' lists, puts the
-labels after all other positions and appends the new edges, each at a
-label, as arc pairs in canonical key order; if over half the arcs would
-then be dead, the result builds fresh instead. Either way each vertex
-lists its arcs in canonical edge order: its kept arcs in their old
-order, then the new ones, whose keys hold a label. Positions need not
-follow vertex order, as a label may sit at a renamed vertex's, and no
-level depends on that order: a BFS level is a set, whatever order the
+immutable the network never goes stale. A contraction reads the edges
+at its blocks from their arc lists (``edges_at``). Its result builds
+its own network from its store, in one pass over preallocated arrays
+as a constructed graph does, unless its one block is one vertex v.
+That contraction is a rename: no edge merges, so the result's edges
+are the parent's with v's label for v. The result keeps the parent's
+network and v, and its first use gives the label v's position and arc
+list, whose other ends are its neighbours in the same order; each
+neighbour gets a copy of its list with its arc to v moved last, where
+its key with the label sits in the store. The rename shares the
+parent's heads and capacities and adds and drops no arc, so a result
+never cut copies nothing, and each vertex lists the same (head vertex,
+capacity) pairs in the same order as in a fresh build. Positions then
+need not follow vertex order, as the label sits at v's, and no level
+depends on that order: a BFS level is a set, whatever order the
 positions are visited in, and the DFS reads only arc lists. So Dinic
-pushes the same flows, and its last BFS leaves the empty positions out
-of its stop count. A cut weight is the
-``math.fsum`` of the crossing arcs' capacities at the smaller of the
-side and its complement: the exact sum rounded once, so it depends on
-the side alone, not on arc ids, network kind or the side walked.
+pushes the same flows. A cut weight is the ``math.fsum`` of the
+crossing arcs' capacities at the smaller of the side and its
+complement: the exact sum rounded once, so it depends on the side
+alone, not on arc ids, network kind or the side walked.
 
 ``min_cut_source_side`` is the one caller of Dinic. The s-t mechanism,
 and each round of the isolating cuts, cuts a noised graph: the input
@@ -134,7 +127,7 @@ the first vertex with |c_s - c_t| <= r.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Collection, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -145,8 +138,8 @@ USING_NUMBA = False
 # A decided vertex's margin must exceed this times V^3 times its total capacity (module docstring).
 _SLACK = 16 * 2.0**-53
 
-# Vertex index, each position's vertex (None if empty), per-position arc ids, arc heads and initial capacities.
-_Network = tuple[dict[int, int], list[int | None], list[list[int]], list[int], list[float]]
+# Vertex index, each position's vertex, per-position arc ids, arc heads and initial capacities.
+_Network = tuple[dict[int, int], list[int], list[list[int]], list[int], list[float]]
 
 
 def _residual_levels(adj: list[list[int]], head: list[int], cap: list[float], s: int, t: int) -> list[int]:
@@ -155,7 +148,7 @@ def _residual_levels(adj: list[list[int]], head: list[int], cap: list[float], s:
     dist = [-1] * n
     dist[t] = 0
     frontier = [t]
-    left = n - 1  # unlabelled positions, empty ones included
+    left = n - 1  # unlabelled vertices
     k = 0
     while frontier:
         for a in adj[s]:
@@ -186,11 +179,8 @@ def _residual_levels(adj: list[list[int]], head: list[int], cap: list[float], s:
     return dist
 
 
-def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: int, t: int, empty: int) -> list[int]:
-    """Levels of the final forward BFS from s, -1 where s does not reach.
-
-    ``empty`` counts the positions that hold no vertex, which no BFS reaches.
-    """
+def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: int, t: int) -> list[int]:
+    """Levels of the final forward BFS from s, -1 where s does not reach."""
     n = len(adj)
     # Each vertex's one arc into t, for the DFS's last hop.
     last_hop = {head[a]: a ^ 1 for a in adj[t]}
@@ -201,7 +191,7 @@ def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: in
         dist = _residual_levels(adj, head, cap, s, t)
         if dist[s] < 0:
             # That BFS ran to completion; s reaches only vertices it left unlabelled.
-            limit = dist.count(-1) - empty
+            limit = dist.count(-1)
             break
         it = [0] * n
         path: list[int] = []
@@ -252,7 +242,7 @@ def _dinic_levels(adj: list[list[int]], head: list[int], cap: list[float], s: in
                 it[u] += 1
         if not (open_s and open_t):
             # No augmenting path is left (module docstring).
-            limit = n - 1 - empty
+            limit = n - 1
             break
     level = [-1] * n
     level[s] = 0
@@ -291,7 +281,7 @@ def _decided_side(sums: Iterable[tuple[int, float, float, float]]) -> list[int] 
 
 
 def _network(g: Graph) -> _Network:
-    """The flow network of g, built or patched on first use and kept in the graph's ``_net`` slot."""
+    """The flow network of g, built or renamed on first use and kept in the graph's ``_net`` slot."""
     net = g._net
     if net is None:
         index = {v: i for i, v in enumerate(g.vertices)}
@@ -307,56 +297,28 @@ def _network(g: Graph) -> _Network:
             head[a], head[a + 1] = iv, iu
             a += 2
         net = g._net = (index, list(g.vertices), adj, head, cap)
-    elif len(net) == 3:  # a contraction's pending patch (patch_network)
-        net = g._net = _patched(g, *net)
+    elif len(net) == 2:  # a contraction's pending rename (patch_network)
+        net = g._net = _renamed(g, *net)
     return net
 
 
-def patch_network(g: Graph, h: Graph, blocks: Collection[int], new: list[tuple[tuple[int, int], float]]) -> None:
-    """Leave h, g with ``blocks`` contracted, g's network and the patch its first use applies (module docstring).
-
-    ``blocks`` holds the block vertices; a single one is renamed, which
-    adds no arc, so only other patches can be declined for dead arcs.
-    ``new`` holds h's edges at the labels, as (key, weight) in canonical
-    key order.
-    """
-    net = _network(g)
-    if len(blocks) == 1 or len(net[3]) + 2 * len(new) <= 4 * h.m:
-        h._net = (net, blocks, new)
+def patch_network(g: Graph, h: Graph, v: int) -> None:
+    """Leave h, g with its vertex v contracted, g's network and v, for h's first use to rename (module docstring)."""
+    h._net = (_network(g), v)
 
 
-def _patched(h: Graph, net: _Network, blocks: Collection[int], new: list[tuple[tuple[int, int], float]]) -> _Network:
+def _renamed(h: Graph, net: _Network, v: int) -> _Network:
+    """``net`` with v's label, h's last vertex, in v's position and arc list (module docstring)."""
     index, verts, adj, head, cap = net
     index, verts, adj = index.copy(), verts[:], adj[:]
-    if len(blocks) == 1:
-        # A rename: the label takes the vertex's position and arcs (module docstring).
-        (v,) = blocks
-        label = h.vertices[-1]
-        i = index[label] = index.pop(v)
-        verts[i] = label
-        for a in adj[i]:
-            row = adj[head[a]][:]
-            row.remove(a ^ 1)
-            row.append(a ^ 1)
-            adj[head[a]] = row
-        return index, verts, adj, head, cap
-    head, cap = head[:], cap[:]
-    gone = {index.pop(v) for v in blocks}
-    for x in {head[a] for i in gone for a in adj[i]} - gone:
-        adj[x] = [a for a in adj[x] if head[a] not in gone]
-    for i in gone:
-        verts[i] = None
-        adj[i] = []
-    for v in h.vertices[len(index) :]:  # the labels
-        index[v] = len(adj)
-        verts.append(v)
-        adj.append([])
-    for (u, v), w in new:
-        iu, iv = index[u], index[v]
-        adj[iu].append(len(head))
-        adj[iv].append(len(head) + 1)
-        head += (iv, iu)
-        cap += (w, w)
+    label = h.vertices[-1]
+    i = index[label] = index.pop(v)
+    verts[i] = label
+    for a in adj[i]:
+        row = adj[head[a]][:]
+        row.remove(a ^ 1)
+        row.append(a ^ 1)
+        adj[head[a]] = row
     return index, verts, adj, head, cap
 
 
@@ -388,5 +350,5 @@ def min_cut_source_side(g: Graph, s: int, t: int) -> frozenset[int]:
     its edges' canonical order.
     """
     index, verts, adj, head, cap = _network(g)
-    level = _dinic_levels(adj, head, cap[:], index[s], index[t], len(adj) - len(index))
+    level = _dinic_levels(adj, head, cap[:], index[s], index[t])
     return frozenset(v for v, lv in zip(verts, level) if lv >= 0)

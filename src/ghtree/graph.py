@@ -10,9 +10,11 @@ Each vertex's edges appear in the edge store in canonical order, by
 their other end; flow networks and every sum over a vertex's edges
 rely on that alone. A contraction copies its parent's store, deletes
 the keys at its blocks and appends its sorted new keys, each last among
-its ends' edges. Other graphs keep the whole store sorted, and
-``Graph.edges`` always sorts. Cut weights are exactly rounded sums
-(``math.fsum``), so they do not depend on the store's order.
+its ends' edges. Its result builds its flow network from that store,
+unless its one block is one vertex, which it renames in its parent's
+network. Other graphs keep the whole store sorted, and ``Graph.edges``
+always sorts. Cut weights are exactly rounded sums (``math.fsum``), so
+they do not depend on the store's order.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ class Graph:
     construction. Zero-weight edges supplied to the constructor are
     dropped, negative or non-finite weights are rejected. The edge store
     lists each vertex's edges in canonical order (module docstring). The
-    flow network that ``_maxflow`` builds for the graph, or patches from
-    its parent's after ``contract``, is kept in ``_net``.
+    flow network that ``_maxflow`` builds for the graph, or renames from
+    its parent's after a one-vertex ``contract``, is kept in ``_net``.
     ``_pivot_values`` is None, or a dict that ``gh_tree_step`` reads and
     fills with exact pivot cut values λ(s, v) under the key (s, v); only
     ``run_experiment`` gives a graph one, so that a seed's eps cells
@@ -182,12 +184,10 @@ def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
     appended in canonical order; it is never sorted or rebuilt as a
     whole. Each new key holds a block label, above every vertex of g, so
     it comes after every kept edge of its ends and each vertex's edges
-    stay in canonical order (module docstring). The result patches g's
-    network into its own when first asked for one
-    (``_maxflow.patch_network``). A lone block vertex is renamed in g's
-    arcs, which the result shares; other blocks copy g's arcs and add
-    the new ones, unless over half the arcs would then be dead, in
-    which case the result builds its own.
+    stay in canonical order (module docstring). When the one block is
+    one vertex, the result renames it in g's network on first use and
+    shares g's arcs (``_maxflow.patch_network``); any other result
+    builds its own network from its store.
 
     The result is bitwise that of contracting the blocks one at a time
     in the order given. A vertex's edges into a block are summed in
@@ -227,8 +227,7 @@ def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
     for (b, earlier), w in into_earlier.items():
         key = (earlier, to[b])
         fresh[key] = fresh.get(key, 0.0) + w
-    new = sorted(fresh.items())
-    weights.update(new)
+    weights.update(sorted(fresh.items()))
     vs = g.vertices
     vertices, i = [], 0
     for v in order:  # the kept vertices, as slices between the block vertices' positions
@@ -238,7 +237,8 @@ def contract(g: Graph, *blocks: Iterable[int]) -> tuple[Graph, int]:
     vertices += vs[i:]
     vertices += range(label, label + len(blocks))
     h = Graph._canonical(tuple(vertices), weights)
-    patch_network(g, h, to, new)
+    if len(to) == 1:
+        patch_network(g, h, *to)
     return h, label
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import hashlib
 import inspect
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
+import test_golden
 from ghtree import (
     INFINITE,
     Epsilon,
@@ -31,7 +33,7 @@ from ghtree import (
     private_min_ST_cut,
     private_min_st_cut,
 )
-from ghtree import _maxflow, exact, private_cuts
+from ghtree import _maxflow, exact, pipeline, private_cuts
 from ghtree._maxflow import _decided_side, _dinic_levels, _network, edges_at, min_cut_source_side
 
 
@@ -173,12 +175,12 @@ def residual_rows(g: Graph, s: int, t: int) -> dict:
     """Each vertex's arcs in list order, as (head, start and final capacity), after the kernel cuts s from t in g's network."""
     index, verts, adj, head, cap = _network(g)
     final = cap[:]
-    _dinic_levels(adj, head, final, index[s], index[t], len(adj) - g.n)
+    _dinic_levels(adj, head, final, index[s], index[t])
     return {v: [(verts[head[a]], cap[a].hex(), final[a].hex()) for a in adj[index[v]]] for v in g.vertices}
 
 
 class TestPatchedNetworks:
-    """A contracted graph's network, patched from its parent's, cuts, weighs and contracts as a fresh graph's does."""
+    """A contracted graph's network, renamed from its parent's or built fresh, cuts, weighs and contracts as a fresh graph's does."""
 
     @given(strategies.connected_graphs(min_n=3, max_n=9, weights=strategies.third_weights), st.data())
     @settings(max_examples=120, deadline=None)
@@ -194,18 +196,17 @@ class TestPatchedNetworks:
             # The same contraction of a fresh copy; its own result is fresh too.
             ref, ref_label = contract(Graph(parent.vertices, parent.edges()), *blocks)
             assert (h.vertices, label, edge_bits(h)) == (ref.vertices, ref_label, edge_bits(ref))
-            # Until first asked for, h's network is the parent's, with the patch still to apply.
-            pending = h._net is not None
-            assert not pending or h._net[0] is parent._net
-            patched = repr(_network(h))
-            empty, parent_empty = len(h._net[2]) - h.n, len(parent._net[2]) - parent.n
-            if pending and len(blocks) == len(blocks[0]) == 1:
-                # A rename: the label takes the vertex's position, and the parent's arcs are shared.
-                assert empty == parent_empty
-                assert h._net[3] is parent._net[3] and h._net[4] is parent._net[4]
+            # Until first asked for, a one-vertex contraction's network is the parent's and the vertex to rename;
+            # every other contraction leaves its result to build its own from its store.
+            rename = len(blocks) == len(blocks[0]) == 1
+            if rename:
+                assert h._net[0] is parent._net and h._net[1] == blocks[0][0]
             else:
-                # A patched network leaves each block vertex's position empty; a fresh one has none.
-                assert empty == (parent_empty + sum(map(len, blocks)) if pending else 0)
+                assert h._net is None
+            built = repr(_network(h))
+            # Every position holds a vertex; a rename shares the parent's arcs.
+            assert len(h._net[1]) == len(h._net[2]) == h.n
+            assert not rename or (h._net[3] is parent._net[3] and h._net[4] is parent._net[4])
             fresh = Graph(h.vertices, h.edges())
             for s, t in ((s, t) for s in h.vertices for t in h.vertices if s != t):
                 side = min_cut_source_side(h, s, t)
@@ -219,9 +220,9 @@ class TestPatchedNetworks:
             for bits in range(2 ** len(rest)):
                 side = {h.vertices[0], *(v for i, v in enumerate(rest) if bits >> i & 1)}
                 assert cut_weight(h, side).hex() == cut_weight(fresh, side).hex()
-            # Neither the contraction nor the cuts changed the parent's network, or a patched one.
+            # Neither the contraction nor the cuts changed the parent's network, or h's.
             assert repr(parent._net) == before
-            assert repr(h._net) == patched
+            assert repr(h._net) == built
         # The last graph's next contraction, as each earlier one's was checked above.
         blocks = next_blocks(data, h)
         nxt, ref = contract(h, *blocks), contract(Graph(h.vertices, h.edges()), *blocks)
@@ -252,18 +253,17 @@ class TestPatchedNetworks:
         # Every ER cut splits off one vertex, so each contraction is a rename of the last one's network.
         g = generate("erdos-renyi-weighted", {"n": 60, "p": 0.2}, 0)
         seen = []
-        real = _maxflow._patched
+        real = _maxflow._renamed
 
-        def spy(h, net, blocks, new):
+        def spy(h, net, v):
             before = repr(net)  # repr shows every float's bits
-            seen.append((h, net, before, len(blocks)))
-            return real(h, net, blocks, new)
+            seen.append((h, net, before))
+            return real(h, net, v)
 
-        monkeypatch.setattr(_maxflow, "_patched", spy)
+        monkeypatch.setattr(_maxflow, "_renamed", spy)
         gomory_hu_exact(g)
         assert len(seen) > g.n // 2
-        for i, (h, parent, before, size) in enumerate(seen):
-            assert size == 1
+        for i, (h, parent, before) in enumerate(seen):
             assert h._net[3] is g._net[3] and h._net[4] is g._net[4]
             # Neither the rename nor any later flow or contraction changed the parent's network.
             assert repr(parent) == before
@@ -272,6 +272,36 @@ class TestPatchedNetworks:
                 label = h.vertices[-1]
                 for s, t in ((h.vertices[0], label), (label, h.vertices[1])):
                     assert residual_rows(h, s, t) == residual_rows(fresh, s, t)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_a_descending_build_cuts_fresh_remainders(self, seed, monkeypatch, tmp_path):
+        # dumbbell10 at eps=1e3 with small constants descends, and its remainders contract several sides in one call.
+        remainders, frames = [], []
+        real_contract, real_step = pipeline.contract, pipeline.gh_tree_step
+
+        def contract_spy(g, *blocks):
+            h, label = real_contract(g, *blocks)
+            if len(blocks) > 1:
+                assert h._net is None  # built fresh on first use, from h's own store
+                remainders.append(h)
+            return h, label
+
+        def step_spy(g, s, U, *args):
+            frames.append((g, s, U))
+            return real_step(g, s, U, *args)
+
+        monkeypatch.setattr(pipeline, "contract", contract_spy)
+        monkeypatch.setattr(pipeline, "gh_tree_step", step_spy)
+        name = f"descending_dumbbell10_seed{seed}"
+        assert hashlib.sha256(test_golden.PRODUCERS[name](tmp_path)).hexdigest() == test_golden.GOLDEN[name]
+        cut = [(h, s, U) for h, s, U in frames if any(h is r for r in remainders)]
+        assert cut
+        for h, s, U in cut:
+            assert h._net[1] == list(h.vertices)  # a fresh build: positions in vertex order
+            fresh = Graph(h.vertices, h.edges())
+            for v in U:
+                if v != s:
+                    assert residual_rows(h, s, v) == residual_rows(fresh, s, v)
 
 
 class TestCopiedStores:
@@ -293,19 +323,19 @@ class TestCopiedStores:
             for v in h.vertices:
                 keys = [k for k in h._weights if v in k]
                 assert keys == sorted(keys)
-            if h._net is None:  # the patch was declined: a fresh network, built from the store as it is
+            if h._net is None:  # not a rename: a fresh network, built from the store as it is
                 assert _network(h)[:2] == oracles.loop_network(ref)[:2]
                 assert edges_at(h, h.vertices) == edges_at(ref, ref.vertices)  # each vertex's (head, capacity) list
 
     def test_relabels_append_and_big_blocks_decline(self):
         g = generate("erdos-renyi-weighted", {"n": 40, "p": 0.2}, 0)
         h = contract(g, [5])[0]
-        assert h._net is not None  # patched
+        assert h._net is not None  # a rename
         moved = [k for k in h._weights if g.n in k]
         assert list(h._weights)[-len(moved) :] == moved == sorted(moved)
         assert list(h._weights) != sorted(h._weights)
         k = contract(h, h.vertices[1:])[0]
-        assert k._net is None  # declined
+        assert k._net is None  # built fresh
         assert _network(k) == oracles.loop_network(Graph(k.vertices, k.edges()))
 
 
@@ -316,14 +346,14 @@ class TestExactlyRoundedCutWeights:
         tiny = 2.0**-53
         clique = [(u, v, 1.0) for u in range(4, 9) for v in range(u + 1, 9)]
         g = Graph(range(9), [(0, 1, 1.0), (0, 2, tiny), (0, 3, tiny), (1, 4, 1.0), *clique])
-        patched = contract(g, [1])[0]
-        declined = contract(g, range(4, 9))[0]
-        assert patched._net is not None and declined._net is None
+        renamed = contract(g, [1])[0]
+        merged = contract(g, range(4, 9))[0]
+        assert renamed._net is not None and merged._net is None
         # Vertex 0's edges in store order; added in that order, the first sum rounds down twice.
         assert [w for k, w in g._weights.items() if 0 in k] == [1.0, tiny, tiny]
-        assert [w for k, w in patched._weights.items() if 0 in k] == [tiny, tiny, 1.0]
+        assert [w for k, w in renamed._weights.items() if 0 in k] == [tiny, tiny, 1.0]
         assert 1.0 + tiny + tiny == 1.0 != tiny + tiny + 1.0 == 1.0 + 2 * tiny
-        for h in (g, patched, declined, Graph(patched.vertices, patched.edges())):
+        for h in (g, renamed, merged, Graph(renamed.vertices, renamed.edges())):
             for side in ({0}, h.vertex_set - {0}):
                 assert cut_weight(h, side).hex() == (1.0 + 2 * tiny).hex()
 
@@ -334,7 +364,7 @@ class TestExactlyRoundedCutWeights:
         for _ in range(data.draw(st.integers(0, 3))):
             if h.n < 3:
                 break
-            h = contract(h, *next_blocks(data, h))[0]  # a patched network, or a declined patch's fresh one
+            h = contract(h, *next_blocks(data, h))[0]  # a renamed network, or a fresh one
         shuffled = dict(data.draw(st.permutations(list(h._weights.items()))))
         # The same graph with its store sorted, and in any order at all: cut weights read no order.
         copies = [h, Graph(h.vertices, h.edges()), Graph._canonical(h.vertices, shuffled)]
@@ -406,16 +436,16 @@ class TestDinicKernel:
         g, s, t = case
         index, _, adj, head, cap = _network(g)
         got_cap, ref_cap = cap[:], cap[:]
-        got = _dinic_levels(adj, head, got_cap, index[s], index[t], 0)
+        got = _dinic_levels(adj, head, got_cap, index[s], index[t])
         ref = oracles.dinic_levels_full_bfs(adj, head, ref_cap, index[s], index[t])
         assert [c.hex() for c in got_cap] == [c.hex() for c in ref_cap]
         assert {i for i, lv in enumerate(got) if lv >= 0} == {i for i, lv in enumerate(ref) if lv >= 0}
 
 
-def assert_levels_match_full_bfs(adj: list, head: list, cap: list, s: int, t: int, empty: int) -> list[int]:
+def assert_levels_match_full_bfs(adj: list, head: list, cap: list, s: int, t: int) -> list[int]:
     """Check the kernel against the full-BFS reference on one network, each on its own copy of ``cap``; return the kernel's levels."""
     got_cap, ref_cap = cap[:], cap[:]
-    got = _dinic_levels(adj, head, got_cap, s, t, empty)
+    got = _dinic_levels(adj, head, got_cap, s, t)
     ref = oracles.dinic_levels_full_bfs(adj, head, ref_cap, s, t)
     assert [c.hex() for c in got_cap] == [c.hex() for c in ref_cap]
     assert {i for i, lv in enumerate(got) if lv >= 0} == {i for i, lv in enumerate(ref) if lv >= 0}
@@ -425,7 +455,7 @@ def assert_levels_match_full_bfs(adj: list, head: list, cap: list, s: int, t: in
 def assert_kernel_matches_full_bfs(g: Graph, s: int, t: int) -> frozenset[int]:
     """Check the kernel against the full-BFS reference on g's network; return the side found."""
     index, verts, adj, head, cap = _network(g)
-    got = assert_levels_match_full_bfs(adj, head, cap, index[s], index[t], len(adj) - g.n)
+    got = assert_levels_match_full_bfs(adj, head, cap, index[s], index[t])
     return frozenset(v for v, lv in zip(verts, got) if lv >= 0)
 
 
@@ -497,19 +527,18 @@ class TestDinicDeepLevels:
         seen = []
         real = _maxflow._dinic_levels
 
-        def capture(adj, head, cap, s, t, empty):
-            seen.append((adj, head, cap[:], s, t, empty))
-            return real(adj, head, cap, s, t, empty)
+        def capture(adj, head, cap, s, t):
+            seen.append((adj, head, cap[:], s, t))
+            return real(adj, head, cap, s, t)
 
         g = generate("erdos-renyi-weighted", {"n": 60, "p": 0.1}, 0)
         want = private_min_st_cut(g, 0, 59, Epsilon(1.0), Rng(0))
         monkeypatch.setattr(private_cuts, "_decided_side", lambda sums: None)
         monkeypatch.setattr(_maxflow, "_dinic_levels", capture)
         side = private_min_st_cut(g, 0, 59, Epsilon(1.0), Rng(0))
-        (adj, head, cap, s, t, empty), = seen
+        (adj, head, cap, s, t), = seen
         assert sum(c > 0.0 for c in cap) > 2 * g.m  # the noise arcs
-        assert empty == 0  # the noised graph's network is built fresh
-        got = assert_levels_match_full_bfs(adj, head, cap, s, t, empty)
+        got = assert_levels_match_full_bfs(adj, head, cap, s, t)
         # The noised graph has g's vertices, so its levels read as a side of g.
         assert frozenset(v for v, lv in zip(g.vertices, got) if lv >= 0) == side == want
         assert side == oracles.private_min_st_cut(g, 0, 59, Epsilon(1.0), Rng(0))
@@ -620,7 +649,7 @@ def zeroed(data, g: Graph, s: int, t: int) -> tuple:
     cap = cap[:]
     for a in data.draw(st.sets(st.integers(0, len(cap) - 1), max_size=len(cap) // 2)) if cap else ():
         cap[a] = 0.0
-    return adj, head, cap, index[s], index[t], len(adj) - g.n
+    return adj, head, cap, index[s], index[t]
 
 
 class TestResidualLevels:
@@ -633,21 +662,22 @@ class TestResidualLevels:
         assert dist == list(range(10))
         assert directions == ["top-down"] * 8
 
-    @pytest.mark.parametrize("patched", [False, True])
-    def test_a_clique_turns_bottom_up_at_level_1(self, patched):
+    @pytest.mark.parametrize("renamed", [False, True])
+    def test_a_clique_turns_bottom_up_at_level_1(self, renamed):
         # t = 0, s = 1; 2 and 3 have no residual arc into t, and s none but into 2 and 3.
-        g = Graph(range(8 + 2 * patched), [(u, v, 1.0) for u, v in combinations(range(8 + 2 * patched), 2)])
-        if patched:
-            g = contract(g, [8, 9])[0]  # two clique vertices merged: positions 8 and 9 are left empty
-        index, _, adj, head, cap = _network(g)
-        assert len(adj) - g.n == 2 * patched
+        g = Graph(range(8 + renamed), [(u, v, 1.0) for u, v in combinations(range(8 + renamed), 2)])
+        if renamed:
+            g = contract(g, [4])[0]  # a rename: label 9 takes vertex 4's position
+        index, verts, adj, head, cap = _network(g)
+        # Renamed, the positions do not follow vertex order.
+        assert verts == [0, 1, 2, 3, *([9, 5, 6, 7, 8] if renamed else [4, 5, 6, 7])]
         cap = cap[:]
         for x in (1, 2, 3):
             for a in adj[index[x]]:
                 if head[a] == index[0] or (x == 1 and head[a] > index[3]):
                     cap[a] = 0.0
         dist, directions = check_levels(adj, head, cap, index[1], index[0])
-        assert dist == [0, 3, 2, 2, 1, 1, 1, 1] + ([-1, -1, 1] if patched else [])
+        assert dist == [0, 3, 2, 2, 1, 1, 1, 1] + [1] * renamed
         assert directions == ["top-down", "bottom-up"]
 
     def test_pivot_flows_run_both_directions(self):
@@ -685,7 +715,7 @@ class TestResidualLevels:
         st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_patched_networks_with_empty_positions(self, g, data):
+    def test_networks_of_contracted_graphs(self, g, data):
         h = g
         while h.n > 2 and (h is g or data.draw(st.booleans())):
             h = contract(h, *next_blocks(data, h))[0]
@@ -713,7 +743,7 @@ class TestLastHop:
         g = Graph(range(3), [(0, 1, 1.0), (1, 2, 2.0)])
         index, _, adj, head, cap = _network(g)
         got = MovedCaps(cap)
-        assert _dinic_levels(adj, head, got, index[2], index[0], 0) == [-1, 1, 0]
+        assert _dinic_levels(adj, head, got, index[2], index[0]) == [-1, 1, 0]
         assert got == [2.0, 0.0, 3.0, 1.0]
 
     @given(strategies.graphs_with_pair(max_n=12))
@@ -723,7 +753,7 @@ class TestLastHop:
         g, s, t = case
         index, _, adj, head, cap = _network(g)
         got, ref = MovedCaps(cap), cap[:]
-        _dinic_levels(adj, head, got, index[s], index[t], 0)
+        _dinic_levels(adj, head, got, index[s], index[t])
         oracles.dinic_levels_full_bfs(adj, head, ref, index[s], index[t])
         assert got == ref
 
@@ -748,9 +778,9 @@ def light_end_pairs(draw):
     """A graph with the edges at s or t scaled down, so that end's own edges are often the min cut.
 
     Half the time a contraction of blocks of other vertices follows, so
-    the kernel runs on a patched network, where s and t keep their
-    labels; it has empty positions unless its one block is one vertex,
-    which is renamed.
+    the kernel runs on a contracted graph's network, where s and t keep
+    their labels: a rename of the parent's when its one block is one
+    vertex, else a fresh build.
     """
     g, s, t = draw(strategies.graphs_with_pair(min_n=3, max_n=12, weights=strategies.kernel_weights))
     end = draw(st.sampled_from([s, t]))
@@ -832,7 +862,7 @@ def rule_and_kernel(g: Graph, s: int, t: int) -> tuple[list[int] | None, list[in
     """
     index, _, adj, head, cap = _network(g)
     side = _decided_side(oracles.arc_sums(adj, head, cap, index[s], index[t]))
-    ref = _dinic_levels(adj, head, cap[:], index[s], index[t], 0)
+    ref = _dinic_levels(adj, head, cap[:], index[s], index[t])
     if side is None:
         return None, ref
     level = [-1] * len(adj)
@@ -1002,33 +1032,37 @@ class TestGomoryHu:
     @pytest.mark.parametrize(
         "kind, params", [("erdos-renyi-weighted", {"n": 120, "p": 0.1}), ("dumbbell", {"clique": 20})]
     )
-    def test_networks_hold_at_most_twice_the_live_arcs(self, kind, params, monkeypatch):
+    def test_networks_hold_exactly_the_live_arcs(self, kind, params, monkeypatch):
         sizes = []
         real = exact.min_cut_source_side
 
         def spy(h, s, t):
             side = real(h, s, t)
             _, verts, adj, head, cap = h._net
-            sizes.append((len(head), len(cap), sum(map(len, adj)), 2 * h.m, len(verts) - h.n))
+            sizes.append((len(head), len(cap), sum(map(len, adj)), 2 * h.m, len(verts), h.n))
             return side
 
-        block_sizes = []
-        real_patched = _maxflow._patched
+        block_sizes, renames = [], []
+        real_contract, real_renamed = exact.contract, _maxflow._renamed
 
-        def patch_spy(h, net, blocks, new):
-            block_sizes.append(len(blocks))
-            return real_patched(h, net, blocks, new)
+        def contract_spy(g, *blocks):
+            block_sizes.append(sum(map(len, blocks)))
+            return real_contract(g, *blocks)
+
+        def rename_spy(h, net, v):
+            renames.append(v)
+            return real_renamed(h, net, v)
 
         monkeypatch.setattr(exact, "min_cut_source_side", spy)
-        monkeypatch.setattr(_maxflow, "_patched", patch_spy)
+        monkeypatch.setattr(exact, "contract", contract_spy)
+        monkeypatch.setattr(_maxflow, "_renamed", rename_spy)
         g = generate(kind, params, 0)
         gomory_hu_exact(g)
         assert len(sizes) == g.n - 1
-        for arcs, caps, live, want, empty in sizes:
-            assert arcs == caps <= 2 * live
-            assert live == want
-        assert len(block_sizes) > g.n // 2  # most of the cut graphs were patched from their parents' networks
-        # Every ER cut splits off one vertex, so each patch is a rename and leaves no position empty;
-        # the dumbbell's bridge cut contracts a clique, whose patch leaves its vertices' positions empty.
-        merged = any(b > 1 for b in block_sizes)
-        assert merged == any(empty > 0 for *_, empty in sizes) == (kind == "dumbbell")
+        for arcs, caps, live, want, positions, n in sizes:
+            assert arcs == caps == live == want
+            assert positions == n
+        # Every one-vertex contraction renames its parent's network, and most of the cut graphs are such.
+        assert len(renames) == block_sizes.count(1) > g.n // 2
+        # Every ER cut splits off one vertex; the dumbbell's bridge cut contracts a clique, whose graph builds its own.
+        assert (max(block_sizes) > 1) == (kind == "dumbbell")
