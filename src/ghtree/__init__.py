@@ -17,7 +17,6 @@ from .dp import (
 )
 from .exact import MaxFlowResult, gomory_hu_exact, min_st_cut_exact
 from .experiment import (
-    AbortRecord,
     ExperimentConfig,
     ExperimentReport,
     ExperimentRow,
@@ -54,7 +53,6 @@ from .private_cuts import (
 from .steiner import SteinerTree, combine_steiner, component_nodes, min_edge_on_path
 
 __all__ = [
-    "AbortRecord",
     "CutSide",
     "Epsilon",
     "ExperimentConfig",

@@ -4,9 +4,9 @@ For every (seed, eps) cell the harness builds a private tree, then for
 every vertex pair compares the tree's answer against the exact
 Gomory-Hu value: side_error is the true weight of the returned side
 minus the exact min cut (never negative), value_error is the noisy
-reported value minus the exact min cut (signed). Aborted cells are
-recorded and skipped, never retried. CSV output is byte-deterministic
-for a fixed config.
+reported value minus the exact min cut (signed). Every cell yields a
+tree, so every cell writes a row for each of the n(n-1)/2 pairs. CSV
+output is byte-deterministic for a fixed config.
 
 The answers are the ones ``tree_query`` gives, without a query per
 pair: a tree has only n-1 distinct edge cuts, so ``steiner`` weighs
@@ -33,7 +33,7 @@ from .exact import gomory_hu_exact
 from .generators import generate
 from .graph import Graph
 from .io import _write_lines, load_graph
-from .pipeline import GHTreeAbort, final_gh_tree
+from .pipeline import final_gh_tree
 from .private_cuts import DEFAULT_C1, DEFAULT_C2, DEFAULT_C_DEPTH, DEFAULT_PENALTY_CONST
 from .private_cuts import _check_constants
 from .steiner import SteinerTree, _edge_cut_weights, _path_minima
@@ -117,23 +117,26 @@ class ExperimentRow(NamedTuple):
     value_error: float
 
 
-class AbortRecord(NamedTuple):
-    seed: int
-    eps: str
-    depth: int
-
-
 class ExperimentReport:
+    """A sweep's rows, in sweep order, and the summary of their side errors.
+
+    ``aborts`` is always empty, since every build yields a tree. It stays
+    for the readers of a report that predate that: acceptance criterion
+    06 asserts it is empty, and the bench verb prints its length on an
+    ``aborts`` line, which the benchmark harness parses to count the
+    CSV's rows.
+    """
+
+    aborts = ()
+
     def __init__(
         self,
         rows: list[ExperimentRow],
-        aborts: list[AbortRecord],
         max_side_error: float | None,
         median_side_error: float | None,
         wall_time_s: float,
     ):
         self.rows = rows
-        self.aborts = aborts
         self.max_side_error = max_side_error
         self.median_side_error = median_side_error
         self.wall_time_s = wall_time_s
@@ -188,10 +191,9 @@ def _pair_answers(
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run the sweep; aborted cells contribute an AbortRecord, no rows."""
+    """Run the sweep: a tree per (seed, eps) cell, a row per vertex pair of each."""
     start = time.perf_counter()
     rows: list[ExperimentRow] = []
-    aborts: list[AbortRecord] = []
     for seed in config.seeds:
         g = _instance(config, seed)
         exact_tree = gomory_hu_exact(g)
@@ -204,20 +206,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 label = _eps_label(value)
                 # Same stream family for every eps cell: paired (common random
                 # numbers) runs keep error curves comparable seed by seed.
-                rng = Rng(seed)
-                try:
-                    tree = final_gh_tree(
-                        g,
-                        Epsilon(value),
-                        rng,
-                        c_depth=config.c_depth,
-                        c1=config.c1,
-                        c2=config.c2,
-                        penalty_const=config.penalty_const,
-                    )
-                except GHTreeAbort as abort:
-                    aborts.append(AbortRecord(seed=seed, eps=label, depth=abort.depth))
-                    continue
+                tree = final_gh_tree(
+                    g,
+                    Epsilon(value),
+                    Rng(seed),
+                    c_depth=config.c_depth,
+                    c1=config.c1,
+                    c2=config.c2,
+                    penalty_const=config.penalty_const,
+                )
                 cells.append((label, tree))
         exact_minima = [_path_minima(exact_tree, s) for s in g.vertices]
         for label, tree in cells:
@@ -239,7 +236,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     side_errors = [r.side_error for r in rows]
     return ExperimentReport(
         rows=rows,
-        aborts=aborts,
         max_side_error=max(side_errors) if side_errors else None,
         median_side_error=_median(side_errors) if side_errors else None,
         wall_time_s=wall,

@@ -4,9 +4,11 @@ One step guesses noisy cut values toward a random pivot, carves off
 terminal groups whose private isolating cuts look minimal, and keeps
 the largest batch. The recursion contracts each carved region (masking
 its boundary with noisy edges before descending), recurses on the
-rest, and stitches the child trees back together. ``final_gh_tree``,
-the only way into the recursion, runs it on ``RECURSION_SHARE`` of the
-budget, one half, and spends the rest noising the tree's edge weights.
+rest, and stitches the child trees back together. A frame that starts
+past the depth cap does none of this and returns a star over its
+terminals, so every build yields a tree. ``final_gh_tree``, the only
+way into the recursion, runs it on ``RECURSION_SHARE`` of the budget,
+one half, and spends the rest noising the tree's edge weights.
 
 Budget accounting mirrors the mechanism structure: one step at budget
 e charges e/4 for pivot cut values, e/2 across isolating-cut rounds,
@@ -21,28 +23,21 @@ import math
 from typing import Iterable, Mapping, NamedTuple
 
 from .dp import Epsilon, PrivacyLedger, Rng, _Frozen, sample_laplace
-from .exact import min_st_cut_exact
-from .graph import CutSide, Graph, contract
+from .exact import gomory_hu_exact, min_st_cut_exact
+from .graph import CutSide, Graph, contract, cut_weight
 from .private_cuts import DEFAULT_C1, DEFAULT_C2, DEFAULT_C_DEPTH, DEFAULT_PENALTY_CONST, RECURSION_SHARE
 from .private_cuts import IsoCutParams, _check_constants, private_isolating_cuts
 from .steiner import SteinerTree, _single_node_tree, combine_steiner
 
 
 class GHTreeAbort(RuntimeError):
-    """Raised when the recursion exceeds its depth cap.
+    """Never raised: a frame past the depth cap returns a star instead.
 
-    Carries the seed that produced the run; retrying is the caller's
-    explicit decision, never automatic.
+    Kept importable, as a bare ``RuntimeError`` subclass, because code
+    written when the recursion could abort still names it: the
+    acceptance criteria in ``tests/test_acceptance.py`` catch it around
+    their builds.
     """
-
-    def __init__(self, depth: int, t_max: int, seed: int):
-        super().__init__(
-            f"tree recursion reached depth {depth} with cap t_max={t_max} (seed {seed}); "
-            "rerun with a different seed or a larger depth constant"
-        )
-        self.depth = depth
-        self.t_max = t_max
-        self.seed = seed
 
 
 class StepParams(_Frozen):
@@ -191,24 +186,38 @@ def _gh_rec(
 ) -> SteinerTree:
     """One frame at depth t: a step at a random pivot, a child per carved side, the backbone.
 
-    Aborts with GHTreeAbort once t exceeds t_max; records each depth it
-    runs at in ``depths``. A carved region holding more than one
-    terminal is descended into with the rest of g contracted to one
-    vertex, ``contract(g, V - side)``, and its boundary masked: each
-    inside vertex's edge to that vertex becomes its weight plus Laplace
-    noise at ``mask_scale``, clamped at zero. A one-terminal region
-    becomes a single-node child with no graph built. The remainder,
-    every carved side contracted in one call, is built only when the
-    backbone recurses.
+    A frame with one terminal, or one that starts past ``t_max``, is a
+    star over U instead: rooted at min(U), with every other vertex of g
+    mapped to the root, and each edge (root, u) weighing
+    ``cut_weight(g, {u})``. It draws nothing, charges nothing and adds
+    no depth to ``depths``, which records every other frame's depth.
+    With one terminal the star is the single-node tree.
+
+    The star is post-processing of released outputs (Dwork & Roth,
+    Prop. 2.1). Its shape and map depend only on U and g's vertex set,
+    both functions of the pivots and sides that earlier steps released.
+    Its weights, like every tree weight here, are cut values of a
+    frame's graph, and reach the output only through ``final_gh_tree``'s
+    noised release of the weights, whose charge is the same for any
+    such tree.
+
+    A carved region holding more than one terminal is descended into
+    with the rest of g contracted to one vertex, ``contract(g, V -
+    side)``, and its boundary masked: each inside vertex's edge to that
+    vertex becomes its weight plus Laplace noise at ``mask_scale``,
+    clamped at zero. A one-terminal region becomes a single-node child
+    with no graph built. The remainder, every carved side contracted in
+    one call, is built only when the backbone recurses.
 
     Side i of R*, in the step's order, is the backbone's vertex
     max(V) + 1 + i, and every child calls the rest of g max(V) + 1;
     ``combine_steiner`` joins the trees on those labels.
     """
-    if t > t_max:
-        raise GHTreeAbort(depth=t, t_max=t_max, seed=rng.seed)
-    if len(U) == 1:
-        return _single_node_tree(g.vertices, U[0])
+    if len(U) == 1 or t > t_max:
+        root = min(U)
+        f = dict.fromkeys(g.vertices, root)
+        f.update(zip(U, U))
+        return SteinerTree(U, [(root, u, cut_weight(g, {u})) for u in U if u != root], f)
     depths.add(t)
     s = U[rng.child("pivot").integer(len(U))]
     step = gh_tree_step(g, s, U, step_params, rng.child("step"))
@@ -266,13 +275,22 @@ def final_gh_tree(
     edge difference between at most two of them. The rest of the
     budget, eps - e, replaces every tree edge weight with a
     Laplace-noised copy clamped at zero. At ``INFINITE`` every scale is
-    0.0 and nothing is drawn. Aborts propagate to the caller
-    with the consumed seed; nothing is retried automatically.
+    0.0 and nothing is drawn.
+
+    Every graph with a vertex yields a tree. A one-vertex graph yields
+    ``gomory_hu_exact``'s single-node tree, with no draw and no charge.
+    A frame that starts past t_max returns a star over its terminals
+    (see ``_gh_rec``) rather than failing, which spends no budget: its
+    shape is a function of released pivots and sides, and its weights
+    are released only through ``final.edge_weights``. That entry's
+    sensitivity argument, one unit per weight for weights that are cut
+    values of the frames' graphs, holds for star weights too, so its
+    charge is unchanged.
     """
+    _check_constants(c_depth=c_depth, c1=c1, c2=c2, penalty_const=penalty_const)
     if g.n < 2:
-        raise ValueError("need at least two vertices to build a tree")
+        return gomory_hu_exact(g)
     eps_rec = eps.split(1.0 / RECURSION_SHARE)
-    _check_constants(c_depth=c_depth)
     t_max = math.ceil(c_depth * math.log2(g.n) ** 2)
     step_params = StepParams(
         eps=eps_rec.split(4.0 * t_max),

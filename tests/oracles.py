@@ -712,3 +712,19 @@ def dinic_levels_full_bfs(adj, head, cap, s, t) -> list:
                 path.pop()
                 u = head[path[-1]] if path else s
                 it[u] += 1
+
+
+class RaisingRng(Rng):
+    """A stream that fails on any draw, and whose children do too."""
+
+    def child(self, label: str) -> "RaisingRng":
+        return RaisingRng(self.seed)
+
+    def uniform(self) -> float:
+        raise AssertionError("a draw was made")
+
+    def integer(self, n: int) -> int:
+        raise AssertionError("a draw was made")
+
+    def permutation(self, n: int) -> list[int]:
+        raise AssertionError("a draw was made")

@@ -6,6 +6,7 @@ import pytest
 
 from ghtree import cut_weight, generate, gomory_hu_exact, load_tree, save_graph
 from ghtree.cli import main
+from ghtree.experiment import CSV_HEADER
 from ghtree.steiner import min_edge_on_path
 from oracles import brute_min_st_value
 
@@ -47,7 +48,8 @@ class TestBuildVerb:
         assert main(["build", "--input", path, "--eps", "1.0", "--seed", "3", "--out", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
-    def test_abort_exits_2(self, tmp_path, capsys, monkeypatch):
+    def test_build_past_the_cap_exits_0(self, tmp_path, capsys, monkeypatch):
+        # These constants make frames start past the depth cap.
         monkeypatch.setenv("GHTREE_C_DEPTH", "0.01")
         monkeypatch.setenv("GHTREE_C1", "1e-9")
         monkeypatch.setenv("GHTREE_C2", "1e-9")
@@ -56,8 +58,11 @@ class TestBuildVerb:
         save_graph(g, path)
         out = str(tmp_path / "t.txt")
         code = main(["build", "--input", path, "--eps", "0.5", "--seed", "0", "--out", out])
-        assert code == 2
-        assert "abort:" in capsys.readouterr().err
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        tree = load_tree(out)
+        assert tree.node_set == g.vertex_set
+        assert set(tree.f) == g.vertex_set
 
     def test_negative_infinite_eps_exits_1(self, graph_file, tmp_path, capsys):
         path, _ = graph_file
@@ -87,6 +92,31 @@ class TestBuildVerb:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestOneVertexGraph:
+    """A `p 1 0` file is a valid graph, and every verb that reads one succeeds."""
+
+    @pytest.fixture
+    def one_vertex_file(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("p 1 0\n")
+        return str(path)
+
+    def test_build_and_exact_write_the_same_tree(self, one_vertex_file, tmp_path):
+        built, exact = str(tmp_path / "b.txt"), str(tmp_path / "e.txt")
+        assert main(["build", "--input", one_vertex_file, "--eps", "1", "--seed", "0", "--out", built]) == 0
+        assert main(["exact", "--input", one_vertex_file, "--out", exact]) == 0
+        assert open(built, "rb").read() == open(exact, "rb").read()
+        assert load_tree(built).nodes == (0,)
+
+    def test_bench_writes_no_rows(self, one_vertex_file, tmp_path, capsys):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"input = {one_vertex_file}\neps = 1, inf\nseeds = 0..1\n")
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(conf), "--out", str(out)]) == 0
+        assert "rows 0" in capsys.readouterr().out
+        assert out.read_text().splitlines() == [CSV_HEADER]
 
 
 class TestQueryVerb:

@@ -34,7 +34,7 @@ from ghtree import (
     write_csv,
 )
 from ghtree import exact, experiment
-from ghtree.experiment import CSV_HEADER, AbortRecord, _instance, _median, _pair_answers
+from ghtree.experiment import CSV_HEADER, _instance, _median, _pair_answers
 from ghtree.exact import gomory_hu_exact
 from ghtree.steiner import _path_minima
 from oracles import min_edge_on_path
@@ -195,16 +195,11 @@ class TestRun:
         assert _median(values).hex() == statistics.median(values).hex()
 
     def test_reports_compare_by_fields_and_are_unhashable(self):
-        report = ExperimentReport([], [AbortRecord(0, "1.0", 3)], None, None, 0.5)
-        same = ExperimentReport(
-            rows=[],
-            aborts=[AbortRecord(seed=0, eps="1.0", depth=3)],
-            max_side_error=None,
-            median_side_error=None,
-            wall_time_s=0.5,
-        )
+        report = ExperimentReport([], None, None, 0.5)
+        same = ExperimentReport(rows=[], max_side_error=None, median_side_error=None, wall_time_s=0.5)
         assert report == same
-        assert report != ExperimentReport([], [], None, None, 0.5)
+        assert report != ExperimentReport([], None, None, 0.25)
+        assert report.aborts == ()
         with pytest.raises(TypeError):
             hash(report)
 
@@ -218,21 +213,20 @@ class TestRun:
         assert len(report.rows) == 6
         assert report.max_side_error == pytest.approx(0.0, abs=1e-9)
 
-    def test_aborted_cells_recorded_and_skipped(self):
+    def test_cells_past_the_cap_write_every_pair(self):
+        # These constants make frames start past the depth cap.
         config = small_config(
             params={"n": 12, "p": 0.3},
-            eps=(0.5,),
-            seeds=(0,),
+            eps=(0.5, 2.0),
+            seeds=(0, 1),
             c_depth=0.01,
             c1=1e-9,
             c2=1e-9,
         )
         report = run_experiment(config)
-        assert len(report.aborts) == 1
-        assert report.aborts[0].seed == 0
-        assert report.aborts[0].eps == "0.5"
-        assert report.rows == []
-        assert report.max_side_error is None
+        cells = Counter((row.seed, row.eps) for row in report.rows)
+        assert cells == {(seed, eps): 66 for seed in (0, 1) for eps in ("0.5", "2.0")}
+        assert report.aborts == ()
 
 
 def count_flows(monkeypatch) -> list:
@@ -423,7 +417,7 @@ class TestCsv:
             ExperimentRow(0, 1, 6, "exact", 1e16, 1e16, 0.0, 1.2345678901234567, 5e-324),
             ExperimentRow(0, 2, 6, "exact", 5e-324, 2.5, 1.2345678901234567, -0.0, 0.0),
         ]
-        report = ExperimentReport(rows, [], None, None, 0.0)
+        report = ExperimentReport(rows, None, None, 0.0)
         path = tmp_path / "pinned.csv"
         write_csv(report, str(path))
         assert path.read_bytes() == (

@@ -13,7 +13,6 @@ import strategies
 from ghtree import (
     INFINITE,
     Epsilon,
-    GHTreeAbort,
     Graph,
     PrivacyLedger,
     Rng,
@@ -26,8 +25,11 @@ from ghtree import (
     min_edge_on_path,
     min_st_cut_exact,
 )
+from ghtree import pipeline
 from ghtree.pipeline import _gh_rec
 from ghtree.private_cuts import DEFAULT_C1, DEFAULT_C2, DEFAULT_PENALTY_CONST
+from ghtree.steiner import _single_node_tree
+from oracles import RaisingRng
 
 
 def dumbbell6() -> Graph:
@@ -64,8 +66,8 @@ class TestRecursionParams:
         assert {e.scale for e in level_entries(led)} == {2.0 * 1 / 0.5}
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="two vertices"):
-            final_gh_tree(Graph([0]), Epsilon(1.0), Rng(0))
+        with pytest.raises(ValueError, match="graph must have at least one vertex"):
+            final_gh_tree(Graph([]), Epsilon(1.0), Rng(0))
         for name in ("c_depth", "c1", "c2", "penalty_const"):
             with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                 final_gh_tree(dumbbell6(), Epsilon(1.0), Rng(0), **{name: 0.0})
@@ -73,8 +75,9 @@ class TestRecursionParams:
     @pytest.mark.parametrize("value", NONFINITE)
     @pytest.mark.parametrize("name", ["c_depth", "c1", "c2", "penalty_const"])
     def test_nonfinite_constant_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-            final_gh_tree(dumbbell6(), Epsilon(1.0), Rng(0), **{name: value})
+        for g in (dumbbell6(), Graph([0])):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                final_gh_tree(g, Epsilon(1.0), Rng(0), **{name: value})
 
 
 class TestStepParams:
@@ -210,14 +213,25 @@ class TestGhTree:
         assert min_edge_on_path(tree, 0, 3)[2] == pytest.approx(1.0)
         assert min_edge_on_path(tree, 3, 5)[2] == pytest.approx(4.0)
 
-    def test_abort_when_entering_too_deep(self):
+    def test_frame_past_the_cap_returns_a_star(self):
+        # RaisingRng fails on any draw, so the capped frame must draw nothing.
         g = dumbbell6()
         params = StepParams(eps=Epsilon(1.0), beta=1.0 / g.n**3)
-        with pytest.raises(GHTreeAbort) as exc:
-            _gh_rec(g, list(g.vertices), 5, Rng(3), 1, params, 0.0, set())
-        assert exc.value.depth == 5
-        assert exc.value.t_max == 1
-        assert exc.value.seed == 3
+        depths: set[int] = set()
+        tree = _gh_rec(g, [4, 1, 3], 2, RaisingRng(3), 1, params, 0.0, depths)
+        assert tree.nodes == (1, 3, 4)
+        assert tree.edges == ((1, 3, cut_weight(g, {3})), (1, 4, cut_weight(g, {4})))
+        assert dict(tree.f) == {0: 1, 1: 1, 2: 1, 3: 3, 4: 4, 5: 1}
+        assert depths == set()
+
+    def test_one_terminal_frame_is_the_single_node_tree(self):
+        g = dumbbell6()
+        params = StepParams(eps=Epsilon(1.0), beta=1.0 / g.n**3)
+        for t in (0, 2):
+            depths: set[int] = set()
+            tree = _gh_rec(g, [3], t, RaisingRng(0), 1, params, 0.0, depths)
+            assert tree == _single_node_tree(g.vertices, 3)
+            assert depths == set()
 
     def test_ledger_charges_per_level(self):
         g = generate("erdos-renyi-weighted", {"n": 12, "p": 0.4}, 1)
@@ -239,9 +253,12 @@ class TestFinalTree:
         assert tree.nodes == (0, 1)
         assert tree.edges == ((0, 1, 3.0),)
 
-    def test_single_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            final_gh_tree(Graph([0]), INFINITE, Rng(0))
+    def test_single_vertex_graph(self):
+        g = Graph([4])
+        for eps in (INFINITE, Epsilon(1.0)):
+            ledger = PrivacyLedger(eps)
+            assert final_gh_tree(g, eps, RaisingRng(0), ledger) == gomory_hu_exact(g)
+            assert ledger.entries == []
 
     @given(strategies.connected_graphs(min_n=2, max_n=8))
     @settings(max_examples=25, deadline=None)
@@ -303,22 +320,51 @@ class TestFinalTree:
         # the depth cap is checked on builds that recurse, not on depth-0 stars.
         g = generate("dumbbell", {"clique": 10}, 0)
         eps = Epsilon(1e6)
-        aborts = 0
         for seed in range(100):
             ledger = PrivacyLedger(eps)
-            try:
-                final_gh_tree(g, eps, Rng(seed), ledger)
-            except GHTreeAbort:
-                aborts += 1
+            final_gh_tree(g, eps, Rng(seed), ledger)
             assert "gh_tree.level.1" in {e.name for e in ledger.entries}, f"seed {seed} did not descend"
-        assert aborts <= 2
 
-    def test_abort_propagates_with_seed(self):
+    def test_build_past_the_cap_spans_within_budget(self):
         # Near-zero threshold constants make acceptance a coin flip, so
-        # coverage stalls and the depth cap of 1 is exceeded.
+        # coverage stalls and frames start past the depth cap of 1.
         g = generate("erdos-renyi-weighted", {"n": 12, "p": 0.3}, 0)
-        with pytest.raises(GHTreeAbort) as exc:
-            final_gh_tree(g, Epsilon(0.5), Rng(0), c_depth=0.01, c1=1e-9, c2=1e-9)
-        assert exc.value.seed == 0
-        assert exc.value.t_max == 1
-        assert exc.value.depth == 2
+        eps = Epsilon(0.5)
+        ledger = PrivacyLedger(eps)
+        tree = final_gh_tree(g, eps, Rng(0), ledger, c_depth=0.01, c1=1e-9, c2=1e-9)
+        assert tree.node_set == g.vertex_set
+        assert set(tree.f) == g.vertex_set
+        assert [e.name for e in level_entries(ledger)] == ["gh_tree.level.0", "gh_tree.level.1"]
+        assert ledger.within_budget()
+
+    # At these seeds some frames start past the cap, t_max = 1.
+    @pytest.mark.parametrize("seed", [0, 6, 14])
+    def test_capped_descending_builds_span_within_budget(self, monkeypatch, seed):
+        starts: list[int] = []
+        frames: list[int] = []
+        stepped: set[int] = set()
+        real_rec, real_step = pipeline._gh_rec, pipeline.gh_tree_step
+
+        def rec(g, U, t, *args):
+            starts.append(t)
+            frames.append(t)
+            try:
+                return real_rec(g, U, t, *args)
+            finally:
+                frames.pop()
+
+        def step(*args, **kwargs):
+            stepped.add(frames[-1])
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_gh_rec", rec)
+        monkeypatch.setattr(pipeline, "gh_tree_step", step)
+        g = generate("dumbbell", {"clique": 10}, 0)
+        eps = Epsilon(1e3)
+        ledger = PrivacyLedger(eps)
+        tree = final_gh_tree(g, eps, Rng(seed), ledger, c_depth=0.05, c1=0.05, c2=0.05)
+        assert max(starts) == 2
+        assert tree.node_set == g.vertex_set
+        assert set(tree.f) == g.vertex_set
+        assert ledger.within_budget()
+        assert {e.name for e in level_entries(ledger)} == {f"gh_tree.level.{d}" for d in stepped}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
+from oracles import RaisingRng
 from ghtree import (
     INFINITE,
     Epsilon,
@@ -263,22 +264,6 @@ class TestIsoParams:
 
 def iso_params(eps, g, beta=0.01) -> IsoCutParams:
     return IsoCutParams(eps=eps, beta=beta, U=frozenset(g.vertices))
-
-
-class RaisingRng(Rng):
-    """A stream that fails on any draw, and whose children do too."""
-
-    def child(self, label: str) -> "RaisingRng":
-        return RaisingRng(self.seed)
-
-    def uniform(self) -> float:
-        raise AssertionError("a draw was made")
-
-    def integer(self, n: int) -> int:
-        raise AssertionError("a draw was made")
-
-    def permutation(self, n: int) -> list[int]:
-        raise AssertionError("a draw was made")
 
 
 @st.composite
